@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -219,14 +219,41 @@ class FpgaDevice:
         """Array-kernel slot of a segment, materialising on first touch."""
         index = self._array_index.get(segment_id)
         if index is None:
-            traits, high, low = self._materialise(segment_id)
-            index = self._bti_array.register(traits)
-            if high or low:
-                self._bti_array.preload_imprint(
-                    [index], high_charge_ps=high, low_charge_ps=low
-                )
-            self._array_index[segment_id] = index
+            index = self._materialise_many((segment_id,))[0]
         return index
+
+    def _materialise_many(self, segment_ids: Iterable[SegmentId]) -> list[int]:
+        """Array-kernel slots of a request's segments, in request order.
+
+        Every segment not yet known (repeats within the request count
+        once) takes its draws in request order, exactly as touching the
+        segments one at a time would; the residual imprints of the whole
+        batch are then installed with a single vectorised preload.
+        Preloading only writes the new slots' charges, so deferring it
+        past the other registrations leaves every slot bit-identical.
+        """
+        known = self._array_index
+        indices: list[int] = []
+        imprinted: list[int] = []
+        highs: list[float] = []
+        lows: list[float] = []
+        for segment_id in segment_ids:
+            index = known.get(segment_id)
+            if index is None:
+                traits, high, low = self._materialise(segment_id)
+                index = self._bti_array.register(traits)
+                known[segment_id] = index
+                if high or low:
+                    imprinted.append(index)
+                    highs.append(high)
+                    lows.append(low)
+            indices.append(index)
+        if imprinted:
+            self._bti_array.preload_imprint(
+                imprinted, high_charge_ps=np.asarray(highs),
+                low_charge_ps=np.asarray(lows),
+            )
+        return indices
 
     @property
     def materialised_segments(self) -> int:
@@ -257,9 +284,15 @@ class FpgaDevice:
                 f"device {self.device_id} already has "
                 f"{self._loaded.name!r} loaded; wipe first"
             )
-        for net in bitstream.netlist.routed_nets():
-            for segment_id in net.route:
-                self.segment_state(segment_id)
+        routed = bitstream.netlist.routed_nets()
+        if self.aging_kernel == "array":
+            self._materialise_many(
+                itertools.chain.from_iterable(net.route for net in routed)
+            )
+        else:
+            for net in routed:
+                for segment_id in net.route:
+                    self.segment_state(segment_id)
         self._loaded = bitstream
 
     def wipe(self) -> None:
@@ -568,10 +601,7 @@ class FpgaDevice:
 
     def _route_indices(self, route: Route) -> np.ndarray:
         """Array-kernel slots of a route's segments (materialising)."""
-        return np.fromiter(
-            (self._segment_index(s) for s in route), dtype=np.intp,
-            count=len(route),
-        )
+        return np.asarray(self._materialise_many(route), dtype=np.intp)
 
     def transition_delays(self, route: Route) -> TransitionDelays:
         """True rising/falling propagation delay through a route, now.

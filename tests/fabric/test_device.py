@@ -2,14 +2,18 @@
 vulnerability, so these are the most security-relevant invariants in the
 code base."""
 
+import itertools
+
+import numpy as np
 import pytest
 
 from repro.errors import FabricError
 from repro.designs import build_route_bank, build_target_design
 from repro.fabric.device import FpgaDevice
 from repro.fabric.parts import VIRTEX_ULTRASCALE_PLUS, ZYNQ_ULTRASCALE_PLUS
+from repro.fabric.routing import Route
 from repro.physics.aging import CLOUD_PART, NEW_PART
-from repro.physics.pool_array import aging_kernel
+from repro.physics.pool_array import SegmentBtiArray, aging_kernel
 from repro.units import celsius_to_kelvin
 
 AMBIENT = celsius_to_kelvin(60.0)
@@ -207,6 +211,176 @@ class TestAgingKernelEquivalence:
         # Holding the opposite value anneals the high pool and stresses
         # the low pool: the imprint must move downward.
         assert device.route_delta_ps(routes[0]) < first
+
+
+def _one_at_a_time(device, segment_ids):
+    """Oracle: draw, register and preload each new segment on its own."""
+    store = device.aging_store
+    for segment_id in segment_ids:
+        if segment_id in device._array_index:
+            continue
+        traits, high, low = device._materialise(segment_id)
+        index = store.register(traits)
+        if high or low:
+            store.preload_imprint(
+                [index], high_charge_ps=high, low_charge_ps=low
+            )
+        device._array_index[segment_id] = index
+
+
+def _design_segments(design):
+    return itertools.chain.from_iterable(
+        net.route for net in design.bitstream.netlist.routed_nets()
+    )
+
+
+_POOL_FIELDS = (
+    "amplitude_ps", "charge_ps", "equivalent_stress_hours",
+    "recovery_elapsed_hours", "recovery_wall_hours",
+    "charge_at_release_ps", "recovering",
+)
+
+
+def _assert_same_store(batched, oracle):
+    count = len(batched)
+    assert len(oracle) == count
+    for pool in ("high", "low"):
+        for name in _POOL_FIELDS:
+            got = getattr(getattr(batched, pool), name)[:count]
+            want = getattr(getattr(oracle, pool), name)[:count]
+            assert (got == want).all(), f"{pool}.{name}"
+    slots = np.arange(count)
+    assert (batched.rising_delay_ps(slots)
+            == oracle.rising_delay_ps(slots)).all()
+    assert (batched.falling_delay_ps(slots)
+            == oracle.falling_delay_ps(slots)).all()
+
+
+def _assert_same_device(batched, oracle):
+    assert batched.materialised_segments == oracle.materialised_segments
+    assert batched._array_index == oracle._array_index
+    _assert_same_store(batched.aging_store, oracle.aging_store)
+
+
+_WEARS = pytest.mark.parametrize(
+    "wear", [NEW_PART, CLOUD_PART], ids=["new", "cloud"]
+)
+
+
+class TestBatchedMaterialisation:
+    """A request (route read or design load) materialises its new
+    segments in one batch; every slot must equal the one-segment-at-a-
+    time oracle bit for bit."""
+
+    @staticmethod
+    def _routes(device):
+        routes = build_route_bank(device.grid, [2000.0, 3000.0, 1500.0])
+        # Repeats within one request, plus segments of a second route.
+        repeated = Route(
+            "repeated",
+            routes[0].segments[:4] + routes[0].segments[:2]
+            + routes[2].segments[:3] + routes[0].segments[3:5],
+        )
+        return routes, repeated
+
+    @_WEARS
+    def test_route_with_repeated_segment(self, wear):
+        batched = FpgaDevice(ZYNQ_ULTRASCALE_PLUS, wear=wear, seed=31)
+        oracle = FpgaDevice(ZYNQ_ULTRASCALE_PLUS, wear=wear, seed=31)
+        _, repeated = self._routes(batched)
+        delta = batched.route_delta_ps(repeated)
+        _one_at_a_time(oracle, repeated)
+        assert oracle.route_delta_ps(repeated) == delta
+        assert batched.materialised_segments == len(set(repeated))
+        _assert_same_device(batched, oracle)
+
+    @_WEARS
+    def test_route_read_after_load(self, wear):
+        batched = FpgaDevice(ZYNQ_ULTRASCALE_PLUS, wear=wear, seed=32)
+        oracle = FpgaDevice(ZYNQ_ULTRASCALE_PLUS, wear=wear, seed=32)
+        routes, repeated = self._routes(batched)
+        design = build_target_design(
+            batched.part, routes[:2], [1, 0], heater_dsps=2
+        )
+        batched.load(design.bitstream)
+        delays = batched.transition_delays(repeated)
+        _one_at_a_time(oracle, _design_segments(design))
+        oracle.load(design.bitstream)
+        _one_at_a_time(oracle, repeated)
+        assert oracle.transition_delays(repeated) == delays
+        _assert_same_device(batched, oracle)
+        for device in (batched, oracle):
+            device.advance_hours(24.0, AMBIENT)
+        for route in routes + [repeated]:
+            assert batched.route_delta_ps(route) == oracle.route_delta_ps(
+                route
+            )
+        _assert_same_device(batched, oracle)
+
+    @_WEARS
+    def test_shared_store_interleaved_reads(self, wear):
+        def fleet():
+            store = SegmentBtiArray()
+            return [
+                FpgaDevice(ZYNQ_ULTRASCALE_PLUS, wear=wear, seed=seed,
+                           bti_store=store)
+                for seed in (41, 42)
+            ]
+
+        batched, oracle = fleet(), fleet()
+        routes, repeated = self._routes(batched[0])
+        for route in (routes[0], repeated, routes[1]):
+            for b, o in zip(batched, oracle):
+                delta = b.route_delta_ps(route)
+                _one_at_a_time(o, route)
+                assert o.route_delta_ps(route) == delta
+        for b, o in zip(batched, oracle):
+            _assert_same_device(b, o)
+
+    @pytest.mark.parametrize(
+        "wear, preloads", [(NEW_PART, 0), (CLOUD_PART, 1)],
+        ids=["new", "cloud"],
+    )
+    def test_one_preload_per_request(self, wear, preloads, monkeypatch):
+        calls = []
+        original = SegmentBtiArray.preload_imprint
+
+        def counting(store, indices, *args, **kwargs):
+            calls.append(len(indices))
+            return original(store, indices, *args, **kwargs)
+
+        monkeypatch.setattr(SegmentBtiArray, "preload_imprint", counting)
+        device = FpgaDevice(ZYNQ_ULTRASCALE_PLUS, wear=wear, seed=33)
+        routes, repeated = self._routes(device)
+        design = build_target_design(
+            device.part, routes[:2], [1, 0], heater_dsps=0
+        )
+        device.load(design.bitstream)
+        assert len(calls) == preloads
+        device.route_delta_ps(repeated)
+        assert len(calls) == 2 * preloads
+        device.route_delta_ps(repeated)  # nothing new to materialise
+        assert len(calls) == 2 * preloads
+
+    @_WEARS
+    def test_scalar_kernel_matches(self, wear):
+        def history(kernel):
+            device = FpgaDevice(ZYNQ_ULTRASCALE_PLUS, wear=wear, seed=34,
+                                aging_kernel=kernel)
+            routes, repeated = self._routes(device)
+            design = build_target_design(
+                device.part, routes[:2], [0, 1], heater_dsps=0
+            )
+            device.load(design.bitstream)
+            first = device.route_delta_ps(repeated)
+            device.advance_hours(12.0, AMBIENT)
+            reads = [device.route_delta_ps(r) for r in routes + [repeated]]
+            return device, first, reads, device.transition_delays(repeated)
+
+        scalar, *scalar_reads = history("scalar")
+        array, *array_reads = history("array")
+        assert array_reads == scalar_reads
+        assert array.materialised_segments == scalar.materialised_segments
 
 
 class TestThermalCoupling:
