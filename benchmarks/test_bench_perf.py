@@ -1,36 +1,40 @@
 """Performance benchmark: batched capture, array aging, parallel sweeps.
 
+Run from the repository root (``PYTHONPATH=src python -m pytest
+benchmarks/test_bench_perf.py``): the reference side of each sensor
+comparison comes from the test oracles in ``tests/oracles/sensor.py``.
 Seven phases, written to ``BENCH_perf.json`` at the repo root:
 
-* **measurement microbench** -- full TDC measurements through the scalar
-  reference kernel vs the vectorised batched kernel (the PR 2 tentpole
-  targets >= 10x here);
+* **measurement microbench** -- full TDC measurements through the
+  per-word reference oracle vs the vectorised batched kernel (the PR 2
+  tentpole targets >= 10x here);
 * **aging microbench** -- whole-device ``advance_hours`` on a >= 4k
   materialised-segment device under the scalar per-object kernel vs the
   structure-of-arrays kernel (the PR 3 tentpole targets >= 10x here);
-* **end-to-end exp1** -- ``exp1 --quick`` wall time under each capture
-  kernel with recovery accuracy compared;
+* **end-to-end exp1** -- ``exp1 --quick`` wall time on the reference
+  sensor (:func:`reference_sensor`: per-word capture, route-by-route
+  calibration and measurement) vs the production sensor, with recovery
+  accuracy compared;
 * **end-to-end exp2 (aging axis)** -- ``exp2 --quick`` wall time under
   each *aging* kernel with recovery accuracy compared;
 * **end-to-end exp2/exp3 (all axes)** -- ``exp2 --quick`` and
-  ``exp3 --quick`` with *every* knob scalar (capture, calibration scan,
-  aging) vs every knob fast (the PR 7 tentpole targets >= 5x here);
+  ``exp3 --quick`` with *everything* on its reference path (the
+  reference sensor plus scalar aging) vs everything fast (the PR 7
+  tentpole targets >= 5x here);
 * **calibration-axis equivalence** -- the lockstep calibration scan
-  must reproduce the sequential scan's recovery accuracy *exactly*
-  (that axis is bit-identical even with jitter, unlike the capture
-  kernel's matrix-first jitter draws);
-* **sweep sharding** -- ``experiment_sweep(jobs=N)`` vs sequential over
-  shared-memory result arrays, with the bit-identical-result invariant
-  checked.  On single-CPU runners ``resolve_jobs`` clamps the request
-  down to the sequential path; the bench then *skips* the speedup
-  ratio (a 1-core self-comparison is noise, not a benchmark) and
-  records why.
+  must reproduce the route-by-route scan's recovery accuracy *exactly*;
+* **sweep sharding** -- ``experiment_sweep(jobs=N)`` vs sequential,
+  with the bit-identical-result invariant checked.  On single-CPU
+  runners ``resolve_jobs`` clamps the request down to the sequential
+  path; the bench then *skips* the speedup ratio (a 1-core
+  self-comparison is noise, not a benchmark) and records why.
 
-The hard gates (CI fails on them) are deliberately loose -- the
-vectorised kernels must not be *slower* than their scalar references --
-so noisy shared runners cannot flake the build; the headline ratios are
-recorded for trend tracking rather than asserted.  The one tight gate
-is accuracy equality along the bit-identical axes.
+The speed gates (CI fails on them) are deliberately loose -- the
+vectorised kernels must not be *slower* than their references -- so
+noisy shared runners cannot flake the build; the headline ratios are
+recorded for trend tracking rather than asserted.  The tight gates are
+accuracy equalities: every reference path here is bit-identical to its
+fast path, jitter included, so each pair of accuracies must be equal.
 """
 
 from __future__ import annotations
@@ -38,11 +42,13 @@ from __future__ import annotations
 import json
 import os
 import platform
-from contextlib import ExitStack
+from contextlib import ExitStack, nullcontext
 from pathlib import Path
 from time import perf_counter
+from unittest import mock
 
 from repro.designs import build_route_bank, build_target_design
+from repro.designs.measure import MeasureSession
 from repro.experiments import (
     Experiment1Config,
     Experiment2Config,
@@ -60,10 +66,10 @@ from repro.fabric.segments import SegmentKind
 from repro.montecarlo import experiment_sweep, resolve_jobs
 from repro.physics.pool_array import aging_kernel
 from repro.sensor import find_theta_init
-from repro.sensor.calibration import calibration_kernel
 from repro.sensor.noise import LAB_NOISE
-from repro.sensor.tdc import TunableDualPolarityTdc, capture_kernel
+from repro.sensor.tdc import TunableDualPolarityTdc
 from repro.units import celsius_to_kelvin
+from tests.oracles import sensor as oracle
 
 _TARGET = Path(__file__).resolve().parents[1] / "BENCH_perf.json"
 
@@ -79,12 +85,12 @@ _AGING_SEGMENTS = 4096
 _AMBIENT_K = celsius_to_kelvin(35.0)
 
 
-def _time_measurements(tdc, theta, kernel, reps):
+def _time_measurements(measure_raw, theta, reps):
     for _ in range(5):  # warm caches, allocator, rng dispatch
-        tdc.measure_raw(theta, kernel=kernel)
+        measure_raw(theta)
     start = perf_counter()
     for _ in range(reps):
-        tdc.measure_raw(theta, kernel=kernel)
+        measure_raw(theta)
     return (perf_counter() - start) / reps
 
 
@@ -124,9 +130,9 @@ def _time_advances(device, reps):
     return (perf_counter() - start) / reps
 
 
-def _time_exp1(kernel):
+def _time_exp1(reference):
     config = Experiment1Config.quick()
-    with capture_kernel(kernel):
+    with oracle.reference_sensor() if reference else nullcontext():
         best, accuracy = float("inf"), None
         for _ in range(2):
             start = perf_counter()
@@ -151,17 +157,17 @@ def _time_exp2(kernel):
 def _time_quick_all_knobs(run, config_cls, scalar, reps=2):
     """Best-of-``reps`` wall time of one --quick experiment.
 
-    ``scalar=True`` pins *every* kernel knob to its scalar reference --
-    capture words, calibration scan and aging -- the fully unbatched
-    path the PR 7 tentpole is measured against.  The DRC cache is
+    ``scalar=True`` runs everything on its reference path -- the
+    reference sensor (per-word capture, route-by-route calibration and
+    measurement) and scalar aging -- the fully unbatched path the PR 7
+    tentpole is measured against.  The DRC cache is
     cleared before every rep so each rep pays its own full vetting
     cost (reports are keyed per compile, so reps never share entries;
     clearing just keeps the comparison cold-start honest).
     """
     with ExitStack() as stack:
         if scalar:
-            stack.enter_context(capture_kernel("scalar"))
-            stack.enter_context(calibration_kernel("scalar"))
+            stack.enter_context(oracle.reference_sensor())
             stack.enter_context(aging_kernel("scalar"))
         best, accuracy = float("inf"), None
         for _ in range(reps):
@@ -175,19 +181,21 @@ def _time_quick_all_knobs(run, config_cls, scalar, reps=2):
 
 
 def _calibration_axis_accuracy(run, config_cls):
-    """Recovery accuracy under each calibration *scan* kernel.
+    """Recovery accuracy under each calibration *scan*.
 
-    Capture stays batched on both sides: the scan orchestration is the
-    one axis pinned bit-identical even with jitter on (each route owns
-    its own generator stream), so the two accuracies must be equal to
-    the last bit.
+    Capture stays batched on both sides; only the scan changes, from
+    the route-by-route oracle to the production lockstep scan.  Each
+    route owns its own generator stream, so the two accuracies must be
+    equal to the last bit.
     """
-    accuracies = {}
-    for scan in ("scalar", "batched"):
-        clear_drc_cache()
-        with calibration_kernel(scan):
-            accuracies[scan] = run(config_cls.quick()).recovery_score.accuracy
-    return accuracies["scalar"], accuracies["batched"]
+    clear_drc_cache()
+    with mock.patch.object(
+        MeasureSession, "calibrate", oracle.calibrate_sequential
+    ):
+        sequential = run(config_cls.quick()).recovery_score.accuracy
+    clear_drc_cache()
+    lockstep = run(config_cls.quick()).recovery_score.accuracy
+    return sequential, lockstep
 
 
 def test_bench_perf(emit):
@@ -196,8 +204,10 @@ def test_bench_perf(emit):
     tdc = TunableDualPolarityTdc(device, route, noise=LAB_NOISE, seed=1)
     theta = find_theta_init(tdc)
 
-    scalar_s = _time_measurements(tdc, theta, "scalar", _MICRO_REPS)
-    batched_s = _time_measurements(tdc, theta, "batched", _MICRO_REPS)
+    scalar_s = _time_measurements(
+        lambda t: oracle.measure_raw(tdc, t), theta, _MICRO_REPS
+    )
+    batched_s = _time_measurements(tdc.measure_raw, theta, _MICRO_REPS)
     micro_speedup = scalar_s / batched_s
     words_per_measurement = 2 * 10 * 16  # both polarities
     emit(f"micro: scalar {scalar_s * 1e3:.2f} ms/measurement, "
@@ -218,8 +228,8 @@ def test_bench_perf(emit):
          f"({aging_speedup:.1f}x, "
          f"{aging_segments / aging_array_s:,.0f} segments/s)")
 
-    e2e_scalar_s, scalar_accuracy = _time_exp1("scalar")
-    e2e_batched_s, batched_accuracy = _time_exp1("batched")
+    e2e_scalar_s, scalar_accuracy = _time_exp1(reference=True)
+    e2e_batched_s, batched_accuracy = _time_exp1(reference=False)
     e2e_speedup = e2e_scalar_s / e2e_batched_s
     emit(f"exp1 --quick: scalar {e2e_scalar_s:.2f} s, "
          f"batched {e2e_batched_s:.2f} s ({e2e_speedup:.1f}x), "
@@ -366,8 +376,9 @@ def test_bench_perf(emit):
     emit(f"wrote {_TARGET.name}")
 
     # Hard gates: the vectorised kernels must never lose to their
-    # reference paths, sharding must not change the statistics, and the
-    # kernels must agree on recovery for the fixed default seeds.
+    # reference paths, sharding must not change the statistics, and
+    # every fast path must agree with its bit-identical reference on
+    # recovery for the fixed default seeds.
     assert micro_speedup >= 1.0
     assert aging_speedup > 1.0
     assert aging_segments >= 1000
@@ -377,12 +388,11 @@ def test_bench_perf(emit):
     assert sharded == sequential
     assert batched_accuracy == scalar_accuracy
     assert exp2_array_accuracy == exp2_scalar_accuracy
-    # The calibration-scan axis is bit-identical by construction (each
-    # route owns an independent generator stream), so exact equality
-    # holds even though both experiments run with jitter on.  The
-    # all-scalar vs all-fast accuracies may legitimately differ: the
-    # scalar *capture* kernel interleaves its jitter draws, which is
-    # distributional, not bit-identical, equivalence (PR 2).
+    # The reference sensor is bit-identical to the production sensor
+    # (each route owns an independent generator stream, and the capture
+    # oracle draws its jitter matrix-first like the batched kernel), so
+    # exact equality holds with jitter on.
+    assert exp3_fast_acc == exp3_scalar_acc
     assert exp2_lockstep_acc == exp2_seq_scan_acc
     assert exp3_lockstep_acc == exp3_seq_scan_acc
     # Sharding must beat sequential where there is real parallelism to

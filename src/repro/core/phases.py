@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.errors import AttackError, TransientError
+from repro.errors import AttackError
 from repro.designs.measure import MeasureDesign, MeasureSession
 from repro.fabric.bitstream import Bitstream
 from repro.observability import trace
@@ -25,13 +25,13 @@ from repro.observability.metrics import registry
 from repro.reliability.retry import retry_call
 from repro.rng import SeedLike
 from repro.sensor.noise import NoiseModel
-from repro.sensor.tdc import Measurement, get_capture_kernel
+from repro.sensor.tdc import Measurement
 
 _log = get_logger("core.phases")
 
 
 def measure_with_recovery(
-    session: MeasureSession, kernel: Optional[str] = None
+    session: MeasureSession,
 ) -> tuple[dict[str, Measurement], list[str]]:
     """Measure every calibrated route, retrying transient drops.
 
@@ -39,28 +39,10 @@ def measure_with_recovery(
     succeeded, plus the names of the routes that stayed unmeasured --
     either never calibrated (an unrecovered glitch upstream) or dropped
     past the retry budget.  Callers degrade per-route: the failed
-    routes simply contribute no point this pass.
+    routes simply contribute no point this pass.  The whole board is
+    one stacked capture call with per-route retry and degradation.
     """
-    if (kernel or get_capture_kernel()) != "scalar":
-        # Whole-board stacked kernel: one capture call for the bank,
-        # with the same per-route retry/degradation semantics.
-        measurements, dropped = session.measure_bank(
-            kernel=kernel, recover=True
-        )
-    else:
-        measurements = {}
-        dropped = []
-        for name in session.route_names:
-            if name not in session.theta_init:
-                dropped.append(name)
-                continue
-            try:
-                measurements[name] = retry_call(
-                    session.measure_route, name, kernel=kernel,
-                    label=f"sensor.capture:{name}",
-                )
-            except TransientError:
-                dropped.append(name)
+    measurements, dropped = session.measure_bank(recover=True)
     if dropped:
         registry.counter(
             "route_measurements_unrecovered_total",

@@ -10,13 +10,19 @@ Because sensing happens at runtime on a specific physical device, the
 compiled :class:`MeasureDesign` is *attached* to a device after loading,
 yielding a :class:`MeasureSession` that owns the per-route TDC instances
 and implements the Calibration and Measurement phases.
+
+Both phases run the whole bank at once: calibration as one lockstep
+scan, measurement as one stacked ``(routes, traces, samples, chain)``
+capture.  Each route owns its own generator stream, so the bank results
+equal a route-by-route loop bit for bit; that loop is kept with the
+tests as the oracle they are compared against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.errors import (
     CalibrationGlitchError,
@@ -37,19 +43,9 @@ from repro.fabric.routing import Route
 from repro.reliability.faults import maybe_inject
 from repro.rng import SeedLike, make_rng
 from repro.sensor.bank import RouteDraws, resolve_bank
-from repro.sensor.calibration import (
-    _check_calibration_kernel,
-    find_theta_init,
-    find_theta_init_bank,
-    get_calibration_kernel,
-)
+from repro.sensor.calibration import find_theta_init_bank
 from repro.sensor.noise import CLOUD_NOISE, NoiseModel
-from repro.sensor.tdc import (
-    Measurement,
-    TunableDualPolarityTdc,
-    _check_kernel,
-    get_capture_kernel,
-)
+from repro.sensor.tdc import Measurement, TunableDualPolarityTdc
 
 #: CARRY8 primitives per 64-element chain (eight 8-bit carries).
 _CARRIES_PER_CHAIN = 8
@@ -117,72 +113,27 @@ class MeasureSession:
         """Names of the routes under test, in bank order."""
         return tuple(route.name for route in self.routes)
 
-    def calibrate(
-        self,
-        kernel: Optional[str] = None,
-        calibration: Optional[str] = None,
-    ) -> dict[str, float]:
+    def calibrate(self) -> dict[str, float]:
         """The Calibration phase: find and store theta_init per route.
 
-        ``kernel`` selects the capture implementation per probe trace
-        ("batched"/"scalar") and ``calibration`` the scan orchestration
-        ("batched" runs every route's descent in lockstep, one stacked
-        resolve per probe round; "scalar" scans route by route).
-        ``None`` takes the process defaults.  Both axes are
-        bit-identical: each route owns an independent generator stream
-        and takes the same probes in the same order either way.
-        """
-        capture = _check_kernel(kernel or get_capture_kernel())
-        scan = _check_calibration_kernel(
-            calibration or get_calibration_kernel()
-        )
-        if capture == "batched" and scan == "batched":
-            return self._calibrate_bank()
-        unrecovered = 0
-        for name, tdc in self._tdcs.items():
-            with trace.span("sensor.calibrate", route=name):
-                try:
-                    self.theta_init[name] = retry_call(
-                        find_theta_init, tdc, kernel=kernel,
-                        label=f"sensor.calibrate:{name}",
-                    )
-                except TransientError:
-                    # Glitch past the retry budget: the route stays
-                    # uncalibrated and downstream passes skip it.
-                    unrecovered += 1
-                    registry.counter(
-                        "calibrations_unrecovered_total",
-                        "routes left uncalibrated past the retry budget",
-                    ).inc()
-                    _log.warning("calibration_unrecovered", route=name)
-                    continue
-            registry.counter(
-                "calibrations_total", "routes calibrated from scratch"
-            ).inc()
-        _log.info("calibrated", routes=len(self._tdcs) - unrecovered,
-                  unrecovered=unrecovered)
-        return dict(self.theta_init)
-
-    def _calibrate_bank(self) -> dict[str, float]:
-        """Lockstep calibration: one stacked resolve per probe round.
-
-        Mirrors the sequential loop's observable behaviour exactly: the
-        glitch fault site fires (and retries) per route in bank order
-        before any probe, glitched routes degrade to uncalibrated, and
-        the lockstep scan over the survivors stores bit-identical
-        thetas, raising :class:`~repro.errors.CalibrationError` for the
-        first route the scalar loop would have failed on.
+        One lockstep scan calibrates the whole bank, resolving each
+        probe round as one stacked tensor.  The glitch fault site fires
+        (and retries) per route in bank order before any probe, and
+        glitched routes degrade to uncalibrated.  The scan over the
+        survivors stores the thetas a route-by-route
+        :func:`~repro.sensor.calibration.find_theta_init` loop would,
+        bit for bit, and raises
+        :class:`~repro.errors.CalibrationError` for the first route that
+        loop would have failed on.
         """
         survivors: dict[str, TunableDualPolarityTdc] = {}
         unrecovered = 0
-        with trace.span(
-            "sensor.calibrate", routes=len(self._tdcs), kernel="batched"
-        ):
+        with trace.span("sensor.calibrate", routes=len(self._tdcs)):
             for name, tdc in self._tdcs.items():
                 def _arm(name: str = name) -> None:
                     # The same fault check find_theta_init runs before
-                    # its first probe; retried here so the site stream
-                    # is consumed exactly as the per-route retry would.
+                    # its first probe, retried per route so the site
+                    # stream is consumed in bank order.
                     maybe_inject(
                         "sensor.calibrate", CalibrationGlitchError,
                         f"route {name!r}: calibration sweep aborted "
@@ -218,14 +169,8 @@ class MeasureSession:
             )
         self.theta_init = dict(theta_init)
 
-    def measure_route(
-        self, route_name: str, kernel: Optional[str] = None
-    ) -> Measurement:
-        """The Measurement phase for one route.
-
-        ``kernel`` selects the capture implementation ("batched"/
-        "scalar"; ``None`` takes the process default).
-        """
+    def measure_route(self, route_name: str) -> Measurement:
+        """The Measurement phase for one route."""
         if route_name not in self._tdcs:
             raise ConfigurationError(f"no TDC for route {route_name!r}")
         if route_name not in self.theta_init:
@@ -234,10 +179,9 @@ class MeasureSession:
                 f"or use_theta_init()"
             )
         start = perf_counter()
-        with trace.span("sensor.capture", route=route_name,
-                        kernel=kernel or get_capture_kernel()):
+        with trace.span("sensor.capture", route=route_name):
             measurement = self._tdcs[route_name].measure(
-                self.theta_init[route_name], kernel=kernel
+                self.theta_init[route_name]
             )
         registry.counter(
             "captures_total", "complete TDC measurements taken"
@@ -252,7 +196,7 @@ class MeasureSession:
         return measurement
 
     def measure_bank(
-        self, kernel: Optional[str] = None, recover: bool = False
+        self, recover: bool = False
     ) -> tuple[dict[str, Measurement], list[str]]:
         """Measure every calibrated route in one stacked kernel call.
 
@@ -268,18 +212,10 @@ class MeasureSession:
         failures degrade: the route lands in the returned ``dropped``
         list instead.  Returns ``(measurements, dropped)``.
         """
-        resolved = _check_kernel(kernel or get_capture_kernel())
-        if resolved != "batched":
-            raise SensorError(
-                "measure_bank requires the batched capture kernel; use "
-                "measure_route/measure_all for the scalar reference path"
-            )
         start = perf_counter()
         ordered: list[tuple[str, TunableDualPolarityTdc, RouteDraws]] = []
         dropped: list[str] = []
-        with trace.span(
-            "sensor.capture", routes=len(self.routes), kernel=resolved
-        ):
+        with trace.span("sensor.capture", routes=len(self.routes)):
             for name in self.route_names:
                 if name not in self.theta_init:
                     if not recover:
@@ -333,22 +269,10 @@ class MeasureSession:
                 skew.observe(measurement.delta_ps)
         return measurements, dropped
 
-    def measure_all(
-        self, kernel: Optional[str] = None
-    ) -> dict[str, Measurement]:
-        """Measure every route; the whole pass takes under a minute.
-
-        Routes through the bank-level stacked kernel when the capture
-        kernel is "batched"; the scalar kernel keeps the per-route
-        reference loop.
-        """
-        if _check_kernel(kernel or get_capture_kernel()) == "batched":
-            measurements, _ = self.measure_bank(kernel="batched")
-            return measurements
-        return {
-            name: self.measure_route(name, kernel=kernel)
-            for name in self.route_names
-        }
+    def measure_all(self) -> dict[str, Measurement]:
+        """Measure every route; the whole pass takes under a minute."""
+        measurements, _ = self.measure_bank()
+        return measurements
 
     def measurement_duration_hours(self) -> float:
         """Simulated wall-clock cost of one measure_all pass."""

@@ -11,8 +11,9 @@ Both accept ``jobs``: with ``jobs > 1`` the seed set shards across a
 :class:`~concurrent.futures.ProcessPoolExecutor`.  Seeds are fully
 independent evaluations, so the sharded sweep returns a bit-identical
 :class:`MonteCarloResult` to the sequential one -- results are
-collected in submission order -- and each worker ships its metrics
-registry *and its span forest* back to be merged into the parent's, so
+collected in submission order -- and each worker returns one pickled
+outcome per seed: the value, its wall time and pid, plus the worker's
+metrics registry *and its span forest*, merged into the parent's so
 ``captures_total`` and friends still reflect the whole sweep and
 ``--trace`` under ``--jobs N`` shows every worker's subtree (tagged
 with ``worker_pid``/``shard``) instead of only the parent's skeleton.
@@ -40,7 +41,6 @@ import traceback as _traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from multiprocessing import shared_memory
 from time import perf_counter
 from typing import Callable, Optional, Sequence, Union
 
@@ -219,76 +219,6 @@ def _evaluate_seed(
     return outcome
 
 
-#: Per-seed slot layout in the shared result array.
-_SHM_STATUS, _SHM_VALUE, _SHM_ELAPSED, _SHM_PID = range(4)
-_SHM_FIELDS = 4
-_SHM_OK = 1.0
-_SHM_FAILED = 2.0
-
-
-def _attach_result_slots(
-    shm_name: str, n_slots: int
-) -> tuple[shared_memory.SharedMemory, np.ndarray]:
-    """Attach to the sweep's shared result array by name."""
-    shm = shared_memory.SharedMemory(name=shm_name)
-    slots = np.ndarray(
-        (n_slots, _SHM_FIELDS), dtype=np.float64, buffer=shm.buf
-    )
-    return shm, slots
-
-
-@dataclass
-class _ShardShipment:
-    """Telemetry a worker pickles back when scalars travel via shm.
-
-    The per-seed scalars (status, value, wall time, pid) land in the
-    shared result array; only the structured blobs that genuinely need
-    serialisation -- the metrics registry dump, the span forest and a
-    possible exception -- ride the pickle channel.
-    """
-
-    seed: int
-    metrics_state: dict = field(default_factory=dict)
-    trace_state: dict = field(default_factory=dict)
-    error: Optional[BaseException] = None
-    error_text: Optional[str] = None
-
-
-def _evaluate_seed_to_shm(
-    metric: Callable[[int], float],
-    seed: int,
-    index: int,
-    shm_name: str,
-    n_slots: int,
-    collect_spans: bool = False,
-) -> _ShardShipment:
-    """Worker-side evaluation writing its scalars into shared memory."""
-    outcome = _evaluate_seed(metric, seed, collect_spans)
-    shm, slots = _attach_result_slots(shm_name, n_slots)
-    try:
-        slot = slots[index]
-        slot[_SHM_STATUS] = _SHM_FAILED if outcome.value is None else _SHM_OK
-        slot[_SHM_VALUE] = (
-            np.nan if outcome.value is None else outcome.value
-        )
-        slot[_SHM_ELAPSED] = outcome.elapsed_s
-        slot[_SHM_PID] = float(outcome.pid)
-        del slot, slots
-    finally:
-        # Close the attachment only; the segment belongs to the parent.
-        # (Pool workers are forked, so the attach re-registers the name
-        # with the same resource tracker the parent used -- a set, so
-        # the duplicate is harmless and the parent's unlink clears it.)
-        shm.close()
-    return _ShardShipment(
-        seed=outcome.seed,
-        metrics_state=outcome.metrics_state,
-        trace_state=outcome.trace_state,
-        error=outcome.error,
-        error_text=outcome.error_text,
-    )
-
-
 def _resume_from_journal(journal, seeds: Sequence[int]) -> dict[int, float]:
     """Replay journaled seeds: values plus their metric/span state.
 
@@ -361,125 +291,89 @@ def _run_parallel(
 ) -> list[float]:
     """Shard the seeds over worker processes.
 
-    Per-seed scalars (value, wall time, worker pid, success flag) come
-    back through one :mod:`multiprocessing.shared_memory` result array
-    -- workers write their slot in place, nothing scalar is pickled --
-    while the structured metrics/span blobs still ship via
-    ``dump_state`` pickles and merge in submission order, keeping the
-    sharded sweep bit-identical to the sequential one.
+    Each worker returns its pickled :class:`_SeedOutcome` (value, wall
+    time, pid and the metrics/span blobs); outcomes merge in submission
+    order, keeping the sharded sweep bit-identical to the sequential
+    one.
     """
     _require_picklable(metric)
     collect_spans = trace.is_enabled()
     values = []
-    first_failure = None  # (shipment, worker pid)
-    shm = shared_memory.SharedMemory(
-        create=True, size=len(seeds) * _SHM_FIELDS * 8
-    )
-    try:
-        slots = np.ndarray(
-            (len(seeds), _SHM_FIELDS), dtype=np.float64, buffer=shm.buf
-        )
-        slots[:] = 0.0
-        with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
-            futures = [
-                pool.submit(
-                    _evaluate_seed_to_shm, metric, int(seed), index,
-                    shm.name, len(seeds), collect_spans,
-                )
-                for index, seed in enumerate(seeds)
-            ]
-            # Collect in submission order: result ordering (and hence
-            # the MonteCarloResult) is deterministic regardless of which
-            # worker finishes first.
-            try:
-                for shard, (seed, future) in enumerate(zip(seeds, futures)):
-                    shipment = future.result()
-                    status = float(slots[shard, _SHM_STATUS])
-                    elapsed = float(slots[shard, _SHM_ELAPSED])
-                    pid = int(slots[shard, _SHM_PID])
-                    if status != _SHM_OK:
-                        registry.merge_state(shipment.metrics_state)
-                        if collect_spans and shipment.trace_state:
-                            trace.merge_state(
-                                shipment.trace_state, shard=shard
-                            )
-                        registry.counter(
-                            "montecarlo_worker_failures_total",
-                            "seeded evaluations that raised in a worker",
-                        ).inc()
-                        _log.info("worker_seed_failed", seed=shipment.seed,
-                                  pid=pid)
-                        if first_failure is None:
-                            first_failure = (shipment, pid)
-                        continue
-                    value = float(slots[shard, _SHM_VALUE])
-                    if journal is None:
-                        registry.merge_state(shipment.metrics_state)
-                        if collect_spans and shipment.trace_state:
-                            trace.merge_state(
-                                shipment.trace_state, shard=shard
-                            )
-                        _record_seed_run(elapsed)
-                    else:
-                        # Journaled: fold the parent-side per-seed
-                        # accounting into the same state the journal
-                        # stores, so a resume replays it all in one
-                        # merge.
-                        parent_state = registry.dump_state()
-                        registry.reset()
-                        registry.merge_state(shipment.metrics_state)
-                        _record_seed_run(elapsed)
-                        entry_state = registry.dump_state()
-                        registry.reset()
-                        registry.merge_state(parent_state)
-                        registry.merge_state(entry_state)
-                        if collect_spans and shipment.trace_state:
-                            trace.merge_state(
-                                shipment.trace_state, shard=shard
-                            )
-                        journal.record(
-                            int(seed), value,
-                            metrics_state=entry_state,
-                            trace_state=(
-                                shipment.trace_state
-                                if collect_spans and shipment.trace_state
-                                else None
-                            ),
-                        )
-                    values.append(value)
-                    note_seed_done(int(seed), value, elapsed_s=elapsed,
-                                   shard=shard, worker_pid=pid)
-            except BaseException:
-                # Ctrl-C (or any other non-metric failure) while
-                # collecting: drop the queued seeds, let running workers
-                # finish their current seed, and leave the journal
-                # consistent -- a --resume of the same sweep picks up
-                # from here.
-                pool.shutdown(wait=True, cancel_futures=True)
-                _log.warning("sweep_interrupted", completed=len(values),
-                             total=len(seeds))
-                raise
-    finally:
-        # The workers have all detached (the pool context waited for
-        # them), so the parent can safely release the segment even when
-        # unwinding from an interrupt.  The local ndarray view must go
-        # first: mmap refuses to close while buffers are exported.
+    first_failure = None
+    with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
+        futures = [
+            pool.submit(_evaluate_seed, metric, int(seed), collect_spans)
+            for seed in seeds
+        ]
+        # Collect in submission order: result ordering (and hence the
+        # MonteCarloResult) is deterministic regardless of which worker
+        # finishes first.
         try:
-            del slots
-        except NameError:  # pragma: no cover - allocation failed early
-            pass
-        shm.close()
-        shm.unlink()
+            for shard, (seed, future) in enumerate(zip(seeds, futures)):
+                outcome = future.result()
+                if outcome.value is None:
+                    registry.merge_state(outcome.metrics_state)
+                    if collect_spans and outcome.trace_state:
+                        trace.merge_state(outcome.trace_state, shard=shard)
+                    registry.counter(
+                        "montecarlo_worker_failures_total",
+                        "seeded evaluations that raised in a worker",
+                    ).inc()
+                    _log.info("worker_seed_failed", seed=outcome.seed,
+                              pid=outcome.pid)
+                    if first_failure is None:
+                        first_failure = outcome
+                    continue
+                value = outcome.value
+                if journal is None:
+                    registry.merge_state(outcome.metrics_state)
+                    if collect_spans and outcome.trace_state:
+                        trace.merge_state(outcome.trace_state, shard=shard)
+                    _record_seed_run(outcome.elapsed_s)
+                else:
+                    # Journaled: fold the parent-side per-seed accounting
+                    # into the same state the journal stores, so a
+                    # resume replays it all in one merge.
+                    parent_state = registry.dump_state()
+                    registry.reset()
+                    registry.merge_state(outcome.metrics_state)
+                    _record_seed_run(outcome.elapsed_s)
+                    entry_state = registry.dump_state()
+                    registry.reset()
+                    registry.merge_state(parent_state)
+                    registry.merge_state(entry_state)
+                    if collect_spans and outcome.trace_state:
+                        trace.merge_state(outcome.trace_state, shard=shard)
+                    journal.record(
+                        int(seed), value,
+                        metrics_state=entry_state,
+                        trace_state=(
+                            outcome.trace_state
+                            if collect_spans and outcome.trace_state
+                            else None
+                        ),
+                    )
+                values.append(value)
+                note_seed_done(int(seed), value, elapsed_s=outcome.elapsed_s,
+                               shard=shard, worker_pid=outcome.pid)
+        except BaseException:
+            # Ctrl-C (or any other non-metric failure) while collecting:
+            # drop the queued seeds, let running workers finish their
+            # current seed, and leave the journal consistent -- a
+            # --resume of the same sweep picks up from here.
+            pool.shutdown(wait=True, cancel_futures=True)
+            _log.warning("sweep_interrupted", completed=len(values),
+                         total=len(seeds))
+            raise
     if first_failure is not None:
         # Every shard's partial metrics/spans are merged by now; only
         # then surface the failure, matching what the sequential path
         # leaves behind when a metric raises mid-sweep.
-        shipment, pid = first_failure
-        if shipment.error is not None:
-            raise shipment.error
+        if first_failure.error is not None:
+            raise first_failure.error
         raise AnalysisError(
-            f"seed {shipment.seed} failed in worker "
-            f"{pid}:\n{shipment.error_text}"
+            f"seed {first_failure.seed} failed in worker "
+            f"{first_failure.pid}:\n{first_failure.error_text}"
         )
     return values
 

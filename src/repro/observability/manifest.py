@@ -140,18 +140,15 @@ def git_state() -> tuple[Optional[str], Optional[bool]]:
 def resolved_kernels() -> dict:
     """The kernel knobs this process actually resolved to.
 
-    Records what ``REPRO_CAPTURE_KERNEL`` / ``REPRO_AGING_KERNEL`` (or
-    their in-process setters) produced, so an archived number can be
-    attributed to the batched vs reference capture path and the array
-    vs scalar aging engine.
+    Records what ``REPRO_AGING_KERNEL`` (or its in-process setter)
+    produced, so an archived number can be attributed to the array vs
+    scalar aging engine.  Manifests stored before the capture kernel
+    switch was retired also carry a ``"capture"`` key; they still load
+    and diff like any other.
     """
     from repro.physics.pool_array import get_aging_kernel
-    from repro.sensor.tdc import get_capture_kernel
 
-    return {
-        "capture": get_capture_kernel(),
-        "aging": get_aging_kernel(),
-    }
+    return {"aging": get_aging_kernel()}
 
 
 def _config_as_dict(config: Any) -> Optional[dict]:

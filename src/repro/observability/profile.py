@@ -10,9 +10,10 @@ ancestor.
 
 The ``repro profile exp1`` CLI command runs an experiment under
 tracing and prints this table, replacing hand-measured attribution
-("~84% of exp1 in sample_word") with a first-class report.  The same
-rollup works on spans merged from worker processes, so a sharded
-sweep profiles the same way a sequential run does.
+("~84% of exp1 in the per-word capture loop") with a first-class
+report.  The same rollup works on spans merged from worker
+processes, so a sharded sweep profiles the same way a sequential run
+does.
 """
 
 from __future__ import annotations
@@ -130,12 +131,8 @@ def _retry_wait(forest: Sequence[trace.Span]) -> tuple[int, float]:
 def _active_kernels() -> dict:
     """The kernel selections in effect for this process."""
     from repro.physics.pool_array import get_aging_kernel
-    from repro.sensor.tdc import get_capture_kernel
 
-    return {
-        "capture": get_capture_kernel(),
-        "aging": get_aging_kernel(),
-    }
+    return {"aging": get_aging_kernel()}
 
 
 def _fmt_seconds(seconds: float) -> str:

@@ -30,19 +30,11 @@ from repro.sensor.postprocess import (
     binary_hamming_distance,
     trace_mean_distance,
 )
-from repro.sensor.tdc import (
-    CAPTURE_KERNELS,
-    Measurement,
-    TunableDualPolarityTdc,
-    capture_kernel,
-    get_capture_kernel,
-    set_capture_kernel,
-)
+from repro.sensor.tdc import Measurement, TunableDualPolarityTdc
 from repro.sensor.trace import Trace, Polarity
 from repro.sensor.ro import RingOscillatorSensor, build_ro_netlist
 
 __all__ = [
-    "CAPTURE_KERNELS",
     "CLOUD_NOISE",
     "CarryChain",
     "LAB_NOISE",
@@ -58,9 +50,6 @@ __all__ = [
     "batch_trace_mean_distances",
     "binary_hamming_distance",
     "build_ro_netlist",
-    "capture_kernel",
     "find_theta_init",
-    "get_capture_kernel",
-    "set_capture_kernel",
     "trace_mean_distance",
 ]

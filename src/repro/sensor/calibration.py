@@ -11,16 +11,19 @@ The paper also notes (Experiment 3) that theta_init is consistent across
 devices of the same part, so an attacker can calibrate once on any board
 they control and reuse the value -- :func:`find_theta_init` is therefore
 deliberately independent of device identity beyond the part's timing.
+
+A Measure session calibrates its whole bank with one lockstep scan,
+:func:`find_theta_init_bank`; :func:`find_theta_init` is the same scan
+for one route.  The route-by-route session loop survives only as a test
+oracle, and the two agree bit for bit.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
-from repro.errors import CalibrationError, CalibrationGlitchError, SensorError
+from repro.errors import CalibrationError, CalibrationGlitchError
 from repro.observability.log import get_logger
 from repro.observability.metrics import registry
 from repro.reliability.faults import maybe_inject
@@ -34,54 +37,6 @@ _log = get_logger("sensor.calibration")
 #: in chain elements: keeps headroom for drift in both directions.
 _TARGET_LOW = 20.0
 _TARGET_HIGH = 44.0
-
-#: Calibration kernels: "batched" runs every route's downward scan in
-#: lockstep, resolving each probe round as one stacked tensor; "scalar"
-#: is the sequential per-route reference scan the equivalence tests pin
-#: the lockstep kernel against.
-CALIBRATION_KERNELS = ("batched", "scalar")
-
-_default_calibration_kernel = os.environ.get(
-    "REPRO_CALIBRATION_KERNEL", "batched"
-)
-if _default_calibration_kernel not in CALIBRATION_KERNELS:
-    _default_calibration_kernel = "batched"
-
-
-def _check_calibration_kernel(kernel: str) -> str:
-    if kernel not in CALIBRATION_KERNELS:
-        raise SensorError(
-            f"unknown calibration kernel {kernel!r}; choose from "
-            f"{CALIBRATION_KERNELS}"
-        )
-    return kernel
-
-
-def get_calibration_kernel() -> str:
-    """The process-wide default calibration kernel."""
-    return _default_calibration_kernel
-
-
-def set_calibration_kernel(kernel: str) -> str:
-    """Select the process-wide default calibration kernel.
-
-    Returns the previous default so callers can restore it; benchmarks
-    and the equivalence suite use :func:`calibration_kernel` instead.
-    """
-    global _default_calibration_kernel
-    previous = _default_calibration_kernel
-    _default_calibration_kernel = _check_calibration_kernel(kernel)
-    return previous
-
-
-@contextmanager
-def calibration_kernel(kernel: str) -> Iterator[str]:
-    """Temporarily force every calibration through one kernel."""
-    previous = set_calibration_kernel(kernel)
-    try:
-        yield kernel
-    finally:
-        set_calibration_kernel(previous)
 
 
 def _default_start_ps(tdc: TunableDualPolarityTdc) -> float:
@@ -104,13 +59,11 @@ def _default_coarse_ps(tdc: TunableDualPolarityTdc) -> float:
 
 
 def _mean_positions(
-    tdc: TunableDualPolarityTdc, theta_ps: float, kernel: str = None
+    tdc: TunableDualPolarityTdc, theta_ps: float
 ) -> tuple[float, float]:
-    rising = trace_mean_distance(
-        tdc.capture_trace(theta_ps, Polarity.RISING, kernel=kernel)
-    )
+    rising = trace_mean_distance(tdc.capture_trace(theta_ps, Polarity.RISING))
     falling = trace_mean_distance(
-        tdc.capture_trace(theta_ps, Polarity.FALLING, kernel=kernel)
+        tdc.capture_trace(theta_ps, Polarity.FALLING)
     )
     return rising, falling
 
@@ -119,7 +72,6 @@ def find_theta_init(
     tdc: TunableDualPolarityTdc,
     theta_start_ps: Optional[float] = None,
     coarse_step_ps: Optional[float] = None,
-    kernel: Optional[str] = None,
 ) -> float:
     """Search downward from a large theta until transitions are centred.
 
@@ -128,10 +80,9 @@ def find_theta_init(
     the capture window (e.g. the route is far longer than the
     programmable phase range).
 
-    Every probe trace routes through the capture kernel selected by
-    ``kernel`` (``None`` takes the process default, normally the batched
-    kernel), so calibration scales with the same vectorised path as the
-    measurement phase.
+    This is the one-route scan that ``core.localize`` and the examples
+    call directly; :func:`find_theta_init_bank` runs it for a whole
+    bank in lockstep and is pinned against it probe for probe.
     """
     # Chaos fault site: a glitched sweep aborts before the first probe
     # trace, so the re-run consumes the identical noise sequence.
@@ -151,7 +102,7 @@ def find_theta_init(
 
     # Coarse descent: stop when either transition is inside the window.
     while theta > 0.0:
-        rising, falling = _mean_positions(tdc, theta, kernel)
+        rising, falling = _mean_positions(tdc, theta)
         if rising < float(tdc.chain_length) or falling < float(tdc.chain_length):
             break
         theta = max(theta - coarse, 0.0)
@@ -172,7 +123,7 @@ def find_theta_init(
     probes = int(2.0 * coarse / fine) + tdc.chain_length
     retries = 0
     for attempt in range(probes):
-        rising, falling = _mean_positions(tdc, theta, kernel)
+        rising, falling = _mean_positions(tdc, theta)
         centre = (rising + falling) / 2.0
         if _TARGET_LOW <= centre <= _TARGET_HIGH and min(rising, falling) > 4.0:
             best_theta = theta
@@ -224,11 +175,11 @@ class _LockstepRoute:
 
 
 def _advance_scan(scan: _LockstepRoute, rising: float, falling: float) -> None:
-    """Apply one probe's outcome, mirroring the scalar scan exactly."""
+    """Apply one probe's outcome, mirroring :func:`find_theta_init` exactly."""
     if scan.stage == "coarse":
         chain_length = float(scan.tdc.chain_length)
         if rising < chain_length or falling < chain_length:
-            # The scalar scan re-probes this same theta as the first
+            # find_theta_init re-probes this same theta as the first
             # fine-descent attempt.
             scan.stage = "fine"
             return
@@ -265,7 +216,7 @@ def find_theta_init_bank(
     tdcs: Mapping[str, TunableDualPolarityTdc],
     results: Optional[dict] = None,
 ) -> dict[str, float]:
-    """Lockstep calibration of a whole route bank (the batched kernel).
+    """Lockstep calibration of a whole route bank.
 
     Runs every route's downward scan simultaneously: each round takes
     one probe per still-searching route at that route's own current
@@ -274,8 +225,8 @@ def find_theta_init_bank(
     independent generator stream and its probe sequence (thetas, draw
     order, draw shapes) is exactly the sequence :func:`find_theta_init`
     takes, so the returned theta_init values and the calibration
-    counters are bit-identical to the scalar per-route scan, with or
-    without jitter.
+    counters are bit-identical to a per-route :func:`find_theta_init`
+    loop, with or without jitter.
 
     Failures reproduce the sequential contract: counters, logs and
     stored thetas replay in bank order and the first failing route
@@ -285,7 +236,7 @@ def find_theta_init_bank(
     failure consumed their probe draws, but a failed calibration
     abandons the session, so nothing observable depends on them.)
 
-    Unlike the scalar scan this function also counts
+    Unlike :func:`find_theta_init` this function also counts
     ``calibrations_total`` per stored route, because the caller cannot
     interleave per-route bookkeeping with a fused scan.
     """
@@ -301,7 +252,8 @@ def find_theta_init_bank(
             probes=int(2.0 * coarse / fine) + tdc.chain_length,
         )
         if theta <= 0.0:
-            # The scalar while-loop never runs: an immediate failure.
+            # find_theta_init's while-loop never runs: an immediate
+            # failure.
             scan.stage = "failed"
             scan.failure = "never_entered_chain"
         scans.append(scan)

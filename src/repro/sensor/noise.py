@@ -97,10 +97,9 @@ class NoiseState:
     def sample_jitter_matrix_ps(self, shape: tuple[int, ...]) -> np.ndarray:
         """A whole batch of per-sample jitter draws as one RNG call.
 
-        A jitter-free model draws nothing (matching the scalar path's
-        early return, which keeps the generator stream aligned between
-        the scalar and batched capture kernels); otherwise one vectorised
-        ``normal`` fills the requested shape.
+        A jitter-free model draws nothing (like
+        :meth:`sample_jitter_ps`); otherwise one vectorised ``normal``
+        fills the requested shape.
         """
         if self.model.jitter_ps == 0.0:
             return np.zeros(shape)

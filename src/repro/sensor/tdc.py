@@ -6,14 +6,19 @@ into a sampling sensor, and implements the measurement procedure of
 Section 5.2: ten traces of sixteen samples per polarity with theta
 iteratively decreased from theta_init, reduced to one falling-minus-
 rising delay estimate in picoseconds.
+
+Every capture runs through one batched kernel: a measurement's jitter
+is drawn as one matrix per polarity, its metastability uniforms as one
+C-order draw, and the words resolve in one vectorised pass.  The
+per-word reference implementation lives with the tests as an oracle
+that consumes the generator stream in the same order, so the two agree
+bit for bit, jitter and all.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,52 +38,6 @@ from repro.sensor.transition import TransitionGenerator
 
 #: The paper's measurement depth: "Ten traces are taken from each TDC".
 TRACES_PER_MEASUREMENT = 10
-
-#: Capture kernels: the vectorised batched kernel is the production
-#: path; the scalar per-word loop stays as the reference implementation
-#: the equivalence tests pin the batched kernel against.
-CAPTURE_KERNELS = ("batched", "scalar")
-
-_default_kernel = os.environ.get("REPRO_CAPTURE_KERNEL", "batched")
-if _default_kernel not in CAPTURE_KERNELS:
-    _default_kernel = "batched"
-
-
-def _check_kernel(kernel: str) -> str:
-    if kernel not in CAPTURE_KERNELS:
-        raise SensorError(
-            f"unknown capture kernel {kernel!r}; choose from "
-            f"{CAPTURE_KERNELS}"
-        )
-    return kernel
-
-
-def get_capture_kernel() -> str:
-    """The process-wide default capture kernel."""
-    return _default_kernel
-
-
-def set_capture_kernel(kernel: str) -> str:
-    """Select the process-wide default capture kernel.
-
-    Returns the previous default so callers can restore it; benchmarks
-    and the equivalence suite use :func:`capture_kernel` instead.
-    """
-    global _default_kernel
-    previous = _default_kernel
-    _default_kernel = _check_kernel(kernel)
-    return previous
-
-
-@contextmanager
-def capture_kernel(kernel: str) -> Iterator[str]:
-    """Temporarily force every measurement through one kernel."""
-    previous = set_capture_kernel(kernel)
-    try:
-        yield kernel
-    finally:
-        set_capture_kernel(previous)
-
 
 @dataclass(frozen=True)
 class Measurement:
@@ -128,22 +87,6 @@ class TunableDualPolarityTdc:
     def chain_length(self) -> int:
         """Number of carry-chain elements (capture taps)."""
         return self.chain.length
-
-    def sample_word(self, theta_ps: float, polarity: Polarity) -> np.ndarray:
-        """One capture word at one theta setting.
-
-        The wavefront position is ``theta`` minus the edge's arrival time
-        at the chain entry, perturbed by clock jitter and the slow
-        polarity-asymmetric supply offset.
-        """
-        theta = self.phase.quantise(theta_ps)
-        arrival = self.generator.arrival_at_chain_ps(polarity)
-        offset = self._noise.polarity_offset_ps
-        arrival += offset if polarity is Polarity.FALLING else -offset
-        arrival += self._noise.sample_jitter_ps()
-        time_in_chain = theta - arrival
-        position = self.chain.wavefront_position(max(time_in_chain, 0.0))
-        return self._bank.capture(position, polarity)
 
     def capture_draws(
         self,
@@ -245,30 +188,9 @@ class TunableDualPolarityTdc:
         theta_ps: float,
         polarity: Polarity,
         samples: int = SAMPLES_PER_TRACE,
-        kernel: Optional[str] = None,
     ) -> Trace:
-        """One trace: ``samples`` capture words at a fixed theta.
-
-        Routes through the batched kernel by default (one-theta batch);
-        ``kernel="scalar"`` takes the per-word reference path.
-        """
-        if _check_kernel(kernel or _default_kernel) == "scalar":
-            return self.capture_trace_scalar(theta_ps, polarity, samples)
+        """One trace: ``samples`` capture words at a fixed theta."""
         words = self.capture_words([theta_ps], polarity, samples)[0]
-        return Trace(polarity=polarity, theta_ps=theta_ps, words=words)
-
-    def capture_trace_scalar(
-        self,
-        theta_ps: float,
-        polarity: Polarity,
-        samples: int = SAMPLES_PER_TRACE,
-    ) -> Trace:
-        """Reference implementation: one :meth:`sample_word` per sample."""
-        if samples <= 0:
-            raise SensorError(f"samples must be positive, got {samples}")
-        words = np.stack(
-            [self.sample_word(theta_ps, polarity) for _ in range(samples)]
-        )
         return Trace(polarity=polarity, theta_ps=theta_ps, words=words)
 
     def measure(
@@ -276,7 +198,6 @@ class TunableDualPolarityTdc:
         theta_init_ps: float,
         traces: int = TRACES_PER_MEASUREMENT,
         samples: int = SAMPLES_PER_TRACE,
-        kernel: Optional[str] = None,
     ) -> Measurement:
         """One full measurement per the paper's procedure.
 
@@ -286,9 +207,7 @@ class TunableDualPolarityTdc:
         irregularities"), averages the Binary Hamming Distances, and
         converts to picoseconds.
         """
-        measurement, _, _ = self.measure_raw(
-            theta_init_ps, traces, samples, kernel
-        )
+        measurement, _, _ = self.measure_raw(theta_init_ps, traces, samples)
         return measurement
 
     def measure_raw(
@@ -296,7 +215,6 @@ class TunableDualPolarityTdc:
         theta_init_ps: float,
         traces: int = TRACES_PER_MEASUREMENT,
         samples: int = SAMPLES_PER_TRACE,
-        kernel: Optional[str] = None,
     ) -> tuple[Measurement, list[Trace], list[Trace]]:
         """Like :meth:`measure`, but also returns the raw traces.
 
@@ -304,16 +222,7 @@ class TunableDualPolarityTdc:
         raw capture words are what a hardware deployment would log;
         :mod:`repro.sensor.traceio` archives them so the identical
         post-processing/analysis pipeline can replay either source.
-
-        ``kernel`` selects the capture implementation ("batched" or
-        "scalar"); ``None`` uses the process default (see
-        :func:`set_capture_kernel`).  Both kernels draw from the same
-        generator stream, but the batched kernel draws the per-sample
-        jitter as one matrix before the metastability uniforms, so for a
-        jittered noise model the two kernels realise different (equally
-        distributed) noise; with jitter disabled they agree bit for bit.
         """
-        kernel = _check_kernel(kernel or _default_kernel)
         # Chaos fault site: a dropped capture aborts before the noise
         # epoch advances, so a retried measurement sees exactly the
         # noise sequence the clean run would have.
@@ -324,30 +233,16 @@ class TunableDualPolarityTdc:
         )
         self._noise.advance_epoch()
         thetas = self.phase.steps_down(theta_init_ps, traces)
-        if kernel == "scalar":
-            rising = [
-                self.capture_trace_scalar(t, Polarity.RISING, samples)
-                for t in thetas
-            ]
-            falling = [
-                self.capture_trace_scalar(t, Polarity.FALLING, samples)
-                for t in thetas
-            ]
-            rising_words = np.stack([t.words for t in rising])
-            falling_words = np.stack([t.words for t in falling])
-        else:
-            rising_words = self.capture_words(thetas, Polarity.RISING, samples)
-            falling_words = self.capture_words(
-                thetas, Polarity.FALLING, samples
-            )
-            rising = [
-                Trace(polarity=Polarity.RISING, theta_ps=t, words=w)
-                for t, w in zip(thetas, rising_words)
-            ]
-            falling = [
-                Trace(polarity=Polarity.FALLING, theta_ps=t, words=w)
-                for t, w in zip(thetas, falling_words)
-            ]
+        rising_words = self.capture_words(thetas, Polarity.RISING, samples)
+        falling_words = self.capture_words(thetas, Polarity.FALLING, samples)
+        rising = [
+            Trace(polarity=Polarity.RISING, theta_ps=t, words=w)
+            for t, w in zip(thetas, rising_words)
+        ]
+        falling = [
+            Trace(polarity=Polarity.FALLING, theta_ps=t, words=w)
+            for t, w in zip(thetas, falling_words)
+        ]
         # One Hamming pass per polarity serves both the distances and the
         # delta; the reduction order matches delta_ps_from_traces bit for
         # bit (mean over samples per trace, then mean over traces).

@@ -1,4 +1,9 @@
-"""Tests for the lab bench, experimental phases and the protocol loop."""
+"""Tests for the lab bench, experimental phases and the protocol loop.
+
+``TestReferenceSensorParity`` runs the phases and the protocol on both
+sensor paths -- production, and the oracles of
+:mod:`tests.oracles.sensor` -- and requires equal results.
+"""
 
 import pytest
 
@@ -14,17 +19,22 @@ from repro.designs import (
 from repro.fabric.device import FpgaDevice
 from repro.fabric.parts import ZYNQ_ULTRASCALE_PLUS
 from repro.fabric.thermal import OvenAmbient
-from repro.sensor.noise import LAB_NOISE
+from repro.sensor.noise import CLOUD_NOISE, LAB_NOISE
+from tests.oracles.sensor import reference_sensor
 
 
-@pytest.fixture
-def bench_setup():
+def make_bench_setup():
     device = FpgaDevice(ZYNQ_ULTRASCALE_PLUS, seed=61)
     bench = LabBench(device, oven=OvenAmbient(60.0))
     routes = build_route_bank(device.grid, [2000.0, 2000.0])
     target = build_target_design(device.part, routes, [1, 0], heater_dsps=0)
     measure = build_measure_design(device.part, routes)
     return bench, routes, target, measure
+
+
+@pytest.fixture
+def bench_setup():
+    return make_bench_setup()
 
 
 class TestLabBench:
@@ -175,3 +185,49 @@ class TestProtocol:
                 routes=routes,
                 condition_hours_per_cycle=0.0,
             )
+
+
+def run_protocol(cycles, noise):
+    """Calibrate, then ``cycles`` condition/measure cycles on a fresh
+    bench; returns theta_init and every route's raw delta series."""
+    bench, routes, target, measure = make_bench_setup()
+    protocol = ConditionMeasureProtocol(
+        environment=bench,
+        target_bitstream=target.bitstream,
+        measure_design=measure,
+        routes=routes,
+        condition_hours_per_cycle=2.0,
+    )
+    protocol.calibration.noise = noise
+    protocol.calibration.seed = 5
+    theta = protocol.calibrate()
+    bundle = protocol.run_cycles(cycles)
+    return theta, {
+        name: (series.hours, series.raw_delta_ps)
+        for name, series in bundle.series.items()
+    }
+
+
+class TestReferenceSensorParity:
+    def test_phases_match_oracle(self):
+        def run_phases():
+            bench, _, _, measure = make_bench_setup()
+            calibration = CalibrationPhase(measure, noise=CLOUD_NOISE, seed=3)
+            calibration.run(bench)
+            return MeasurementPhase(
+                measure_design=measure, calibration=calibration
+            ).run(bench)
+
+        production = run_phases()
+        with reference_sensor():
+            reference = run_phases()
+        assert list(production) == list(reference)
+        assert production == reference
+
+    @pytest.mark.parametrize("noise", [LAB_NOISE, CLOUD_NOISE],
+                             ids=["lab", "cloud"])
+    def test_protocol_series_match_oracle(self, noise):
+        production = run_protocol(4, noise)
+        with reference_sensor():
+            reference = run_protocol(4, noise)
+        assert production == reference

@@ -62,21 +62,16 @@ class TestBuild:
 
     def test_kernels_reflect_active_knobs(self):
         from repro.physics.pool_array import set_aging_kernel
-        from repro.sensor.tdc import set_capture_kernel
 
-        prev_capture = set_capture_kernel("scalar")
         prev_aging = set_aging_kernel("scalar")
         try:
-            assert resolved_kernels() == {
-                "capture": "scalar", "aging": "scalar",
-            }
+            assert resolved_kernels() == {"aging": "scalar"}
         finally:
-            set_capture_kernel(prev_capture)
             set_aging_kernel(prev_aging)
 
     def test_manifest_embeds_git_and_kernels(self):
         m = build_manifest()
-        assert m.kernels["capture"] in ("batched", "scalar")
+        assert set(m.kernels) == {"aging"}
         assert m.kernels["aging"] in ("array", "scalar")
         revision, dirty = git_state()
         assert m.git_revision == revision
@@ -105,10 +100,21 @@ class TestDiff:
         b = build_manifest().to_dict()
         b["git_revision"] = "deadbeef0000"
         b["git_dirty"] = not a["git_dirty"]
-        b["kernels"] = dict(b["kernels"], capture="reference")
+        b["kernels"] = dict(b["kernels"], aging="reference")
         diffs = diff_manifests(a, b)
         assert diffs["git_revision"] == (a["git_revision"], "deadbeef0000")
         assert "git_dirty" in diffs
-        assert diffs["kernels.capture"] == (
-            a["kernels"]["capture"], "reference"
-        )
+        assert diffs["kernels.aging"] == (a["kernels"]["aging"], "reference")
+
+    def test_stored_capture_kernel_key_loads_and_diffs(self):
+        """Run-store records written while the capture kernel was still
+        a switch carry a ``kernels.capture`` entry; they must load and
+        diff against a current manifest, which has none."""
+        current = build_manifest(seed=1).to_dict()
+        stored = json.loads(json.dumps(current))
+        stored["kernels"] = dict(current["kernels"], capture="batched")
+        loaded = RunManifest.from_dict(stored)
+        assert loaded.kernels["capture"] == "batched"
+        assert loaded.to_dict()["kernels"] == stored["kernels"]
+        diffs = diff_manifests(stored, current)
+        assert diffs == {"kernels.capture": ("batched", None)}

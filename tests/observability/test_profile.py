@@ -89,7 +89,7 @@ class TestReport:
         assert {row["name"] for row in report["rows"]} == {
             "experiment", "phase", "capture",
         }
-        assert set(report["kernels"]) == {"capture", "aging"}
+        assert set(report["kernels"]) == {"aging"}
 
     def test_report_without_wall_omits_coverage(self):
         report = build_report(_forest())

@@ -1,0 +1,229 @@
+"""Reference sensor paths: the oracles for the batched TDC kernels.
+
+Production has one sensor path: the batched capture kernel
+(:meth:`TunableDualPolarityTdc.capture_words`), the stacked bank
+measurement (:meth:`MeasureSession.measure_bank`) and the lockstep
+bank calibration (:meth:`MeasureSession.calibrate`).  This module keeps
+the plain versions they replaced, so tests can compare against them
+with ``==``:
+
+* **capture** -- one word at a time.  Each polarity's jitter matrix is
+  drawn first, then every word resolves on its own, drawing its
+  metastability uniforms from the same stream.  That is the stream
+  order of ``capture_draws``, so the oracle and the batched kernel
+  agree bit for bit with jitter on.
+* **measurement** -- the per-trace post-processing of Section 5.2 over
+  oracle captures, and a route-by-route ``measure_route`` loop for a
+  whole bank.
+* **calibration** -- a route-by-route :func:`find_theta_init` loop with
+  per-route retries, the scan the lockstep kernel must reproduce.
+
+:func:`reference_sensor` swaps all of them into the library for
+whole-experiment runs (the perf benchmark's reference side and the
+end-to-end equality tests).
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import Iterator, Sequence
+
+import numpy as np
+
+from repro.designs.measure import MeasureSession
+from repro.errors import CaptureDropError, SensorError, TransientError
+from repro.observability.metrics import registry
+from repro.reliability.faults import maybe_inject
+from repro.reliability.retry import retry_call
+from repro.sensor.calibration import find_theta_init
+from repro.sensor.postprocess import traces_mean_distance
+from repro.sensor.tdc import (
+    TRACES_PER_MEASUREMENT,
+    Measurement,
+    TunableDualPolarityTdc,
+)
+from repro.sensor.trace import SAMPLES_PER_TRACE, Polarity, Trace
+
+
+def sample_word(
+    tdc: TunableDualPolarityTdc,
+    theta_ps: float,
+    polarity: Polarity,
+    jitter_ps: float,
+) -> np.ndarray:
+    """One capture word at one theta, given its pre-drawn jitter.
+
+    The wavefront position is ``theta`` minus the edge's arrival time at
+    the chain entry, perturbed by the jitter and the slow
+    polarity-asymmetric supply offset.
+    """
+    theta = tdc.phase.quantise(theta_ps)
+    arrival = tdc.generator.arrival_at_chain_ps(polarity)
+    offset = tdc._noise.polarity_offset_ps
+    arrival += offset if polarity is Polarity.FALLING else -offset
+    time_in_chain = theta - (arrival + jitter_ps)
+    position = tdc.chain.wavefront_position(max(time_in_chain, 0.0))
+    return tdc._bank.capture(position, polarity)
+
+
+def capture_words(
+    tdc: TunableDualPolarityTdc,
+    thetas_ps: Sequence[float],
+    polarity: Polarity,
+    samples: int = SAMPLES_PER_TRACE,
+) -> np.ndarray:
+    """Per-word oracle of the batched kernel: ``(thetas, samples, chain)``."""
+    if samples <= 0:
+        raise SensorError(f"samples must be positive, got {samples}")
+    if len(thetas_ps) == 0:
+        raise SensorError("need at least one theta setting")
+    jitter = tdc._noise.sample_jitter_matrix_ps((len(thetas_ps), samples))
+    return np.stack([
+        np.stack([
+            sample_word(tdc, theta, polarity, jitter[i, j])
+            for j in range(samples)
+        ])
+        for i, theta in enumerate(thetas_ps)
+    ])
+
+
+def capture_trace(
+    tdc: TunableDualPolarityTdc,
+    theta_ps: float,
+    polarity: Polarity,
+    samples: int = SAMPLES_PER_TRACE,
+) -> Trace:
+    """One trace of ``samples`` oracle words at a fixed theta."""
+    words = capture_words(tdc, [theta_ps], polarity, samples)[0]
+    return Trace(polarity=polarity, theta_ps=theta_ps, words=words)
+
+
+def measure_raw(
+    tdc: TunableDualPolarityTdc,
+    theta_init_ps: float,
+    traces: int = TRACES_PER_MEASUREMENT,
+    samples: int = SAMPLES_PER_TRACE,
+) -> tuple[Measurement, list[Trace], list[Trace]]:
+    """One measurement from oracle captures and per-trace reductions."""
+    maybe_inject(
+        "sensor.capture", CaptureDropError,
+        f"route {tdc.route.name!r}: capture trace dropped in "
+        f"flight (injected)",
+    )
+    tdc._noise.advance_epoch()
+    thetas = tdc.phase.steps_down(theta_init_ps, traces)
+    rising = [
+        Trace(polarity=Polarity.RISING, theta_ps=t, words=w)
+        for t, w in zip(
+            thetas, capture_words(tdc, thetas, Polarity.RISING, samples)
+        )
+    ]
+    falling = [
+        Trace(polarity=Polarity.FALLING, theta_ps=t, words=w)
+        for t, w in zip(
+            thetas, capture_words(tdc, thetas, Polarity.FALLING, samples)
+        )
+    ]
+    rising_mean = traces_mean_distance(rising)
+    falling_mean = traces_mean_distance(falling)
+    measurement = Measurement(
+        route_name=tdc.route.name,
+        theta_init_ps=theta_init_ps,
+        rising_distance=rising_mean,
+        falling_distance=falling_mean,
+        delta_ps=(rising_mean - falling_mean) * tdc.chain.nominal_bin_ps,
+    )
+    return measurement, rising, falling
+
+
+def measure(
+    tdc: TunableDualPolarityTdc,
+    theta_init_ps: float,
+    traces: int = TRACES_PER_MEASUREMENT,
+    samples: int = SAMPLES_PER_TRACE,
+) -> Measurement:
+    """:func:`measure_raw` without the traces."""
+    return measure_raw(tdc, theta_init_ps, traces, samples)[0]
+
+
+def calibrate_sequential(session: MeasureSession) -> dict[str, float]:
+    """Route-by-route calibration: the lockstep scan's oracle.
+
+    Each route runs :func:`find_theta_init` under its own retry budget;
+    a glitch past the budget leaves the route uncalibrated.  The
+    calibration counters match the lockstep scan's; spans and log
+    events are not reproduced.
+    """
+    for name, tdc in session._tdcs.items():
+        try:
+            session.theta_init[name] = retry_call(
+                find_theta_init, tdc, label=f"sensor.calibrate:{name}",
+            )
+        except TransientError:
+            registry.counter(
+                "calibrations_unrecovered_total",
+                "routes left uncalibrated past the retry budget",
+            ).inc()
+            continue
+        registry.counter(
+            "calibrations_total", "routes calibrated from scratch"
+        ).inc()
+    return dict(session.theta_init)
+
+
+def measure_bank_sequential(
+    session: MeasureSession, recover: bool = False
+) -> tuple[dict[str, Measurement], list[str]]:
+    """A ``measure_route`` loop: the stacked ``measure_bank``'s oracle.
+
+    Same contract: without ``recover`` an uncalibrated route raises and
+    a capture drop propagates; with it, drops retry per route and
+    failing routes land in the returned ``dropped`` list.
+    """
+    measurements: dict[str, Measurement] = {}
+    dropped: list[str] = []
+    for name in session.route_names:
+        if not recover:
+            measurements[name] = session.measure_route(name)
+            continue
+        if name not in session.theta_init:
+            dropped.append(name)
+            continue
+        try:
+            measurements[name] = retry_call(
+                session.measure_route, name, label=f"sensor.capture:{name}",
+            )
+        except TransientError:
+            dropped.append(name)
+    return measurements, dropped
+
+
+@contextmanager
+def reference_sensor() -> Iterator[None]:
+    """Run the library on the oracle sensor paths inside the block.
+
+    Every capture resolves word by word, every measurement reduces per
+    trace, sessions calibrate route by route and measure with a
+    ``measure_route`` loop.  Outputs equal the production paths' bit
+    for bit; only the wall time differs.
+    """
+    patches = [
+        (TunableDualPolarityTdc, "capture_words",
+         lambda self, thetas_ps, polarity, samples=SAMPLES_PER_TRACE:
+         capture_words(self, thetas_ps, polarity, samples)),
+        (TunableDualPolarityTdc, "measure_raw",
+         lambda self, theta_init_ps, traces=TRACES_PER_MEASUREMENT,
+         samples=SAMPLES_PER_TRACE:
+         measure_raw(self, theta_init_ps, traces, samples)),
+        (MeasureSession, "calibrate", calibrate_sequential),
+        (MeasureSession, "measure_bank", measure_bank_sequential),
+    ]
+    originals = [(owner, name, owner.__dict__[name])
+                 for owner, name, _ in patches]
+    try:
+        for owner, name, replacement in patches:
+            setattr(owner, name, replacement)
+        yield
+    finally:
+        for owner, name, original in originals:
+            setattr(owner, name, original)

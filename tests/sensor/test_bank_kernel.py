@@ -1,10 +1,12 @@
-"""Whole-board bank kernels vs. the per-route reference paths.
+"""Whole-board bank kernels vs. the per-route reference oracles.
 
-PR 2 pinned the batched *trace* kernel against the scalar per-word
-loop.  This suite pins the *routes* axis added on top of it:
+The batched *trace* kernel is pinned to the per-word oracle in
+``test_batched_kernel``.  This suite pins the *routes* axis added on
+top of it against :mod:`tests.oracles.sensor`:
 
-* the lockstep calibration scan (``find_theta_init_bank``) against the
-  sequential per-route scan, bit for bit, **with jitter on** -- every
+* the lockstep calibration scan (``MeasureSession.calibrate``,
+  ``find_theta_init_bank``) against the route-by-route
+  ``find_theta_init`` loop, bit for bit, **with jitter on** -- every
   route owns an independent generator stream, so batching across routes
   never reorders any route's own draws;
 * one stacked ``measure_bank`` call against a ``measure_route`` loop,
@@ -15,7 +17,7 @@ loop.  This suite pins the *routes* axis added on top of it:
 * failure parity: an uncalibratable route raises the same
   :class:`CalibrationError` either way and leaves the same partial
   theta_init behind, and the ``sensor.calibrate`` / ``sensor.capture``
-  fault sites degrade both orchestrations identically.
+  fault sites degrade the production paths and the oracles identically.
 """
 
 import numpy as np
@@ -28,13 +30,7 @@ from repro.fabric.device import FpgaDevice
 from repro.fabric.parts import ZYNQ_ULTRASCALE_PLUS
 from repro.observability.metrics import registry
 from repro.reliability.faults import FaultPlan, FaultSpec, fault_plan
-from repro.sensor.calibration import (
-    calibration_kernel,
-    find_theta_init,
-    find_theta_init_bank,
-    get_calibration_kernel,
-    set_calibration_kernel,
-)
+from repro.sensor.calibration import find_theta_init, find_theta_init_bank
 from repro.sensor.carry_chain import CarryChain, bank_wavefront_positions
 from repro.sensor.clocking import PhaseGenerator
 from repro.sensor.noise import CLOUD_NOISE, LAB_NOISE, NoiseModel
@@ -44,6 +40,7 @@ from repro.sensor.postprocess import (
 )
 from repro.sensor.tdc import TunableDualPolarityTdc
 from repro.sensor.trace import Polarity
+from tests.oracles import sensor as oracle
 
 QUIET = NoiseModel(jitter_ps=0.0, polarity_offset_sigma_ps=0.0,
                    offset_correlation=0.0)
@@ -71,14 +68,14 @@ class TestCalibrationBitIdentity:
         """Same seeds => identical theta_init dicts, jitter and all."""
         scalar = make_session(seed, noise=CLOUD_NOISE)
         batched = make_session(seed, noise=CLOUD_NOISE)
-        theta_scalar = scalar.calibrate(calibration="scalar")
-        theta_batched = batched.calibrate(calibration="batched")
+        theta_scalar = oracle.calibrate_sequential(scalar)
+        theta_batched = batched.calibrate()
         assert theta_scalar == theta_batched
         assert list(theta_scalar) == list(theta_batched)
 
     def test_counters_match_scalar_scan(self):
         scalar = make_session(3, noise=LAB_NOISE)
-        scalar.calibrate(calibration="scalar")
+        oracle.calibrate_sequential(scalar)
         snapshot = {
             name: counter.value
             for name, counter in registry.counters.items()
@@ -86,7 +83,7 @@ class TestCalibrationBitIdentity:
         }
         registry.reset()
         batched = make_session(3, noise=LAB_NOISE)
-        batched.calibrate(calibration="batched")
+        batched.calibrate()
         for name, value in snapshot.items():
             assert registry.counters[name].value == value, name
 
@@ -112,12 +109,9 @@ class TestMeasureBankBitIdentity:
     def test_bank_matches_per_route_loop_with_jitter(self, seed):
         scalar = make_session(seed, noise=CLOUD_NOISE)
         batched = make_session(seed, noise=CLOUD_NOISE)
-        scalar.calibrate(calibration="scalar")
-        batched.calibrate(calibration="batched")
-        per_route = {
-            name: scalar.measure_route(name, kernel="batched")
-            for name in scalar.route_names
-        }
+        oracle.calibrate_sequential(scalar)
+        batched.calibrate()
+        per_route, _ = oracle.measure_bank_sequential(scalar)
         bank, dropped = batched.measure_bank()
         assert dropped == []
         assert list(bank) == list(per_route)
@@ -131,10 +125,16 @@ class TestMeasureBankBitIdentity:
         twin.calibrate()
         assert session.measure_all() == twin.measure_bank()[0]
 
-    def test_scalar_kernel_rejected(self):
-        session = make_session(2)
-        with pytest.raises(SensorError):
-            session.measure_bank(kernel="scalar")
+    def test_matches_full_oracle_with_jitter(self):
+        """The bank against the oracle end to end: sequential scan,
+        per-word captures and per-trace reductions."""
+        batched = make_session(11, noise=CLOUD_NOISE)
+        reference = make_session(11, noise=CLOUD_NOISE)
+        theta = batched.calibrate()
+        with oracle.reference_sensor():
+            assert reference.calibrate() == theta
+            expected = reference.measure_all()
+        assert batched.measure_all() == expected
 
     def test_uncalibrated_route_raises_without_recover(self):
         session = make_session(2, noise=QUIET)
@@ -216,8 +216,9 @@ class TestFailureParity:
         scalar_results = {}
         scalar_error = None
         try:
-            for name, tdc in scalar_tdcs.items():
-                scalar_results[name] = find_theta_init(tdc)
+            with oracle.reference_sensor():
+                for name, tdc in scalar_tdcs.items():
+                    scalar_results[name] = find_theta_init(tdc)
         except (CalibrationError, SensorError) as exc:
             scalar_error = exc
         assert scalar_error is not None
@@ -241,8 +242,8 @@ class TestFailureParity:
 
         scalar_plan = FaultPlan(seed=seed, specs=spec)
         scalar = make_session(seed, noise=LAB_NOISE)
-        with fault_plan(scalar_plan):
-            theta_scalar = scalar.calibrate(calibration="scalar")
+        with fault_plan(scalar_plan), oracle.reference_sensor():
+            theta_scalar = scalar.calibrate()
         scalar_unrecovered = registry.counters.get(
             "calibrations_unrecovered_total"
         )
@@ -254,7 +255,7 @@ class TestFailureParity:
         batched_plan = FaultPlan(seed=seed, specs=spec)
         batched = make_session(seed, noise=LAB_NOISE)
         with fault_plan(batched_plan):
-            theta_batched = batched.calibrate(calibration="batched")
+            theta_batched = batched.calibrate()
         batched_unrecovered = registry.counters.get(
             "calibrations_unrecovered_total"
         )
@@ -268,41 +269,21 @@ class TestFailureParity:
 
     def test_capture_drop_degradation_parity(self):
         """Under the sensor.capture fault site the stacked bank pass
-        drops exactly the routes the per-route retry loop would."""
-        drift_only = NoiseModel(jitter_ps=0.0,
-                                polarity_offset_sigma_ps=0.05,
-                                offset_correlation=0.6)
+        drops exactly the routes the per-route oracle loop would, and
+        measures the survivors identically, jitter and all."""
         spec = {"sensor.capture": FaultSpec(probability=0.7)}
 
-        scalar = make_session(13, noise=drift_only)
-        scalar.calibrate(calibration="scalar")
-        with fault_plan(FaultPlan(seed=99, specs=spec)):
-            scalar_m, scalar_dropped = measure_with_recovery(
-                scalar, kernel="scalar"
-            )
+        scalar = make_session(13, noise=CLOUD_NOISE)
+        with oracle.reference_sensor():
+            scalar.calibrate()
+            with fault_plan(FaultPlan(seed=99, specs=spec)):
+                scalar_m, scalar_dropped = measure_with_recovery(scalar)
 
-        batched = make_session(13, noise=drift_only)
-        batched.calibrate(calibration="batched")
+        batched = make_session(13, noise=CLOUD_NOISE)
+        batched.calibrate()
         with fault_plan(FaultPlan(seed=99, specs=spec)):
-            batched_m, batched_dropped = measure_with_recovery(
-                batched, kernel="batched"
-            )
+            batched_m, batched_dropped = measure_with_recovery(batched)
 
+        assert scalar_dropped
         assert scalar_dropped == batched_dropped
         assert scalar_m == batched_m
-
-
-class TestCalibrationKernelSelection:
-    def test_default_is_batched(self):
-        assert get_calibration_kernel() == "batched"
-
-    def test_context_manager_restores(self):
-        with calibration_kernel("scalar"):
-            assert get_calibration_kernel() == "scalar"
-        assert get_calibration_kernel() == "batched"
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(SensorError):
-            set_calibration_kernel("bisect2")
-        with pytest.raises(SensorError):
-            make_session(1).calibrate(calibration="newton")

@@ -1,22 +1,12 @@
-"""Scalar-vs-batched capture kernel equivalence.
+"""Batched capture kernel vs. the per-word reference oracle.
 
-The batched kernel is the production measurement path; the scalar
-per-word loop stays as the reference implementation.  Two pins hold the
-kernels together:
-
-* **Bit-exact** for jitter-free noise models: the batched kernel draws
-  its metastability uniforms in one C-order ``random`` call, which
-  consumes the generator stream in exactly the per-word order of the
-  scalar path, so every capture word and every ``Measurement`` field is
-  identical from identical seeds.
-* **Distributional** once per-sample jitter is on: the batched kernel
-  draws the jitter as one matrix *before* the uniforms, while the
-  scalar path interleaves one ziggurat ``normal`` per word between
-  ``random`` calls on the same shared stream.  The draws cannot be
-  reordered without changing their values (the ziggurat consumes a
-  variable number of raw words per normal), so the kernels realise
-  different -- but identically distributed -- noise; over many seeds the
-  delta estimates must agree in mean and spread.
+The batched kernel is the production measurement path; the per-word
+loop in :mod:`tests.oracles.sensor` is the reference it is pinned to.
+The oracle draws each polarity's jitter matrix first and then resolves
+word by word, drawing each word's metastability uniforms in turn --
+the stream order of ``capture_draws`` -- so every capture word and
+every ``Measurement`` field is identical from identical seeds, with or
+without per-sample jitter.
 """
 
 import numpy as np
@@ -28,7 +18,7 @@ from repro.fabric.device import FpgaDevice
 from repro.fabric.parts import ZYNQ_ULTRASCALE_PLUS
 from repro.sensor.capture import CaptureBank
 from repro.sensor.carry_chain import CarryChain
-from repro.sensor.noise import LAB_NOISE, NoiseModel
+from repro.sensor.noise import CLOUD_NOISE, LAB_NOISE, NoiseModel
 from repro.sensor.postprocess import (
     batch_delta_ps,
     batch_hamming_distances,
@@ -36,16 +26,11 @@ from repro.sensor.postprocess import (
     delta_ps_from_traces,
     trace_mean_distance,
 )
-from repro.sensor.tdc import (
-    TunableDualPolarityTdc,
-    capture_kernel,
-    get_capture_kernel,
-    set_capture_kernel,
-)
+from repro.sensor.tdc import TunableDualPolarityTdc
 from repro.sensor.trace import Polarity
+from tests.oracles import sensor as oracle
 
-#: Slow polarity offset on, per-sample jitter off: every RNG draw of a
-#: measurement happens in the same stream order under both kernels.
+#: Slow polarity offset on, per-sample jitter off.
 DRIFT_ONLY = NoiseModel(
     jitter_ps=0.0, polarity_offset_sigma_ps=0.05, offset_correlation=0.6
 )
@@ -100,6 +85,13 @@ class TestCaptureBatch:
         with pytest.raises(SensorError):
             bank.capture_batch(np.array([-0.5]), Polarity.FALLING)
 
+    def test_invalid_batch_params_rejected(self):
+        tdc = make_tdc(1)
+        with pytest.raises(SensorError):
+            tdc.capture_words([THETA], Polarity.RISING, samples=0)
+        with pytest.raises(SensorError):
+            tdc.capture_words([], Polarity.RISING)
+
 
 class TestBatchPostprocess:
     def test_batch_matches_per_trace_pipeline(self):
@@ -139,46 +131,54 @@ class TestBatchPostprocess:
             )
 
 
+def assert_same_measurement(batched_tdc, oracle_tdc):
+    """One ``measure_raw`` on each path: equal Measurement, equal words."""
+    batched_m, batched_r, batched_f = batched_tdc.measure_raw(THETA)
+    oracle_m, oracle_r, oracle_f = oracle.measure_raw(oracle_tdc, THETA)
+    assert batched_m == oracle_m
+    for a, b in zip(oracle_r + oracle_f, batched_r + batched_f):
+        assert a.theta_ps == b.theta_ps
+        assert np.array_equal(a.words, b.words)
+
+
 class TestKernelEquivalence:
     def test_bit_identical_without_jitter(self):
         """Same seed => identical Measurement and identical raw words."""
         for seed in (5, 17, 123):
-            scalar_m, scalar_r, scalar_f = make_tdc(seed).measure_raw(
-                THETA, kernel="scalar"
-            )
-            batched_m, batched_r, batched_f = make_tdc(seed).measure_raw(
-                THETA, kernel="batched"
-            )
-            assert batched_m == scalar_m
-            for a, b in zip(scalar_r + scalar_f, batched_r + batched_f):
-                assert a.theta_ps == b.theta_ps
-                assert np.array_equal(a.words, b.words)
+            assert_same_measurement(make_tdc(seed), make_tdc(seed))
+
+    @pytest.mark.parametrize("noise", [LAB_NOISE, CLOUD_NOISE],
+                             ids=["lab", "cloud"])
+    @pytest.mark.parametrize("seed", [0, 5, 17, 123])
+    def test_bit_identical_with_jitter(self, noise, seed):
+        """Jitter on: still identical, over consecutive measurements
+        (the slow polarity offset carries from one to the next)."""
+        batched, reference = make_tdc(seed, noise), make_tdc(seed, noise)
+        for _ in range(3):
+            assert_same_measurement(batched, reference)
 
     def test_capture_trace_bit_identical_without_jitter(self):
-        scalar = make_tdc(9).capture_trace(THETA, Polarity.RISING,
-                                           kernel="scalar")
-        batched = make_tdc(9).capture_trace(THETA, Polarity.RISING,
-                                            kernel="batched")
-        np.testing.assert_array_equal(scalar.words, batched.words)
+        batched = make_tdc(9).capture_trace(THETA, Polarity.RISING)
+        reference = oracle.capture_trace(make_tdc(9), THETA, Polarity.RISING)
+        np.testing.assert_array_equal(reference.words, batched.words)
 
-    def test_distributional_equivalence_with_jitter(self):
-        """With jitter the draw order differs by design (matrix-first);
-        over >= 200 seeds the delta distributions must coincide."""
-        n_seeds = 200
-        scalar_deltas = np.array([
-            make_tdc(seed, LAB_NOISE).measure(THETA, kernel="scalar").delta_ps
-            for seed in range(n_seeds)
-        ])
-        batched_deltas = np.array([
-            make_tdc(seed, LAB_NOISE).measure(THETA, kernel="batched").delta_ps
-            for seed in range(n_seeds)
-        ])
-        # Means agree within 4 standard errors; spreads within 25%.
-        stderr = scalar_deltas.std() / np.sqrt(n_seeds)
-        assert abs(scalar_deltas.mean() - batched_deltas.mean()) < 4 * stderr
-        assert batched_deltas.std() == pytest.approx(
-            scalar_deltas.std(), rel=0.25
+    @pytest.mark.parametrize("polarity", list(Polarity))
+    def test_capture_trace_bit_identical_with_jitter(self, polarity):
+        batched = make_tdc(9, CLOUD_NOISE).capture_trace(THETA, polarity)
+        reference = oracle.capture_trace(
+            make_tdc(9, CLOUD_NOISE), THETA, polarity
         )
+        np.testing.assert_array_equal(reference.words, batched.words)
+
+    def test_reference_sensor_swaps_the_tdc_methods(self):
+        """Inside ``reference_sensor`` the production methods run the
+        oracle, and outside it they are restored."""
+        original = TunableDualPolarityTdc.capture_words
+        with oracle.reference_sensor():
+            swapped = make_tdc(3, LAB_NOISE).measure(THETA)
+            assert TunableDualPolarityTdc.capture_words is not original
+        assert TunableDualPolarityTdc.capture_words is original
+        assert swapped == make_tdc(3, LAB_NOISE).measure(THETA)
 
     def test_trace_metadata_matches(self):
         measurement, rising, falling = make_tdc(4).measure_raw(THETA)
@@ -191,26 +191,3 @@ class TestKernelEquivalence:
             (measurement.rising_distance - measurement.falling_distance)
             * 2.8
         )
-
-
-class TestKernelSelection:
-    def test_default_is_batched(self):
-        assert get_capture_kernel() == "batched"
-
-    def test_context_manager_restores(self):
-        with capture_kernel("scalar"):
-            assert get_capture_kernel() == "scalar"
-        assert get_capture_kernel() == "batched"
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(SensorError):
-            set_capture_kernel("simd")
-        with pytest.raises(SensorError):
-            make_tdc(1).measure_raw(THETA, kernel="nope")
-
-    def test_invalid_batch_params_rejected(self):
-        tdc = make_tdc(1)
-        with pytest.raises(SensorError):
-            tdc.capture_words([THETA], Polarity.RISING, samples=0)
-        with pytest.raises(SensorError):
-            tdc.capture_words([], Polarity.RISING)

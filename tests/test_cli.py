@@ -545,7 +545,7 @@ class TestProfileCommand:
         assert report["experiment"] == "exp1"
         assert report["coverage"] >= 0.9
         assert report["rows"] and report["wall_s"] > 0
-        assert set(report["kernels"]) == {"capture", "aging"}
+        assert set(report["kernels"]) == {"aging"}
 
 
 class TestBenchCommand:
@@ -639,9 +639,7 @@ class TestRunRecording:
         assert run["kind"] == "sweep"
         assert [row["seed"] for row in run["seed_results"]] == [1, 2, 3]
         assert run["config"]["seeds"] == [1, 2, 3]
-        assert run["manifest"]["kernels"]["capture"] in (
-            "batched", "scalar"
-        )
+        assert run["manifest"]["kernels"]["aging"] in ("array", "scalar")
         assert run["metrics"]["dump_id"]
 
     def test_no_record_suppresses_recording(self, tmp_path, capsys):
