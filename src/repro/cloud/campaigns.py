@@ -43,8 +43,11 @@ sitting at that position in the pre-window stack.  That turns board
 assignment into parent pointers between arrivals, resolved in
 O(log chain) pointer-doubling passes, and the post-window stack is
 read off each boundary group's last event.  Capacity misses (an
-arrival finding an empty stack) are peeled off one at a time, exactly
-as the reference engine drops them.
+arrival finding an empty stack) are found by that same ordering pass;
+when there are any, one count-only walk from the first miss fixes the
+drop set exactly as the reference engine drops arrivals, and the
+ordering pass runs once more without them -- at most two sorts per
+window, whatever its drop count.
 """
 
 from __future__ import annotations
@@ -332,6 +335,90 @@ class _ReferenceChurn:
         return list(self.stack)
 
 
+def _order_window(
+    c_times: np.ndarray,
+    a_times: np.ndarray,
+    r_times: np.ndarray,
+    keep: np.ndarray,
+    until_hours: float,
+    f0: int,
+) -> tuple[np.ndarray, ...]:
+    """Sort one window's events and track the free-stack fill level.
+
+    Events are the carried-in releases ``c_times``, the kept arrivals
+    and those of their releases that fall inside the window.  Returns
+    the sorted times, kinds (0 release, 1 arrival), refs, fill deltas,
+    fill after and fill before each event.
+    """
+    ka = np.nonzero(keep)[0]
+    internal = ka[r_times[ka] <= until_hours]
+    nc = len(c_times)
+    ev_time = np.concatenate([c_times, r_times[internal], a_times[ka]])
+    ev_kind = np.concatenate([
+        np.zeros(nc + len(internal), dtype=np.int8),
+        np.ones(len(ka), dtype=np.int8),
+    ])
+    # Carried-in pending releases keep ascending refs (position minus
+    # nc, all negative) so same-time ties resolve in rental-start order
+    # -- exactly the reference engine's heap tie-break.  Mass ties are
+    # real under a fault plan: a preemption storm truncates every
+    # spanning rental to the same instant.
+    ev_ref = np.concatenate([
+        np.arange(nc, dtype=np.int64) - nc,
+        internal.astype(np.int64),
+        ka.astype(np.int64),
+    ])
+    order = np.lexsort((ev_ref, ev_kind, ev_time))
+    ts = ev_time[order]
+    ks = ev_kind[order]
+    rs = ev_ref[order]
+    pm = np.where(ks == 0, 1, -1)
+    fill = f0 + np.cumsum(pm)
+    return ts, ks, rs, pm, fill, fill - pm
+
+
+def _resolve_drops(
+    c_times: np.ndarray,
+    a_times: np.ndarray,
+    r_times: np.ndarray,
+    first_miss: int,
+) -> np.ndarray:
+    """The window's ``keep`` mask, given its first capacity miss.
+
+    Every event before arrival ``first_miss`` is settled by the
+    all-kept ordering pass, and the free count there is zero.  From
+    that arrival on, walk the arrivals in order counting free boards
+    only: releases at or before each arrival come back first (the
+    release-first tie rule), an arrival that finds no free board is
+    dropped and never releases.  ``a_times`` is ascending, so this is
+    the reference engine's order without its board ids.
+    """
+    a_m = a_times[first_miss]
+    head = r_times[:first_miss]
+    pending = head[head > a_m].tolist()
+    heapq.heapify(pending)
+    carried = c_times[np.searchsorted(c_times, a_m, side="right"):].tolist()
+    n_carried = len(carried)
+    ci = 0
+    free = 0
+    keep = np.ones(len(a_times), dtype=bool)
+    for i, (a, r) in enumerate(zip(a_times[first_miss:].tolist(),
+                                   r_times[first_miss:].tolist()),
+                               first_miss):
+        while ci < n_carried and carried[ci] <= a:
+            ci += 1
+            free += 1
+        while pending and pending[0] <= a:
+            heapq.heappop(pending)
+            free += 1
+        if free:
+            free -= 1
+            heapq.heappush(pending, r)
+        else:
+            keep[i] = False
+    return keep
+
+
 class _BulkChurn:
     """Vectorised window churn engine (see the module docstring).
 
@@ -429,47 +516,22 @@ class _BulkChurn:
 
         stack_boards = np.asarray(self.stack, dtype=np.intp)
         f0 = len(stack_boards)
+        nc = len(c_times)
         keep = np.ones(n_arr, dtype=bool)
-        drops = 0
-        # Capacity misses are peeled one at a time (dropping an arrival
-        # also removes its release, which can expose the next miss).
-        # Windows with heavy drop storms degrade toward O(drops * n);
-        # campaign windows are small and the bench scenario is sized
-        # drop-free, so this stays off the hot path.
-        while True:
-            ka = np.nonzero(keep)[0]
-            internal = ka[r_times[ka] <= until_hours]
-            nc = len(c_times)
-            ev_time = np.concatenate(
-                [c_times, r_times[internal], a_times[ka]]
-            )
-            ev_kind = np.concatenate([
-                np.zeros(nc + len(internal), dtype=np.int8),
-                np.ones(len(ka), dtype=np.int8),
-            ])
-            # Carried-in pending releases keep ascending refs (position
-            # minus nc, all negative) so same-time ties resolve in
-            # rental-start order -- exactly the reference engine's heap
-            # tie-break.  Mass ties are real under a fault plan: a
-            # preemption storm truncates every spanning rental to the
-            # same instant.
-            ev_ref = np.concatenate([
-                np.arange(nc, dtype=np.int64) - nc,
-                internal.astype(np.int64),
-                ka.astype(np.int64),
-            ])
-            order = np.lexsort((ev_ref, ev_kind, ev_time))
-            ts = ev_time[order]
-            ks = ev_kind[order]
-            rs = ev_ref[order]
-            pm = np.where(ks == 0, 1, -1)
-            fill = f0 + np.cumsum(pm)
-            f_before = fill - pm
-            bad = (ks == 1) & (f_before == 0)
-            if not bad.any():
-                break
-            keep[rs[int(np.nonzero(bad)[0][0])]] = False
-            drops += 1
+        ts, ks, rs, pm, fill, f_before = _order_window(
+            c_times, a_times, r_times, keep, until_hours, f0)
+        bad = np.nonzero((ks == 1) & (f_before == 0))[0]
+        if len(bad):
+            # Capacity misses: fix the drop set with one count-only walk,
+            # then order the surviving events once more.
+            keep = _resolve_drops(c_times, a_times, r_times,
+                                  int(rs[bad[0]]))
+            ts, ks, rs, pm, fill, f_before = _order_window(
+                c_times, a_times, r_times, keep, until_hours, f0)
+            if ((ks == 1) & (f_before == 0)).any():
+                raise CloudError("bulk churn invariant violated: "
+                                 "capacity miss after drop resolution")
+        drops = n_arr - int(np.count_nonzero(keep))
         self.dropped_arrivals += drops
         drop_times = a_times[~keep]
 

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cloud import campaigns as campaigns_module
 from repro.cloud.campaigns import (
@@ -166,6 +167,162 @@ class TestEngineEquivalence:
         trace = ChurnModel(5.0, 2.0).draw(10.0, seed=0)
         with pytest.raises(ConfigurationError):
             VirtualRegion(4, trace, engine="psychic")
+
+
+def _saturated_trace(arrivals, ratio, boards=4000, seed=1):
+    """``arrivals`` arrivals whose mean demand is ``ratio`` x ``boards``,
+    and a horizon past the last release (one window covers it all)."""
+    model = ChurnModel(arrival_rate_per_hour=60.0,
+                       mean_rental_hours=ratio * boards / 60.0)
+    trace = model.draw_count(arrivals, seed)
+    return trace, float(trace.arrivals[-1] + trace.durations.max() + 1.0)
+
+
+class TestSaturatedWindow:
+    """Capacity misses resolve in one ordered pass, not one sort each."""
+
+    @staticmethod
+    def _count_sorts(monkeypatch):
+        calls = []
+        real = np.lexsort
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "lexsort", counting)
+        return calls
+
+    def test_saturated_window_sorts_at_most_twice(self, monkeypatch):
+        trace, horizon = _saturated_trace(12_000, 1.2)
+        ref = VirtualRegion(4000, trace, engine="reference")
+        ref.advance_to(horizon)
+        calls = self._count_sorts(monkeypatch)
+        bulk = VirtualRegion(4000, trace)
+        bulk.advance_to(horizon)
+        assert bulk.dropped_arrivals >= 100
+        assert len(calls) <= 2
+        assert bulk.dropped_arrivals == ref.dropped_arrivals
+        assert bulk.events_processed == ref.events_processed
+        assert bulk.free_boards() == ref.free_boards()
+
+    @pytest.mark.parametrize("batch", [math.inf, 0.7])
+    @pytest.mark.parametrize("arrivals", [
+        [0.0, 0.5, 0.8, 1.0, 2.0],  # release ties an arrival after a miss
+        [0.0, 1.0, 1.0, 1.5, 2.0],  # release ties the first miss itself
+    ])
+    def test_release_ties_around_a_miss(self, arrivals, batch):
+        """A release at an arrival's instant comes back first, also
+        around the window's first miss and when the release was
+        carried in from an earlier window (batch 0.7)."""
+        trace = ChurnTrace(arrivals=np.array(arrivals),
+                           durations=np.ones(5))
+        for engine in ("reference", "bulk"):
+            region = VirtualRegion(1, trace, engine=engine,
+                                   batch_hours=batch)
+            region.advance_to(5.0)
+            assert region.dropped_arrivals == 2, engine
+            assert region.events_processed == 8, engine
+            assert region.free_boards() == [0], engine
+
+    def test_drop_free_window_sorts_once(self, monkeypatch):
+        trace, horizon = _saturated_trace(12_000, 0.5)
+        calls = self._count_sorts(monkeypatch)
+        bulk = VirtualRegion(4000, trace)
+        bulk.advance_to(horizon)
+        assert bulk.dropped_arrivals == 0
+        assert len(calls) == 1
+
+
+def _fleet_counters():
+    return {k: v for k, v in registry.snapshot()["counters"].items()
+            if k.startswith("fleet_events")}
+
+
+def _drive_region(engine, batch, boards, trace, horizon, cadence,
+                  tracked):
+    """Advance one region over ``trace`` in steps, optionally renting,
+    releasing and retiring boards between them; returns everything the
+    two engines must agree on."""
+    before = _fleet_counters()
+    rec = FlightRecorder(cadence_hours=cadence) if cadence else None
+    region = VirtualRegion(boards, trace, engine=engine,
+                           batch_hours=batch, recorder=rec)
+    log = []
+    held = []
+    for step, t in enumerate(np.linspace(0.0, horizon, 9)[1:]):
+        region.advance_to(float(t))
+        if not tracked:
+            continue
+        if step == 4 and region.available() >= 2:
+            log.append(region.retire_free([region.available() - 1, 0]))
+        elif held and step % 2:
+            region.release(held.pop(0))
+        else:
+            board = region.rent()
+            if board is not None:
+                held.append(board)
+            log.append(board)
+    after = _fleet_counters()
+    deltas = {k: v - before.get(k, 0) for k, v in after.items()}
+    return (
+        region.events_processed, region.dropped_arrivals,
+        region.free_boards(), log, deltas,
+        rec.to_json() if rec is not None else None,
+    )
+
+
+class TestSaturationIdentity:
+    """Bulk == reference wherever the pool runs dry, drops and all."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        boards=st.integers(1, 64),
+        ratio=st.floats(0.5, 5.0),
+        seed=st.integers(0, 2**16),
+        batch=st.one_of(st.just(math.inf), st.floats(0.5, 60.0)),
+        cadence=st.one_of(st.none(), st.floats(0.5, 20.0)),
+        tracked=st.booleans(),
+    )
+    def test_bulk_matches_reference_under_saturation(
+            self, boards, ratio, seed, batch, cadence, tracked):
+        model = ChurnModel(arrival_rate_per_hour=4.0,
+                           mean_rental_hours=ratio * boards / 4.0)
+        trace = model.draw_count(6 * boards + 10, seed)
+        horizon = float(trace.arrivals[-1] + trace.durations.max() + 1.0)
+        ref = _drive_region("reference", math.inf, boards, trace,
+                            horizon, cadence, tracked)
+        bulk = _drive_region("bulk", batch, boards, trace, horizon,
+                             cadence, tracked)
+        assert bulk == ref
+
+    def test_faulted_oversubscribed_campaign(self):
+        """A preemption storm on a 2x-oversubscribed region releases
+        every spanning rental at one instant (mass release ties) while
+        arrivals keep missing capacity."""
+        plan = FleetFaultPlan(seed=3, storms=(
+            PreemptionStorm(start_hours=120.0, probability=0.5),))
+        scenario = dict(
+            devices=24,
+            churn=ChurnModel(arrival_rate_per_hour=4.0,
+                             mean_rental_hours=12.0),
+        )
+        flash = FlashAttackPlan(victims=2, flash_limit=5,
+                                reaction_hours=0.25)
+        results = []
+        for engine, batch in (("reference", math.inf), ("bulk", math.inf),
+                              ("bulk", 9.0), ("bulk", 1.0)):
+            result = run_flash_campaign(
+                _scenario(engine=engine, batch_hours=batch, **scenario),
+                flash, fault_plan=plan,
+            ).to_dict()
+            result.pop("engine")
+            results.append(result)
+        first = results[0]
+        assert first["dropped_arrivals"] > 0
+        assert first["faults"]["churn.truncated_by_storm"] > 0
+        for other in results[1:]:
+            assert other == first
 
 
 class TestLazyFleet:
