@@ -54,7 +54,7 @@ from repro.fabric.geometry import FabricGrid
 from repro.fabric.netlist import Net, NetActivity
 from repro.fabric.parts import PartDescriptor
 from repro.fabric.routing import Route, SegmentId
-from repro.fabric.segments import spec_for
+from repro.fabric.segments import SEGMENT_LIBRARY
 from repro.fabric.thermal import ThermalModel
 from repro.observability.metrics import registry
 from repro.physics.aging import NEW_PART, WearProfile
@@ -79,6 +79,12 @@ DELAY_TEMP_COEFF_PER_K = 2.0e-4
 _DELAY_TEMP_REF_K = 338.15
 
 _device_ids = itertools.count(1)
+
+#: Nominal (delay, burn amplitude) of each wire class, in ps.
+_NOMINAL = {
+    kind: (spec.delay_ps, spec.burn_amplitude_ps)
+    for kind, spec in SEGMENT_LIBRARY.items()
+}
 
 
 @dataclass(frozen=True)
@@ -185,35 +191,43 @@ class FpgaDevice:
             return slot
         state = self._segments.get(segment_id)
         if state is None:
-            traits, high, low = self._materialise(segment_id)
-            state = SegmentBti(traits)
-            if high or low:
-                state.preload_imprint(high_charge_ps=high, low_charge_ps=low)
+            rising, falling, amplitude, high, low = self._draw([segment_id])
+            state = SegmentBti(SegmentTraits(
+                rising_delay_ps=float(rising[0]),
+                falling_delay_ps=float(falling[0]),
+                burn_amplitude_ps=float(amplitude[0]),
+            ))
+            if high[0] or low[0]:
+                state.preload_imprint(
+                    high_charge_ps=float(high[0]), low_charge_ps=float(low[0])
+                )
             self._segments[segment_id] = state
         return state
 
-    def _materialise(
-        self, segment_id: SegmentId
-    ) -> tuple[SegmentTraits, float, float]:
-        """Sample one segment's traits and residual imprints.
+    def _draw(
+        self, segment_ids: list[SegmentId]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Traits and residual imprints of new segments, as arrays.
 
-        The RNG draw order is identical under both kernels (one
-        variation sample, then one imprint sample), which is what keeps
-        the kernels' device states bit-identical from a shared seed.
+        Returns ``(rising, falling, amplitude, high, low)``, one element
+        per segment in request order.  The variation stream and the
+        imprint stream are separate generators, so drawing each one's
+        block for the whole request takes exactly the variates that
+        touching the segments one at a time would, and leaves both
+        generators in the same state; this is what keeps the two aging
+        kernels bit-identical from a shared seed.
         """
-        spec = spec_for(segment_id.kind)
-        rising, falling, amplitude = self._variation.sample_segment(
-            spec.delay_ps, spec.burn_amplitude_ps
-        )
-        traits = SegmentTraits(
-            rising_delay_ps=rising,
-            falling_delay_ps=falling,
-            burn_amplitude_ps=amplitude,
+        nominal = np.array(
+            [_NOMINAL[segment_id.kind] for segment_id in segment_ids],
+            dtype=float,
+        ).reshape(-1, 2)
+        rising, falling, amplitude = self._variation.sample_segments(
+            nominal[:, 0], nominal[:, 1]
         )
         high, low = self.wear.sample_residual_imprints(
             amplitude, self._imprint_rng
         )
-        return traits, high, low
+        return rising, falling, amplitude, high, low
 
     def _segment_index(self, segment_id: SegmentId) -> int:
         """Array-kernel slot of a segment, materialising on first touch."""
@@ -225,35 +239,38 @@ class FpgaDevice:
     def _materialise_many(self, segment_ids: Iterable[SegmentId]) -> list[int]:
         """Array-kernel slots of a request's segments, in request order.
 
-        Every segment not yet known (repeats within the request count
-        once) takes its draws in request order, exactly as touching the
-        segments one at a time would; the residual imprints of the whole
-        batch are then installed with a single vectorised preload.
-        Preloading only writes the new slots' charges, so deferring it
-        past the other registrations leaves every slot bit-identical.
+        The segments not yet known (repeats within the request count
+        once) are drawn as one block, registered as one slice of slots
+        in request order, and their residual imprints installed with a
+        single vectorised preload -- bit-identical to touching them one
+        at a time (``tests/oracles/fabric.py``).  Preloading only writes
+        the new slots' charges, so deferring it past the registration
+        leaves every slot the same.
         """
         known = self._array_index
-        indices: list[int] = []
-        imprinted: list[int] = []
-        highs: list[float] = []
-        lows: list[float] = []
-        for segment_id in segment_ids:
-            index = known.get(segment_id)
-            if index is None:
-                traits, high, low = self._materialise(segment_id)
-                index = self._bti_array.register(traits)
-                known[segment_id] = index
-                if high or low:
-                    imprinted.append(index)
-                    highs.append(high)
-                    lows.append(low)
-            indices.append(index)
-        if imprinted:
-            self._bti_array.preload_imprint(
-                imprinted, high_charge_ps=np.asarray(highs),
-                low_charge_ps=np.asarray(lows),
+        requested = list(segment_ids)
+        indices = list(map(known.get, requested))
+        if None not in indices:
+            return indices
+        new = list(dict.fromkeys(
+            segment_id
+            for segment_id, index in zip(requested, indices)
+            if index is None
+        ))
+        rising, falling, amplitude, high, low = self._draw(new)
+        store = self._bti_array
+        first = store.register_many(rising, falling, amplitude)
+        known.update(zip(new, range(first, first + len(new))))
+        imprinted = np.flatnonzero((high != 0.0) | (low != 0.0))
+        if imprinted.size:
+            store.preload_imprint(
+                imprinted + first, high_charge_ps=high[imprinted],
+                low_charge_ps=low[imprinted],
             )
-        return indices
+        return [
+            known[segment_id] if index is None else index
+            for segment_id, index in zip(requested, indices)
+        ]
 
     @property
     def materialised_segments(self) -> int:

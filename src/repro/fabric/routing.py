@@ -15,6 +15,8 @@ from repro.errors import RoutingError
 from repro.fabric.geometry import Coordinate
 from repro.fabric.segments import SegmentKind, spec_for
 
+_KIND_ORDINAL = {kind: ordinal for ordinal, kind in enumerate(SegmentKind)}
+
 
 @dataclass(frozen=True, order=True)
 class SegmentId:
@@ -24,11 +26,27 @@ class SegmentId:
         kind: the wire class.
         origin: tile coordinate where the segment starts.
         track: which of the parallel tracks of this class at the origin.
+
+    The hash is computed once, at construction, from ints only (kind
+    ordinal, x, y, track): segment ids key every device's state map,
+    and the generated dataclass hash would go through the Python-level
+    ``Enum.__hash__`` on every lookup.  An int tuple's hash is not
+    salted by ``PYTHONHASHSEED``, so it is the same in every process
+    and survives pickling.
     """
 
     kind: SegmentKind
     origin: Coordinate
     track: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((
+            _KIND_ORDINAL[self.kind], self.origin.x, self.origin.y,
+            self.track,
+        )))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.kind.value}@{self.origin}.{self.track}"

@@ -53,20 +53,30 @@ class WearProfile:
         return float(np.clip(age, 0.0, None))
 
     def sample_residual_imprints(
-        self, burn_amplitude_ps: float, seed: SeedLike = None
-    ) -> tuple[float, float]:
-        """Draw residual (high, low) pool charges for one segment.
+        self, burn_amplitude_ps: np.ndarray, seed: SeedLike = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Draw residual (high, low) pool charges, one element per segment.
 
         Prior tenants held unknown values; the residue left after the
         provider's holding time is small and roughly symmetric between
         pools, so each pool gets an independent half-normal charge.
+        A segment whose imprint scale is zero (a factory-new part, or a
+        segment with no stressed switches) gets no charge and takes no
+        draws; every other segment takes two normals, high then low, in
+        segment order -- the stream order of one scalar draw per pool.
         """
         rng = make_rng(seed)
-        scale = self.residual_imprint_fraction * burn_amplitude_ps
-        if scale == 0.0:
-            return 0.0, 0.0
-        high = abs(float(rng.normal(0.0, scale)))
-        low = abs(float(rng.normal(0.0, scale)))
+        scale = self.residual_imprint_fraction * np.asarray(
+            burn_amplitude_ps, dtype=float
+        )
+        high = np.zeros(scale.shape)
+        low = np.zeros(scale.shape)
+        drawn = scale != 0.0
+        count = int(np.count_nonzero(drawn))
+        if count:
+            normals = rng.standard_normal(2 * count).reshape(count, 2)
+            high[drawn] = np.abs(scale[drawn] * normals[:, 0])
+            low[drawn] = np.abs(scale[drawn] * normals[:, 1])
         return high, low
 
 

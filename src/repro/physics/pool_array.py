@@ -197,14 +197,26 @@ class TrapPoolArray:
 
     def add_pool(self, amplitude_ps: float) -> int:
         """Register one pool; returns its index."""
-        if amplitude_ps < 0.0:
-            raise PhysicsError(f"amplitude_ps must be >= 0, got {amplitude_ps}")
-        if self._count == self.capacity:
-            self._grow(self._count + 1)
-        index = self._count
-        self.amplitude_ps[index] = amplitude_ps
-        self._count += 1
-        return index
+        return self.add_pools([amplitude_ps])
+
+    def add_pools(self, amplitude_ps: IndexArray) -> int:
+        """Register one pool per amplitude; returns the first index.
+
+        The new pools take consecutive slots, written as one slice.
+        """
+        amplitudes = np.asarray(amplitude_ps, dtype=float)
+        negative = amplitudes < 0.0
+        if negative.any():
+            raise PhysicsError(
+                f"amplitude_ps must be >= 0, got {amplitudes[negative][0]}"
+            )
+        start = self._count
+        stop = start + amplitudes.size
+        if stop > self.capacity:
+            self._grow(stop)
+        self.amplitude_ps[start:stop] = amplitudes
+        self._count = stop
+        return start
 
     # ------------------------------------------------------------------
     # Vectorised kernels (element-for-element TrapPool semantics)
@@ -414,37 +426,70 @@ class SegmentBtiArray:
     def __init__(self) -> None:
         self.high = TrapPoolArray(HIGH_POOL)
         self.low = TrapPoolArray(LOW_POOL)
-        self._traits: list[SegmentTraits] = []
+        self._count = 0
         self._rising_delay_ps = np.zeros(0)
         self._falling_delay_ps = np.zeros(0)
+        self._burn_amplitude_ps = np.zeros(0)
 
     def __len__(self) -> int:
-        return len(self._traits)
+        return self._count
 
     def register(self, traits: SegmentTraits) -> int:
         """Add one segment; returns its index in the arrays."""
-        index = self.high.add_pool(
-            traits.burn_amplitude_ps * HIGH_POOL.amplitude_scale
+        return self.register_many(
+            [traits.rising_delay_ps], [traits.falling_delay_ps],
+            [traits.burn_amplitude_ps],
         )
-        low_index = self.low.add_pool(
-            traits.burn_amplitude_ps * LOW_POOL.amplitude_scale
-        )
-        assert index == low_index == len(self._traits)
-        self._traits.append(traits)
-        if index >= self._rising_delay_ps.shape[0]:
-            grown = max(16, 2 * self._rising_delay_ps.shape[0], index + 1)
-            for name in ("_rising_delay_ps", "_falling_delay_ps"):
+
+    def register_many(
+        self,
+        rising_delay_ps: IndexArray,
+        falling_delay_ps: IndexArray,
+        burn_amplitude_ps: IndexArray,
+    ) -> int:
+        """Add one segment per element; returns the first new index.
+
+        Element *j* is the segment with traits ``(rising_delay_ps[j],
+        falling_delay_ps[j], burn_amplitude_ps[j])``; it takes slot
+        ``first + j``.  Each array grows at most once and the new slots
+        are written as slices.  The traits are validated as
+        :class:`~repro.physics.bti.SegmentTraits` validates them.
+        """
+        rising = np.asarray(rising_delay_ps, dtype=float)
+        falling = np.asarray(falling_delay_ps, dtype=float)
+        amplitude = np.asarray(burn_amplitude_ps, dtype=float)
+        if (rising <= 0.0).any() or (falling <= 0.0).any():
+            raise PhysicsError("segment delays must be positive")
+        if (amplitude < 0.0).any():
+            raise PhysicsError("burn amplitude must be >= 0")
+        start = self.high.add_pools(amplitude * HIGH_POOL.amplitude_scale)
+        low_start = self.low.add_pools(amplitude * LOW_POOL.amplitude_scale)
+        assert start == low_start == self._count
+        stop = start + amplitude.size
+        if stop > self._rising_delay_ps.shape[0]:
+            grown = max(16, 2 * self._rising_delay_ps.shape[0], stop)
+            for name in (
+                "_rising_delay_ps", "_falling_delay_ps", "_burn_amplitude_ps",
+            ):
                 old = getattr(self, name)
                 fresh = np.zeros(grown)
                 fresh[: old.shape[0]] = old
                 setattr(self, name, fresh)
-        self._rising_delay_ps[index] = traits.rising_delay_ps
-        self._falling_delay_ps[index] = traits.falling_delay_ps
-        return index
+        self._rising_delay_ps[start:stop] = rising
+        self._falling_delay_ps[start:stop] = falling
+        self._burn_amplitude_ps[start:stop] = amplitude
+        self._count = stop
+        return start
 
     def traits(self, index: int) -> SegmentTraits:
         """Static traits of one registered segment."""
-        return self._traits[index]
+        if not 0 <= index < self._count:
+            raise PhysicsError(f"no segment at index {index}")
+        return SegmentTraits(
+            rising_delay_ps=float(self._rising_delay_ps[index]),
+            falling_delay_ps=float(self._falling_delay_ps[index]),
+            burn_amplitude_ps=float(self._burn_amplitude_ps[index]),
+        )
 
     # ------------------------------------------------------------------
     # Vectorised schedule operations (SegmentBti semantics per element)
@@ -552,7 +597,7 @@ class SegmentBtiArray:
 
     def view(self, index: int) -> "SegmentBtiSlot":
         """A scalar-shaped view of one segment (``SegmentBti`` surface)."""
-        if not 0 <= index < len(self._traits):
+        if not 0 <= index < self._count:
             raise PhysicsError(f"no segment at index {index}")
         return SegmentBtiSlot(self, index)
 

@@ -14,6 +14,7 @@ Variation matters for three reasons in this reproduction:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,14 @@ class VariationParams:
 DEFAULT_VARIATION = VariationParams()
 
 
+def _exp(values: np.ndarray) -> np.ndarray:
+    """Elementwise C-library ``exp``, the one numpy's scalar
+    ``lognormal`` draws call."""
+    return np.fromiter(
+        map(math.exp, values.tolist()), dtype=float, count=values.size
+    )
+
+
 class ProcessVariation:
     """Samples per-segment manufacturing variation for one die.
 
@@ -61,35 +70,43 @@ class ProcessVariation:
         self.params = params
         self._rng = make_rng(seed)
 
-    def delay_multiplier(self) -> float:
-        """Multiplier applied to a segment's nominal delay."""
-        return float(self._rng.lognormal(mean=0.0, sigma=self.params.delay_sigma))
+    def sample_segments(
+        self, nominal_delay_ps: np.ndarray, nominal_amplitude_ps: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sample (rising_ps, falling_ps, amplitude_ps) arrays, one
+        element per segment.
 
-    def amplitude_multiplier(self) -> float:
-        """Multiplier applied to a segment's BTI amplitude."""
-        return float(self._rng.lognormal(mean=0.0, sigma=self.params.amplitude_sigma))
-
-    def asymmetry_ps(self) -> float:
-        """Static falling-minus-rising delay offset for a segment."""
-        return float(self._rng.normal(loc=0.0, scale=self.params.asymmetry_sigma_ps))
-
-    def sample_segment(
-        self, nominal_delay_ps: float, nominal_amplitude_ps: float
-    ) -> tuple[float, float, float]:
-        """Sample (rising_ps, falling_ps, amplitude_ps) for one segment."""
-        if nominal_delay_ps <= 0.0:
+        Each segment takes three standard normals from the die's stream,
+        in segment order: its delay multiplier (lognormal), its static
+        falling-minus-rising offset (gaussian) and its amplitude
+        multiplier (lognormal).  ``standard_normal(3 * m)`` consumes the
+        stream exactly as ``m`` rounds of scalar ``lognormal`` /
+        ``normal`` / ``lognormal`` calls do, and the lognormal's ``exp``
+        is the C library's, so it is taken with :func:`math.exp` per
+        element (numpy's SIMD ``exp`` differs from it by an ulp on a few
+        per cent of inputs).
+        """
+        nominal_delay = np.asarray(nominal_delay_ps, dtype=float)
+        nominal_amplitude = np.asarray(nominal_amplitude_ps, dtype=float)
+        if (nominal_delay <= 0.0).any():
             raise ConfigurationError(
-                f"nominal delay must be positive, got {nominal_delay_ps}"
+                "nominal delay must be positive, got "
+                f"{nominal_delay[nominal_delay <= 0.0][0]}"
             )
-        if nominal_amplitude_ps < 0.0:
+        if (nominal_amplitude < 0.0).any():
             raise ConfigurationError(
-                f"nominal amplitude must be >= 0, got {nominal_amplitude_ps}"
+                "nominal amplitude must be >= 0, got "
+                f"{nominal_amplitude[nominal_amplitude < 0.0][0]}"
             )
-        delay = nominal_delay_ps * self.delay_multiplier()
-        asymmetry = self.asymmetry_ps()
-        rising = max(delay - asymmetry / 2.0, 1.0)
-        falling = max(delay + asymmetry / 2.0, 1.0)
-        amplitude = nominal_amplitude_ps * self.amplitude_multiplier()
+        normals = self._rng.standard_normal(3 * nominal_delay.size)
+        delay_z, asymmetry_z, amplitude_z = normals.reshape(-1, 3).T
+        delay = nominal_delay * _exp(self.params.delay_sigma * delay_z)
+        asymmetry = self.params.asymmetry_sigma_ps * asymmetry_z
+        rising = np.maximum(delay - asymmetry / 2.0, 1.0)
+        falling = np.maximum(delay + asymmetry / 2.0, 1.0)
+        amplitude = nominal_amplitude * _exp(
+            self.params.amplitude_sigma * amplitude_z
+        )
         return rising, falling, amplitude
 
     def spawn_rng(self) -> np.random.Generator:

@@ -2,19 +2,27 @@
 vulnerability, so these are the most security-relevant invariants in the
 code base."""
 
+import copy
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import FabricError
 from repro.designs import build_route_bank, build_target_design
 from repro.fabric.device import FpgaDevice
+from repro.fabric.geometry import Coordinate
 from repro.fabric.parts import VIRTEX_ULTRASCALE_PLUS, ZYNQ_ULTRASCALE_PLUS
-from repro.fabric.routing import Route
+from repro.fabric.routing import Route, SegmentId
+from repro.fabric.segments import SegmentKind
 from repro.physics.aging import CLOUD_PART, NEW_PART
 from repro.physics.pool_array import SegmentBtiArray, aging_kernel
+from repro.physics.variation import VariationParams
 from repro.units import celsius_to_kelvin
+from tests.oracles import fabric as oracle
 
 AMBIENT = celsius_to_kelvin(60.0)
 
@@ -215,17 +223,7 @@ class TestAgingKernelEquivalence:
 
 def _one_at_a_time(device, segment_ids):
     """Oracle: draw, register and preload each new segment on its own."""
-    store = device.aging_store
-    for segment_id in segment_ids:
-        if segment_id in device._array_index:
-            continue
-        traits, high, low = device._materialise(segment_id)
-        index = store.register(traits)
-        if high or low:
-            store.preload_imprint(
-                [index], high_charge_ps=high, low_charge_ps=low
-            )
-        device._array_index[segment_id] = index
+    return oracle.materialise_one_at_a_time(device, segment_ids)
 
 
 def _design_segments(design):
@@ -260,6 +258,22 @@ def _assert_same_device(batched, oracle):
     assert batched.materialised_segments == oracle.materialised_segments
     assert batched._array_index == oracle._array_index
     _assert_same_store(batched.aging_store, oracle.aging_store)
+
+
+def _assert_matches_oracle(batched, oracle, traits):
+    """Slots, store arrays and both generators equal the oracle's, and
+    every ``traits(i)`` the batched store rebuilds equals the oracle's
+    drawn ``traits`` (per segment) exactly."""
+    _assert_same_device(batched, oracle)
+    for name in ("_variation._rng", "_imprint_rng"):
+        got, want = batched, oracle
+        for attr in name.split("."):
+            got, want = getattr(got, attr), getattr(want, attr)
+        assert got.bit_generator.state == want.bit_generator.state, name
+    assert set(traits) == set(batched._array_index)
+    store = batched.aging_store
+    for segment_id, index in batched._array_index.items():
+        assert store.traits(index) == traits[segment_id], segment_id
 
 
 _WEARS = pytest.mark.parametrize(
@@ -381,6 +395,96 @@ class TestBatchedMaterialisation:
         array, *array_reads = history("array")
         assert array_reads == scalar_reads
         assert array.materialised_segments == scalar.materialised_segments
+
+
+_SEGMENT_IDS = st.builds(
+    SegmentId,
+    kind=st.sampled_from(list(SegmentKind)),
+    origin=st.builds(Coordinate, x=st.integers(0, 3), y=st.integers(0, 3)),
+    track=st.integers(0, 2),
+)
+_SIGMAS = st.builds(
+    VariationParams,
+    delay_sigma=st.sampled_from([0.0, 0.008, 0.2]),
+    amplitude_sigma=st.sampled_from([0.0, 0.18]),
+    asymmetry_sigma_ps=st.sampled_from([0.0, 1.5, 400.0]),
+)
+
+
+class TestBulkDrawOracle:
+    """Bulk materialisation equals the scalar draw oracle of
+    ``tests/oracles/fabric.py``: slots, pool arrays, delays, rebuilt
+    traits and the state of both generators."""
+
+    @staticmethod
+    def _pair(wear, variation, shared, seeds=(51, 52)):
+        fleet_store = SegmentBtiArray()
+        devices = []
+        for seed in seeds:
+            device = FpgaDevice(
+                ZYNQ_ULTRASCALE_PLUS, wear=wear, seed=seed,
+                bti_store=fleet_store if shared else SegmentBtiArray(),
+            )
+            device._variation.params = variation
+            devices.append(device)
+        return devices
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        wear=st.sampled_from([NEW_PART, CLOUD_PART]),
+        variation=_SIGMAS,
+        shared=st.booleans(),
+        requests=st.lists(
+            st.tuples(
+                st.integers(0, 1),
+                st.sampled_from(["delta", "delays", "state"]),
+                st.lists(_SEGMENT_IDS, min_size=1, max_size=30),
+            ),
+            min_size=1, max_size=6,
+        ),
+    )
+    def test_bulk_equals_oracle(self, wear, variation, shared, requests):
+        batched = self._pair(wear, variation, shared)
+        reference = self._pair(wear, variation, shared)
+        drawn = [{}, {}]
+        for which, read, segments in requests:
+            b, o = batched[which], reference[which]
+            if read == "state":
+                segment_id = segments[0]
+                drawn[which].update(_one_at_a_time(o, [segment_id]))
+                assert (b.segment_state(segment_id).traits
+                        == o.segment_state(segment_id).traits)
+                continue
+            drawn[which].update(_one_at_a_time(o, segments))
+            route = Route("request", tuple(segments))
+            if read == "delta":
+                assert b.route_delta_ps(route) == o.route_delta_ps(route)
+            else:
+                assert (b.transition_delays(route)
+                        == o.transition_delays(route))
+        for b, o, traits in zip(batched, reference, drawn):
+            _assert_matches_oracle(b, o, traits)
+
+    def test_libm_exp_differs_from_numpy_exp(self):
+        """Pinned: this route's lognormal draws include variates where
+        numpy's SIMD ``exp`` is an ulp off the C library's, so taking the
+        multipliers with ``np.exp`` would break the equality below."""
+        batched, = self._pair(CLOUD_PART, VariationParams(), False, (61,))
+        reference, = self._pair(CLOUD_PART, VariationParams(), False, (61,))
+        route = build_route_bank(batched.grid, [10000.0])[0]
+        params = batched._variation.params
+        probe = copy.deepcopy(batched._variation._rng)
+        normals = probe.standard_normal(3 * len(set(route))).reshape(-1, 3)
+        exponents = np.concatenate([
+            params.delay_sigma * normals[:, 0],
+            params.amplitude_sigma * normals[:, 2],
+        ])
+        libm = np.array([math.exp(x) for x in exponents.tolist()])
+        assert (np.exp(exponents) != libm).any()
+        delays = batched.transition_delays(route)
+        traits = _one_at_a_time(reference, route)
+        assert reference.transition_delays(route) == delays
+        _assert_matches_oracle(batched, reference, traits)
 
 
 class TestThermalCoupling:

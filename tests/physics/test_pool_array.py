@@ -296,3 +296,64 @@ class TestSegmentBtiArrayEquivalence:
         array = SegmentBtiArray()
         with pytest.raises(PhysicsError):
             array.view(0)
+
+
+class TestRegisterMany:
+    """Slice registration equals one ``register`` per segment."""
+
+    def test_matches_one_at_a_time(self):
+        rng = np.random.default_rng(12)
+        traits = [_make_traits(rng) for _ in range(300)]
+        single = SegmentBtiArray()
+        for t in traits[:5]:
+            single.register(t)
+        for t in traits[5:]:
+            single.register(t)
+        bulk = SegmentBtiArray()
+        columns = [
+            [getattr(t, name) for t in traits]
+            for name in ("rising_delay_ps", "falling_delay_ps",
+                         "burn_amplitude_ps")
+        ]
+        assert bulk.register_many(*(c[:5] for c in columns)) == 0
+        assert bulk.register_many(*(c[5:] for c in columns)) == 5
+        assert len(bulk) == len(single) == 300
+        slots = np.arange(300)
+        for pool in ("high", "low"):
+            assert (getattr(bulk, pool).amplitude_ps[:300]
+                    == getattr(single, pool).amplitude_ps[:300]).all()
+        assert (bulk.rising_delay_ps(slots)
+                == single.rising_delay_ps(slots)).all()
+        assert (bulk.falling_delay_ps(slots)
+                == single.falling_delay_ps(slots)).all()
+        assert [bulk.traits(i) for i in range(300)] == traits
+
+    def test_grows_each_array_at_most_once(self):
+        array = SegmentBtiArray()
+        array.register(SegmentTraits(100.0, 100.0, 1.0))
+        before = (array.high.amplitude_ps, array._rising_delay_ps)
+        first = array.register_many([50.0] * 1000, [60.0] * 1000,
+                                    [0.5] * 1000)
+        assert first == 1 and len(array) == 1001
+        assert array.high.capacity >= 1001 > before[0].shape[0]
+        assert array._rising_delay_ps.shape[0] >= 1001
+        assert array.traits(1000) == SegmentTraits(50.0, 60.0, 0.5)
+
+    @pytest.mark.parametrize("rising, falling, amplitude", [
+        ([100.0, 0.0], [100.0, 100.0], [1.0, 1.0]),
+        ([100.0, 100.0], [100.0, -1.0], [1.0, 1.0]),
+        ([100.0, 100.0], [100.0, 100.0], [1.0, -0.5]),
+    ])
+    def test_invalid_traits_rejected_whole(self, rising, falling, amplitude):
+        array = SegmentBtiArray()
+        with pytest.raises(PhysicsError):
+            array.register_many(rising, falling, amplitude)
+        assert len(array) == len(array.high) == len(array.low) == 0
+
+    def test_traits_bounds_checked(self):
+        array = SegmentBtiArray()
+        array.register(SegmentTraits(100.0, 100.0, 1.0))
+        with pytest.raises(PhysicsError):
+            array.traits(1)
+        with pytest.raises(PhysicsError):
+            array.traits(-1)

@@ -18,20 +18,18 @@ from repro.physics.variation import (
 
 class TestProcessVariation:
     def test_deterministic_per_seed(self):
-        a = ProcessVariation(seed=7).sample_segment(100.0, 1.0)
-        b = ProcessVariation(seed=7).sample_segment(100.0, 1.0)
-        assert a == b
+        a = ProcessVariation(seed=7).sample_segments([100.0], [1.0])
+        b = ProcessVariation(seed=7).sample_segments([100.0], [1.0])
+        assert list(map(list, a)) == list(map(list, b))
 
     def test_different_seeds_differ(self):
-        a = ProcessVariation(seed=7).sample_segment(100.0, 1.0)
-        b = ProcessVariation(seed=8).sample_segment(100.0, 1.0)
-        assert a != b
+        a = ProcessVariation(seed=7).sample_segments([100.0], [1.0])
+        b = ProcessVariation(seed=8).sample_segments([100.0], [1.0])
+        assert list(map(list, a)) != list(map(list, b))
 
     def test_sample_near_nominal(self):
         rng = ProcessVariation(seed=1)
-        samples = [rng.sample_segment(450.0, 0.5) for _ in range(500)]
-        risings = np.array([s[0] for s in samples])
-        amps = np.array([s[2] for s in samples])
+        risings, _, amps = rng.sample_segments([450.0] * 500, [0.5] * 500)
         assert abs(risings.mean() - 450.0) < 5.0
         assert abs(amps.mean() - 0.5) < 0.05
 
@@ -42,32 +40,74 @@ class TestProcessVariation:
 
     def test_invalid_nominal_rejected(self):
         with pytest.raises(ConfigurationError):
-            ProcessVariation(seed=1).sample_segment(0.0, 1.0)
+            ProcessVariation(seed=1).sample_segments([0.0], [1.0])
         with pytest.raises(ConfigurationError):
-            ProcessVariation(seed=1).sample_segment(10.0, -1.0)
+            ProcessVariation(seed=1).sample_segments([10.0], [-1.0])
 
     def test_negative_params_rejected(self):
         with pytest.raises(ConfigurationError):
             VariationParams(delay_sigma=-0.1)
 
+    def test_block_draws_follow_segment_order(self):
+        """One block of segments takes the stream exactly as the same
+        segments sampled one per call, and leaves it in the same state;
+        a zero-amplitude segment (a CARRY element) draws all the same."""
+        delays = [45.0, 2.8, 450.0, 120.0, 260.0]
+        amplitudes = [0.27, 0.0, 0.54, 0.54, 0.54]
+        block = ProcessVariation(seed=9)
+        rising, falling, amplitude = block.sample_segments(delays, amplitudes)
+        one_by_one = ProcessVariation(seed=9)
+        rows = [
+            tuple(column[0] for column in one_by_one.sample_segments([d], [a]))
+            for d, a in zip(delays, amplitudes)
+        ]
+        assert list(zip(rising, falling, amplitude)) == rows
+        assert (block.spawn_rng().integers(2**62)
+                == one_by_one.spawn_rng().integers(2**62))
+
+    def test_block_rejects_any_invalid_nominal(self):
+        with pytest.raises(ConfigurationError):
+            ProcessVariation(seed=1).sample_segments([10.0, 0.0], [1.0, 1.0])
+        with pytest.raises(ConfigurationError):
+            ProcessVariation(seed=1).sample_segments([10.0, 5.0], [1.0, -1.0])
+
 
 class TestWearProfiles:
     def test_new_part_is_pristine(self):
         assert NEW_PART.sample_age_hours(seed=1) == 0.0
-        assert NEW_PART.sample_residual_imprints(1.0, seed=1) == (0.0, 0.0)
+        high, low = NEW_PART.sample_residual_imprints([1.0, 0.5], seed=1)
+        assert high.tolist() == low.tolist() == [0.0, 0.0]
 
     def test_cloud_part_is_aged(self):
         ages = [CLOUD_PART.sample_age_hours(seed=i) for i in range(50)]
         assert all(age > 0.0 for age in ages)
         assert 2500.0 < np.mean(ages) < 5500.0
 
+    def test_block_imprints_skip_zero_scales(self):
+        """Zero-scale segments take no draws: a block with them equals
+        the same block's scalar draws, one segment per call."""
+        amplitudes = [0.54, 0.0, 0.27, 0.0, 0.54]
+        rng_block = np.random.default_rng(4)
+        rng_single = np.random.default_rng(4)
+        high, low = CLOUD_PART.sample_residual_imprints(amplitudes, rng_block)
+        rows = [
+            tuple(column[0] for column in
+                  CLOUD_PART.sample_residual_imprints([a], rng_single))
+            for a in amplitudes
+        ]
+        assert list(zip(high, low)) == rows
+        assert rows[1] == rows[3] == (0.0, 0.0)
+        assert (rng_block.bit_generator.state
+                == rng_single.bit_generator.state)
+
     def test_cloud_residuals_are_small_fractions(self):
-        highs, lows = zip(*[
-            CLOUD_PART.sample_residual_imprints(1.0, seed=i) for i in range(100)
-        ])
-        assert all(h >= 0.0 for h in highs)
-        assert max(highs) < 0.5
-        assert max(lows) < 0.5
+        highs, lows = (np.concatenate(pool) for pool in zip(*[
+            CLOUD_PART.sample_residual_imprints([1.0], seed=i)
+            for i in range(100)
+        ]))
+        assert (highs >= 0.0).all()
+        assert highs.max() < 0.5
+        assert lows.max() < 0.5
 
     def test_invalid_profile_rejected(self):
         with pytest.raises(ConfigurationError):
