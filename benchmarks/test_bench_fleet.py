@@ -5,9 +5,9 @@ Five phases, written to ``BENCH_fleet.json`` at the repo root:
 * **bulk_churn** -- the headline workload: 100k devices, 500k tenant
   arrivals (1M lifecycle events, drop-free by construction) resolved
   by the vectorised bulk-churn engine.  Hard-gated at >= 1M events/s.
-* **reference_baseline** -- the per-event reference engine timed on a
-  smaller trace; its events/s is the eager baseline the bulk speedup
-  is measured against.
+* **reference_baseline** -- the per-event churn oracle
+  (``tests/oracles/churn.py``) timed on a smaller trace; its events/s
+  is the eager baseline the bulk speedup is measured against.
 * **equivalence** -- bulk vs reference on a moderate drop-heavy
   scenario: free-stack contents, event counts and capacity drops must
   match exactly, and the bulk engine must be invariant to the window
@@ -22,12 +22,16 @@ Five phases, written to ``BENCH_fleet.json`` at the repo root:
 Hard gates are deliberately loose (the 1M events/s floor is ~3x under
 what this path measures on a warm laptop core); the headline ratios
 are recorded for trend tracking by ``repro bench diff``.
+
+Run it from the repository root (``PYTHONPATH=src python -m pytest
+benchmarks/test_bench_fleet.py``) so ``tests.oracles`` imports.
 """
 
 import json
 import math
 import os
 import platform
+from contextlib import nullcontext
 from pathlib import Path
 from time import perf_counter
 
@@ -39,6 +43,7 @@ from repro.cloud.campaigns import (
     run_churn_benchmark,
     run_flash_campaign,
 )
+from tests.oracles.churn import reference_churn
 
 _TARGET = Path(__file__).resolve().parents[1] / "BENCH_fleet.json"
 
@@ -46,7 +51,7 @@ _TARGET = Path(__file__).resolve().parents[1] / "BENCH_fleet.json"
 _DEVICES = 100_000
 _ARRIVALS = 500_000
 
-#: The reference engine replays one python-level event at a time; a
+#: The reference oracle replays one python-level event at a time; a
 #: full million-event trace would dominate the bench session, so the
 #: baseline is timed on a slice and compared per-event.
 _REFERENCE_ARRIVALS = 20_000
@@ -66,7 +71,13 @@ _SWEEP_ARRIVALS = 40_000
 _SWEEP_SLACK = 1.5
 
 
-def _campaign_scenario(engine):
+def _engine(name):
+    """Build churn on the bulk engine, or on the per-event oracle for
+    ``"reference"``."""
+    return reference_churn() if name == "reference" else nullcontext()
+
+
+def _campaign_scenario():
     return FleetScenario(
         devices=96,
         horizon_hours=220.0,
@@ -74,7 +85,6 @@ def _campaign_scenario(engine):
                          mean_rental_hours=10.0),
         routes=4,
         seed=6,
-        engine=engine,
     )
 
 
@@ -82,10 +92,11 @@ def _best_of_3(engine, trace, horizon):
     """(seconds, (events, drops, free stack)) of the fastest of 3 runs."""
     best = math.inf
     for _ in range(3):
-        start = perf_counter()
-        region = VirtualRegion(_SWEEP_DEVICES, trace, engine=engine)
-        region.advance_to(horizon)
-        best = min(best, perf_counter() - start)
+        with _engine(engine):
+            start = perf_counter()
+            region = VirtualRegion(_SWEEP_DEVICES, trace)
+            region.advance_to(horizon)
+            best = min(best, perf_counter() - start)
     return best, (region.events_processed, region.dropped_arrivals,
                   region.free_boards())
 
@@ -113,7 +124,7 @@ def test_bench_fleet(emit):
     best = None
     for _ in range(2):  # best-of-2: first run pays numpy warm-up
         stats = run_churn_benchmark(
-            devices=_DEVICES, arrivals=_ARRIVALS, seed=0, engine="bulk"
+            devices=_DEVICES, arrivals=_ARRIVALS, seed=0
         )
         if best is None or stats["seconds"] < best["seconds"]:
             best = stats
@@ -122,10 +133,11 @@ def test_bench_fleet(emit):
          f"({best['events_per_second']:,.0f} events/s)")
 
     # -- reference baseline --------------------------------------------
-    ref = run_churn_benchmark(
-        devices=_REFERENCE_DEVICES, arrivals=_REFERENCE_ARRIVALS,
-        seed=0, engine="reference",
-    )
+    with reference_churn():
+        ref = run_churn_benchmark(
+            devices=_REFERENCE_DEVICES, arrivals=_REFERENCE_ARRIVALS,
+            seed=0,
+        )
     speedup = best["events_per_second"] / ref["events_per_second"]
     emit(f"reference baseline: {ref['events']:,} events in "
          f"{ref['seconds']:.2f} s ({ref['events_per_second']:,.0f} "
@@ -136,8 +148,8 @@ def test_bench_fleet(emit):
     engines = {}
     for engine, batch in (("reference", math.inf), ("bulk", math.inf),
                           ("bulk", 11.0)):
-        region = VirtualRegion(48, trace, engine=engine,
-                               batch_hours=batch)
+        with _engine(engine):
+            region = VirtualRegion(48, trace, batch_hours=batch)
         region.advance_to(240.0)
         engines[(engine, batch)] = (
             region.free_boards(), region.events_processed,
@@ -153,14 +165,15 @@ def test_bench_fleet(emit):
     # -- quick campaign ------------------------------------------------
     start = perf_counter()
     campaign = run_flash_campaign(
-        _campaign_scenario("bulk"),
+        _campaign_scenario(),
         FlashAttackPlan(victims=2, flash_limit=4, reaction_hours=0.25),
     )
     campaign_s = perf_counter() - start
-    campaign_ref = run_flash_campaign(
-        _campaign_scenario("reference"),
-        FlashAttackPlan(victims=2, flash_limit=4, reaction_hours=0.25),
-    )
+    with reference_churn():
+        campaign_ref = run_flash_campaign(
+            _campaign_scenario(),
+            FlashAttackPlan(victims=2, flash_limit=4, reaction_hours=0.25),
+        )
     emit(f"campaign: yield {campaign.recovery_yield:.2f}, "
          f"mean accuracy {campaign.mean_accuracy:.3f}, "
          f"{campaign.lifecycle_events:,} churn events in "
@@ -200,7 +213,6 @@ def test_bench_fleet(emit):
             "bulk_matches_reference": equivalent,
         },
         "campaign_quick": {
-            "engine": "bulk",
             "victims": campaign.victims_attempted,
             "recovery_yield": campaign.recovery_yield,
             "mean_accuracy": round(campaign.mean_accuracy, 4),

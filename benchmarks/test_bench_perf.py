@@ -1,26 +1,28 @@
 """Performance benchmark: batched capture, array aging, parallel sweeps.
 
 Run from the repository root (``PYTHONPATH=src python -m pytest
-benchmarks/test_bench_perf.py``): the reference side of each sensor
-comparison comes from the test oracles in ``tests/oracles/sensor.py``.
-Seven phases, written to ``BENCH_perf.json`` at the repo root:
+benchmarks/test_bench_perf.py``): the reference side of each comparison
+comes from the test oracles in ``tests/oracles/sensor.py`` and
+``tests/oracles/aging.py``.  Seven phases, written to
+``BENCH_perf.json`` at the repo root:
 
 * **measurement microbench** -- full TDC measurements through the
   per-word reference oracle vs the vectorised batched kernel (the PR 2
   tentpole targets >= 10x here);
 * **aging microbench** -- whole-device ``advance_hours`` on a >= 4k
-  materialised-segment device under the scalar per-object kernel vs the
-  structure-of-arrays kernel (the PR 3 tentpole targets >= 10x here);
+  materialised-segment device on the per-segment aging oracle
+  (:func:`reference_aging`) vs the structure-of-arrays engine (the
+  array engine targets >= 10x here);
 * **end-to-end exp1** -- ``exp1 --quick`` wall time on the reference
   sensor (:func:`reference_sensor`: per-word capture, route-by-route
   calibration and measurement) vs the production sensor, with recovery
   accuracy compared;
-* **end-to-end exp2 (aging axis)** -- ``exp2 --quick`` wall time under
-  each *aging* kernel with recovery accuracy compared;
+* **end-to-end exp2 (aging axis)** -- ``exp2 --quick`` wall time on
+  each *aging* path with recovery accuracy compared;
 * **end-to-end exp2/exp3 (all axes)** -- ``exp2 --quick`` and
   ``exp3 --quick`` with *everything* on its reference path (the
-  reference sensor plus scalar aging) vs everything fast (the PR 7
-  tentpole targets >= 5x here);
+  reference sensor plus the aging oracle) vs everything fast
+  (whole-experiment batching targets >= 5x here);
 * **calibration-axis equivalence** -- the lockstep calibration scan
   must reproduce the route-by-route scan's recovery accuracy *exactly*;
 * **sweep sharding** -- ``experiment_sweep(jobs=N)`` vs sequential,
@@ -64,12 +66,12 @@ from repro.fabric.parts import VIRTEX_ULTRASCALE_PLUS, ZYNQ_ULTRASCALE_PLUS
 from repro.fabric.routing import SegmentId
 from repro.fabric.segments import SegmentKind
 from repro.montecarlo import experiment_sweep, resolve_jobs
-from repro.physics.pool_array import aging_kernel
 from repro.sensor import find_theta_init
 from repro.sensor.noise import LAB_NOISE
 from repro.sensor.tdc import TunableDualPolarityTdc
 from repro.units import celsius_to_kelvin
 from tests.oracles import sensor as oracle
+from tests.oracles.aging import reference_aging
 
 _TARGET = Path(__file__).resolve().parents[1] / "BENCH_perf.json"
 
@@ -94,7 +96,7 @@ def _time_measurements(measure_raw, theta, reps):
     return (perf_counter() - start) / reps
 
 
-def _build_aging_device(kernel):
+def _build_aging_device():
     """A loaded device with >= _AGING_SEGMENTS materialised segments.
 
     A hundred mixed-length routed nets give the advance realistic
@@ -102,8 +104,7 @@ def _build_aging_device(kernel):
     the quota is materialised directly as idle SINGLE segments (routing
     banks top out far below 4k on this grid).
     """
-    with aging_kernel(kernel):
-        device = FpgaDevice(VIRTEX_ULTRASCALE_PLUS, seed=33)
+    device = FpgaDevice(VIRTEX_ULTRASCALE_PLUS, seed=33)
     lengths = [1000.0, 2000.0, 5000.0, 10000.0] * 25
     routes = build_route_bank(device.grid, lengths)
     design = build_target_design(
@@ -130,6 +131,14 @@ def _time_advances(device, reps):
     return (perf_counter() - start) / reps
 
 
+def _time_aging(reference):
+    """(materialised segments, seconds per advance) on one aging path."""
+    with reference_aging() if reference else nullcontext():
+        device = _build_aging_device()
+        return (device.materialised_segments,
+                _time_advances(device, _AGING_REPS))
+
+
 def _time_exp1(reference):
     config = Experiment1Config.quick()
     with oracle.reference_sensor() if reference else nullcontext():
@@ -142,9 +151,9 @@ def _time_exp1(reference):
     return best, accuracy
 
 
-def _time_exp2(kernel):
+def _time_exp2(reference):
     config = Experiment2Config.quick()
-    with aging_kernel(kernel):
+    with reference_aging() if reference else nullcontext():
         best, accuracy = float("inf"), None
         for _ in range(2):
             start = perf_counter()
@@ -159,16 +168,16 @@ def _time_quick_all_knobs(run, config_cls, scalar, reps=2):
 
     ``scalar=True`` runs everything on its reference path -- the
     reference sensor (per-word capture, route-by-route calibration and
-    measurement) and scalar aging -- the fully unbatched path the PR 7
-    tentpole is measured against.  The DRC cache is
-    cleared before every rep so each rep pays its own full vetting
-    cost (reports are keyed per compile, so reps never share entries;
-    clearing just keeps the comparison cold-start honest).
+    measurement) and the per-segment aging oracle -- the fully
+    unbatched path whole-experiment batching is measured against.  The
+    DRC cache is cleared before every rep so each rep pays its own full
+    vetting cost (reports are keyed per compile, so reps never share
+    entries; clearing just keeps the comparison cold-start honest).
     """
     with ExitStack() as stack:
         if scalar:
             stack.enter_context(oracle.reference_sensor())
-            stack.enter_context(aging_kernel("scalar"))
+            stack.enter_context(reference_aging())
         best, accuracy = float("inf"), None
         for _ in range(reps):
             clear_drc_cache()
@@ -215,12 +224,9 @@ def test_bench_perf(emit):
          f"({micro_speedup:.1f}x, "
          f"{words_per_measurement / batched_s:,.0f} words/s)")
 
-    scalar_device = _build_aging_device("scalar")
-    array_device = _build_aging_device("array")
-    aging_segments = array_device.materialised_segments
-    assert scalar_device.materialised_segments == aging_segments
-    aging_scalar_s = _time_advances(scalar_device, _AGING_REPS)
-    aging_array_s = _time_advances(array_device, _AGING_REPS)
+    scalar_segments, aging_scalar_s = _time_aging(reference=True)
+    aging_segments, aging_array_s = _time_aging(reference=False)
+    assert scalar_segments == aging_segments
     aging_speedup = aging_scalar_s / aging_array_s
     emit(f"aging ({aging_segments} segments): "
          f"scalar {aging_scalar_s * 1e3:.2f} ms/advance, "
@@ -235,8 +241,8 @@ def test_bench_perf(emit):
          f"batched {e2e_batched_s:.2f} s ({e2e_speedup:.1f}x), "
          f"accuracy {scalar_accuracy:.3f} -> {batched_accuracy:.3f}")
 
-    exp2_scalar_s, exp2_scalar_accuracy = _time_exp2("scalar")
-    exp2_array_s, exp2_array_accuracy = _time_exp2("array")
+    exp2_scalar_s, exp2_scalar_accuracy = _time_exp2(reference=True)
+    exp2_array_s, exp2_array_accuracy = _time_exp2(reference=False)
     exp2_speedup = exp2_scalar_s / exp2_array_s
     emit(f"exp2 --quick: scalar-aging {exp2_scalar_s:.2f} s, "
          f"array-aging {exp2_array_s:.2f} s ({exp2_speedup:.1f}x), "

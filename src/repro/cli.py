@@ -243,10 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--arrivals", type=int, default=None,
                     help="churn run only: background arrivals to replay "
                          "(default: 500000)")
-    pf.add_argument("--engine", choices=("bulk", "reference"),
-                    default="bulk",
-                    help="churn engine: vectorised windows or the "
-                         "per-event reference (default: bulk)")
     pf.add_argument("--batch-hours", type=float, default=None,
                     help="cap bulk windows at this many simulated hours "
                          "(results are batch-invariant; default: "
@@ -276,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "region outages, preemption storms, board "
                          "retirements, thermal excursions); see "
                          "plans/fleet-chaos-default.json.  Results stay "
-                         "bit-identical across --engine/--batch-hours")
+                         "bit-identical across --batch-hours")
     pf.add_argument("--seeds", type=str, default=None, metavar="SPEC",
                     help="run the campaign as a multi-seed sweep over "
                          "this seed spec (e.g. '1:8'); reports mean "
@@ -517,7 +513,6 @@ def _cmd_fleet(args) -> int:
             devices=devices,
             arrivals=arrivals,
             seed=args.seed,
-            engine=args.engine,
             batch_hours=args.batch_hours or _math.inf,
             arrival_rate_per_hour=args.arrival_rate or 60.0,
             recorder=recorder,
@@ -525,11 +520,10 @@ def _cmd_fleet(args) -> int:
         _save_series()
         args._config = {
             "campaign": "churn", "devices": devices,
-            "arrivals": arrivals, "engine": args.engine,
-            "seed": args.seed,
+            "arrivals": arrivals, "seed": args.seed,
         }
         args._extra = {"fleet": stats}
-        print(f"churn [{args.engine}]: {stats['events']} lifecycle "
+        print(f"churn: {stats['events']} lifecycle "
               f"events over {devices} boards in "
               f"{stats['seconds']:.3f}s "
               f"({stats['events_per_second']:,.0f} events/sec, "
@@ -554,7 +548,6 @@ def _cmd_fleet(args) -> int:
                          mean_rental_hours=rental),
         routes=4 if args.quick else 8,
         seed=args.seed,
-        engine=args.engine,
         batch_hours=args.batch_hours or _math.inf,
     )
     attack_plan = (FlashAttackPlan(victims=victims)
@@ -563,7 +556,7 @@ def _cmd_fleet(args) -> int:
     args._config = {
         "campaign": args.campaign, "devices": devices,
         "horizon_hours": horizon, "victims": victims,
-        "engine": args.engine, "arrival_rate_per_hour": rate,
+        "arrival_rate_per_hour": rate,
         "mean_rental_hours": rental, "seed": args.seed,
     }
 
@@ -598,7 +591,7 @@ def _cmd_fleet(args) -> int:
         _save_series()
         args._accuracy = sweep.mean_yield
         args._extra = {"fleet_sweep": sweep.to_dict()}
-        print(f"{args.campaign} sweep [{args.engine}] over {devices} "
+        print(f"{args.campaign} sweep over {devices} "
               f"boards, {horizon:.0f}h horizon, {len(seeds)} seeds:")
         for seed, payload in zip(sweep.seeds, sweep.results):
             payload = payload or {}
@@ -632,7 +625,7 @@ def _cmd_fleet(args) -> int:
     _save_series()
     args._accuracy = result.recovery_yield
     args._extra = {"fleet": result.to_dict()}
-    print(f"{args.campaign} campaign [{args.engine}] over {devices} "
+    print(f"{args.campaign} campaign over {devices} "
           f"boards, {horizon:.0f}h horizon:")
     print(f"  victims attempted   {result.victims_attempted} "
           f"(+{result.victims_skipped} skipped on capacity)")

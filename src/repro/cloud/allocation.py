@@ -36,62 +36,26 @@ class AllocationPolicy:
         order: hand-out order among eligible free devices.
         holdback_hours: minimum time a returned device rests before it
             becomes allocatable again (0 disables the mitigation).
-        outage_windows: ``(start_hours, end_hours)`` intervals during
-            which the region admits nothing -- the eager-path twin of
-            the fleet plan's
-            :class:`~repro.reliability.fleet_chaos.OutageWindow`.
     """
 
     order: AllocationOrder = AllocationOrder.LIFO
     holdback_hours: float = 0.0
-    outage_windows: tuple = ()
 
     def __post_init__(self) -> None:
         if self.holdback_hours < 0.0:
             raise ConfigurationError(
                 f"holdback_hours must be >= 0, got {self.holdback_hours}"
             )
-        for window in self.outage_windows:
-            try:
-                start, end = (float(window[0]), float(window[1]))
-            except (TypeError, ValueError, IndexError) as exc:
-                raise ConfigurationError(
-                    f"outage_windows entries must be (start_hours, "
-                    f"end_hours) pairs, got {window!r}"
-                ) from exc
-            if not 0.0 <= start < end:
-                raise ConfigurationError(
-                    f"outage window must satisfy 0 <= start < end, got "
-                    f"{window!r}"
-                )
 
-    def in_outage(self, now_hours: float) -> bool:
-        """Whether an outage window covers ``now_hours``."""
-        for start, end in self.outage_windows:
-            if float(start) <= now_hours < float(end):
-                return True
-        return False
-
-    def admission_check(self, region_name: str,
-                        now_hours: float = 0.0) -> None:
+    def admission_check(self, region_name: str) -> None:
         """Admission control at the head of every allocation request.
 
-        Two refusal paths, both raising
-        :class:`~repro.errors.CapacityError` exactly as a genuinely
-        empty pool would:
-
-        * an active chaos plan firing fault site ``cloud.allocate``;
-        * ``now_hours`` landing inside a configured outage window.
-
-        Either happens before the region touches its free list or
-        consumes any allocation randomness -- so a retried request
-        replays the clean run's draw sequence.
+        An active chaos plan firing fault site ``cloud.allocate``
+        raises :class:`~repro.errors.CapacityError` exactly as a
+        genuinely empty pool would, before the region touches its free
+        list or consumes any allocation randomness -- so a retried
+        request replays the clean run's draw sequence.
         """
-        if self.in_outage(now_hours):
-            raise CapacityError(
-                f"region {region_name!r}: dark at {now_hours}h "
-                f"(outage window)"
-            )
         maybe_inject(
             "cloud.allocate", CapacityError,
             f"region {region_name!r}: request limit exceeded (injected "

@@ -9,12 +9,11 @@ splitting the simulation into two coupled layers:
 * **Churn** -- the background tenant population.  Arrivals and rental
   durations are drawn *up front* into a :class:`ChurnTrace` (so the
   randomness is independent of how the simulation is batched), and a
-  churn engine replays them against a LIFO free stack.  Two engines
-  exist: a per-event reference (:class:`_ReferenceChurn`, the obviously
-  correct one) and a vectorised window engine (:class:`_BulkChurn`)
-  that resolves an entire batch of events with a handful of numpy
-  passes.  They are pinned identical by tests; the bulk engine is what
-  sustains the >1M lifecycle-events/sec bench floor.
+  churn engine (:class:`_BulkChurn`) replays them against a LIFO free
+  stack, resolving an entire batch of events with a handful of numpy
+  passes -- what sustains the >1M lifecycle-events/sec bench floor.
+  The obviously correct per-event replay it is pinned identical to is
+  the test oracle ``tests/oracles/churn.py`` (``reference_churn()``).
 
 * **Tracked boards** -- the handful of boards an attacker or victim
   actually touches.  Those materialise as real
@@ -45,7 +44,7 @@ O(log chain) pointer-doubling passes, and the post-window stack is
 read off each boundary group's last event.  Capacity misses (an
 arrival finding an empty stack) are found by that same ordering pass;
 when there are any, one count-only walk from the first miss fixes the
-drop set exactly as the reference engine drops arrivals, and the
+drop set exactly as the per-event reference drops arrivals, and the
 ordering pass runs once more without them -- at most two sorts per
 window, whatever its drop count.
 """
@@ -53,7 +52,6 @@ window, whatever its drop count.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from time import perf_counter
@@ -111,8 +109,7 @@ __all__ = [
 ]
 
 #: Rental durations are clamped above zero so a release can never sort
-#: before its own arrival (the engines order same-time events
-#: release-first).
+#: before its own arrival (churn orders same-time events release-first).
 _MIN_RENTAL_HOURS = 1e-9
 
 
@@ -120,9 +117,9 @@ def _inc_churn_counters(events: int, rents: int,
                         releases: int, drops: int) -> None:
     """Fold one churn advance into the registry's fleet counters.
 
-    Both engines call this with per-advance deltas, so the counter
-    *values* agree exactly between the reference and bulk engines (the
-    satellite equality test pins this).
+    The bulk engine and the per-event reference oracle both call this
+    with per-advance deltas, so the counter *values* agree exactly
+    between them (the counter equality test pins this).
     """
     if events:
         registry.counter(
@@ -229,110 +226,8 @@ class ChurnModel:
 
 
 # ---------------------------------------------------------------------------
-# Churn engines
+# The churn engine
 # ---------------------------------------------------------------------------
-
-
-class _ReferenceChurn:
-    """Per-event churn replay: the semantics both engines must share.
-
-    One python-level step per arrival/release against a LIFO stack of
-    board ids.  Same-time ties resolve release-before-arrival (a
-    returned board is immediately re-rentable -- the paper's rapid
-    reallocation race), and an arrival that finds the stack empty is
-    dropped along with its release.
-    """
-
-    def __init__(self, boards: int, trace: ChurnTrace,
-                 recorder: Optional[FlightRecorder] = None) -> None:
-        self.n_boards = boards
-        self.trace = trace
-        self.stack: list[int] = list(range(boards))
-        self._pending: list[tuple[float, int, int]] = []
-        self._pseq = itertools.count()
-        self._pos = 0
-        self.now_hours = 0.0
-        self.events_processed = 0
-        self.dropped_arrivals = 0
-        self._recorder = recorder
-        self._cadence = (recorder.cadence_hours
-                         if recorder is not None else math.inf)
-        self._gk = 1
-
-    def _grid_sample(self, g: float) -> None:
-        """One flight-recorder sample at grid time ``g`` (the sampling
-        contract both engines share: churn events with time <= g are
-        in, tracked handlers at g are not -- grids are emitted while
-        the clock advances, before handlers run)."""
-        fill = len(self.stack)
-        self._recorder.churn_sample(
-            g, fill, self.n_boards - fill,
-            self.events_processed, self.dropped_arrivals,
-        )
-
-    def advance_to(self, until_hours: float) -> None:
-        arrivals = self.trace.arrivals
-        durations = self.trace.durations
-        n = len(arrivals)
-        stack = self.stack
-        pending = self._pending
-        rec = self._recorder
-        cadence = self._cadence
-        pos0 = self._pos
-        e0 = self.events_processed
-        d0 = self.dropped_arrivals
-        while True:
-            a = arrivals[self._pos] if self._pos < n else math.inf
-            r = pending[0][0] if pending else math.inf
-            t = a if a < r else r
-            if t > until_hours:
-                break
-            if rec is not None:
-                g = self._gk * cadence
-                while g < t:
-                    self._grid_sample(g)
-                    self._gk += 1
-                    g = self._gk * cadence
-            if r <= a:
-                _, _, board = heapq.heappop(pending)
-                stack.append(board)
-            else:
-                self._pos += 1
-                if stack:
-                    board = stack.pop()
-                    heapq.heappush(
-                        pending,
-                        (a + durations[self._pos - 1],
-                         next(self._pseq), board),
-                    )
-                else:
-                    self.dropped_arrivals += 1
-            self.events_processed += 1
-        if rec is not None:
-            g = self._gk * cadence
-            while g <= until_hours:
-                self._grid_sample(g)
-                self._gk += 1
-                g = self._gk * cadence
-        arrived = self._pos - pos0
-        drops = self.dropped_arrivals - d0
-        events = self.events_processed - e0
-        _inc_churn_counters(
-            events, arrived - drops, events - arrived, drops
-        )
-        self.now_hours = until_hours
-
-    def rent(self) -> Optional[int]:
-        return self.stack.pop() if self.stack else None
-
-    def release(self, board: int) -> None:
-        self.stack.append(board)
-
-    def available(self) -> int:
-        return len(self.stack)
-
-    def free_boards(self) -> list[int]:
-        return list(self.stack)
 
 
 def _order_window(
@@ -360,7 +255,7 @@ def _order_window(
     ])
     # Carried-in pending releases keep ascending refs (position minus
     # nc, all negative) so same-time ties resolve in rental-start order
-    # -- exactly the reference engine's heap tie-break.  Mass ties are
+    # -- exactly the per-event reference's heap tie-break.  Mass ties are
     # real under a fault plan: a preemption storm truncates every
     # spanning rental to the same instant.
     ev_ref = np.concatenate([
@@ -391,7 +286,7 @@ def _resolve_drops(
     only: releases at or before each arrival come back first (the
     release-first tie rule), an arrival that finds no free board is
     dropped and never releases.  ``a_times`` is ascending, so this is
-    the reference engine's order without its board ids.
+    the per-event reference's order without its board ids.
     """
     a_m = a_times[first_miss]
     head = r_times[:first_miss]
@@ -460,7 +355,7 @@ class _BulkChurn:
         window's sorted event stream with ``searchsorted``; grid times
         are ``k * cadence`` products (never accumulated sums) and the
         high index is comparison-corrected, so the emitted samples are
-        bit-identical to the reference engine's scalar walk.
+        bit-identical to the per-event reference's scalar walk.
         """
         cadence = self._cadence
         k_lo = self._gk
@@ -659,8 +554,8 @@ class VirtualRegion:
     """A fleet-sized region: board ids against a pre-drawn churn trace.
 
     Tracked tenancies (victims, attackers) rent and release through
-    this object directly; background churn replays through the chosen
-    engine whenever the clock advances.  ``batch_hours`` caps the bulk
+    this object directly; background churn replays through the bulk
+    engine whenever the clock advances.  ``batch_hours`` caps the
     window size -- results are identical for any batching, which the
     campaign reproducibility test pins.
     """
@@ -669,7 +564,6 @@ class VirtualRegion:
         self,
         boards: int,
         trace_: ChurnTrace,
-        engine: str = "bulk",
         batch_hours: float = math.inf,
         recorder: Optional[FlightRecorder] = None,
     ) -> None:
@@ -677,19 +571,7 @@ class VirtualRegion:
             raise ConfigurationError("a region needs at least one board")
         if batch_hours <= 0.0:
             raise ConfigurationError("batch_hours must be positive")
-        if engine == "bulk":
-            self._engine: _BulkChurn | _ReferenceChurn = _BulkChurn(
-                boards, trace_, recorder=recorder
-            )
-        elif engine == "reference":
-            self._engine = _ReferenceChurn(boards, trace_,
-                                           recorder=recorder)
-        else:
-            raise ConfigurationError(
-                f"unknown churn engine {engine!r} "
-                "(expected 'bulk' or 'reference')"
-            )
-        self.engine = engine
+        self._engine = _BulkChurn(boards, trace_, recorder=recorder)
         self.boards = boards
         self.batch_hours = float(batch_hours)
         self.recorder = recorder
@@ -765,8 +647,8 @@ class LazyFleet:
 
     Per-board seeds are pre-drawn in one vectorised pass, so board ``k``
     gets the same silicon no matter how many (or in what order) boards
-    materialise -- a campaign's physics is identical under both churn
-    engines.  By default every board shares one
+    materialise -- a campaign's physics is independent of how churn is
+    batched.  By default every board shares one
     :class:`~repro.physics.pool_array.SegmentBtiArray` so cross-device
     bulk catch-up stays available.
     """
@@ -806,7 +688,7 @@ class LazyFleet:
                 dev = FpgaDevice(
                     self.part, wear=self.wear,
                     seed=int(self._seeds[board]),
-                    aging_kernel="array", bti_store=self._store,
+                    bti_store=self._store,
                 )
             else:
                 dev = FpgaDevice(
@@ -837,7 +719,6 @@ class FleetScenario:
     probe_resolution_ps: float = 0.25
     accuracy_threshold: float = 0.75
     seed: int = 1
-    engine: str = "bulk"
     batch_hours: float = math.inf
 
 
@@ -861,8 +742,8 @@ class FleetSimulator:
     Owns the churn region, the lazy fleet, the route bank the victims
     burn their secrets onto, and the per-board thermal clocks.  All
     randomness comes from named :class:`~repro.rng.RngFactory` streams
-    of the scenario seed, so swapping the churn engine or the batch
-    size never perturbs a draw.
+    of the scenario seed, so swapping the churn engine (the bulk one or
+    the per-event oracle) or the batch size never perturbs a draw.
     """
 
     def __init__(self, scenario: FleetScenario,
@@ -882,7 +763,7 @@ class FleetSimulator:
         )
         if self.faults is not None:
             # Churn-level faults are one pure array transform on the
-            # pre-drawn trace -- applied before either engine exists,
+            # pre-drawn trace -- applied before any engine exists,
             # which is what makes them engine- and batch-invariant.
             arrivals, durations, dropped, truncated = (
                 self.faults.transform_churn(
@@ -899,7 +780,7 @@ class FleetSimulator:
                            truncated=truncated)
         self.region = VirtualRegion(
             scenario.devices, self.churn_trace,
-            engine=scenario.engine, batch_hours=scenario.batch_hours,
+            batch_hours=scenario.batch_hours,
             recorder=recorder,
         )
         self.fleet = LazyFleet(
@@ -971,8 +852,8 @@ class FleetSimulator:
         self, t0: float, t1: float
     ) -> list[tuple[float, float]]:
         """(duration, ambient) intervals over deterministic tick
-        boundaries -- identical for any engine, since both see the
-        same tracked event times."""
+        boundaries -- identical for any churn batching, since every
+        window sees the same tracked event times."""
         if t1 <= t0:
             return []
         tick = self.scenario.thermal_tick_hours
@@ -1077,7 +958,6 @@ class CampaignResult:
     """
 
     kind: str
-    engine: str
     victims_attempted: int
     victims_skipped: int
     recovered: int
@@ -1099,7 +979,6 @@ class CampaignResult:
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "engine": self.engine,
             "victims_attempted": self.victims_attempted,
             "victims_skipped": self.victims_skipped,
             "recovered": self.recovered,
@@ -1396,7 +1275,6 @@ def _finish(
     )
     result = CampaignResult(
         kind=kind,
-        engine=sim.region.engine,
         victims_attempted=len(attempted),
         victims_skipped=len(victims) - len(attempted),
         recovered=recovered,
@@ -1498,10 +1376,9 @@ def run_flash_campaign(
         return handler
 
     note_phase("fleet.flash", total=plan.victims,
-               devices=scenario.devices, engine=scenario.engine,
+               devices=scenario.devices,
                sim_total_hours=scenario.horizon_hours)
-    with trace.span("fleet.campaign", kind="flash",
-                    engine=scenario.engine):
+    with trace.span("fleet.campaign", kind="flash"):
         for victim in victims:
             start = plan.warmup_hours + victim.index * (
                 plan.burn_hours + plan.spacing_hours
@@ -1595,10 +1472,9 @@ def run_scan_campaign(
             )
 
     note_phase("fleet.scan", total=plan.victims,
-               devices=scenario.devices, engine=scenario.engine,
+               devices=scenario.devices,
                sim_total_hours=scenario.horizon_hours)
-    with trace.span("fleet.campaign", kind="scan",
-                    engine=scenario.engine):
+    with trace.span("fleet.campaign", kind="scan"):
         for victim in victims:
             start = plan.warmup_hours + victim.index * (
                 plan.burn_hours + plan.spacing_hours
@@ -1658,11 +1534,11 @@ def fleet_journal_context(
 ) -> dict:
     """The sweep identity a campaign journal is verified against.
 
-    Engine and batch size are deliberately *excluded*: campaign
-    results are pinned engine/batch-invariant, so a journal written
-    under the reference engine may legitimately resume under bulk (and
-    must produce the same bytes).  The seed list is excluded too, so a
-    partial run resumes under a superset of seeds.
+    Batch size is deliberately *excluded*: campaign results are pinned
+    batch-invariant, so a journal written under one window size may
+    legitimately resume under another (and must produce the same
+    bytes).  The seed list is excluded too, so a partial run resumes
+    under a superset of seeds.
     """
     plan_payload = None
     if attack_plan is not None:
@@ -1735,7 +1611,7 @@ def run_fleet_sweep(
     yields: dict[int, float] = {}
     resumed = 0
     note_phase("fleet.sweep", total=len(seeds), campaign=campaign,
-               devices=scenario.devices, engine=scenario.engine)
+               devices=scenario.devices)
     with trace.span("fleet.sweep", campaign=campaign,
                     seeds=len(seeds)):
         for seed in seeds:
@@ -1822,7 +1698,6 @@ def run_churn_benchmark(
     devices: int = 100_000,
     arrivals: int = 500_000,
     seed: int = 0,
-    engine: str = "bulk",
     batch_hours: float = math.inf,
     arrival_rate_per_hour: float = 60.0,
     mean_rental_hours: Optional[float] = None,
@@ -1842,7 +1717,7 @@ def run_churn_benchmark(
     )
     trace_ = model.draw_count(arrivals, seed)
     region = VirtualRegion(
-        devices, trace_, engine=engine, batch_hours=batch_hours,
+        devices, trace_, batch_hours=batch_hours,
         recorder=recorder,
     )
     if recorder is not None:
@@ -1855,7 +1730,6 @@ def run_churn_benchmark(
     return {
         "devices": devices,
         "arrivals": arrivals,
-        "engine": engine,
         "events": events,
         "dropped_arrivals": region.dropped_arrivals,
         "seconds": elapsed,

@@ -17,7 +17,7 @@ from repro.observability import trace
 from repro.observability.log import get_logger
 from repro.observability.metrics import registry
 from repro.physics.aging import CLOUD_PART, WearProfile
-from repro.physics.pool_array import SegmentBtiArray, get_aging_kernel
+from repro.physics.pool_array import SegmentBtiArray
 from repro.reliability.faults import maybe_inject
 from repro.rng import SeedLike, make_rng
 
@@ -46,10 +46,10 @@ def apply_thermal_excursions(region, excursions) -> None:
     Wraps the region's ambient in an
     :class:`~repro.reliability.fleet_chaos.ExcursionAmbient` so every
     *subsequent* clock interval recorded on the region's
-    :class:`~repro.cloud.provider.RegionTimeline` (lazy path) or walked
-    eagerly samples the spiked temperature.  The wrapper is a pure
-    function of time, so lazy and eager aging integrate identical
-    ambient sequences.  No-op for an empty excursion list.
+    :class:`~repro.cloud.provider.RegionTimeline` samples the spiked
+    temperature.  The wrapper is a pure function of time, so lazy aging
+    and the eager oracle integrate identical ambient sequences.  No-op
+    for an empty excursion list.
     """
     from repro.reliability.fleet_chaos import ExcursionAmbient
 
@@ -85,43 +85,29 @@ def build_fleet(
     size: int,
     wear: WearProfile = CLOUD_PART,
     seed: SeedLike = None,
-    aging_kernel: Optional[str] = None,
     bti_store: Optional["SegmentBtiArray"] = None,
 ) -> list[FpgaDevice]:
     """Manufacture ``size`` devices of one part with sampled wear.
 
-    ``aging_kernel`` pins every device of the fleet to one aging kernel
-    (``"array"``/``"scalar"``); by default each device resolves the
-    process-wide default at construction.  Fleet-scale workloads age
-    many devices over hundreds of simulated hours, so this is the knob
-    A/B comparisons of the kernels reach for.
-
     ``bti_store`` lets every device of the fleet share one backing
     :class:`~repro.physics.pool_array.SegmentBtiArray` (slot blocks per
     device), which is what enables the lazy-aging path to catch idle
-    devices up in cross-device bulk updates.  Implies the array kernel.
+    devices up in cross-device bulk updates.
     """
     if size <= 0:
         raise ConfigurationError(f"fleet size must be positive, got {size}")
     rng = make_rng(seed)
-    if aging_kernel is None and bti_store is not None:
-        kernel = "array"
-    else:
-        kernel = (
-            aging_kernel if aging_kernel is not None else get_aging_kernel()
-        )
     with trace.span("cloud.build_fleet", part=part.name, size=size,
-                    wear=wear.name, aging_kernel=kernel):
+                    wear=wear.name):
         devices = [
             FpgaDevice(
                 part=part, wear=wear, seed=rng.integers(0, 2**63),
-                aging_kernel=kernel, bti_store=bti_store,
+                bti_store=bti_store,
             )
             for _ in range(size)
         ]
     registry.counter(
         "fleet_devices_built_total", "physical devices manufactured"
     ).inc(size)
-    _log.info("fleet_built", part=part.name, size=size, wear=wear.name,
-              aging_kernel=kernel)
+    _log.info("fleet_built", part=part.name, size=size, wear=wear.name)
     return devices

@@ -6,11 +6,11 @@ allocation policy; releasing **wipes the device's logical state** and
 returns it to the pool -- with an optional hold-back delay, the Section
 8.2 launch-rate-control mitigation.
 
-Lazy aging (the fleet-scale path)
----------------------------------
+Lazy aging
+----------
 
-By default the provider no longer walks every device on every clock
-tick.  Each region keeps an append-only :class:`RegionTimeline` of the
+The provider does not walk every device on every clock tick.  Each
+region keeps an append-only :class:`RegionTimeline` of the
 intervals the clock advanced through (duration + the ambient sampled at
 the interval start), and every device carries only its *position* in
 that timeline.  A device catches up -- replaying exactly the
@@ -18,9 +18,9 @@ that timeline.  A device catches up -- replaying exactly the
 order, with the same ambient values -- the first time something observes
 or mutates it (loading a design, wiping at release, reading a delay).
 Devices with no analog state yet skip the replay entirely in O(1).
-
-``CloudProvider(lazy_aging=False)`` restores the synchronous walker;
-the equivalence suite pins the two modes bit-identical.
+The synchronous walker this replaced is the test oracle
+``tests/oracles/aging.py`` (``EagerProvider``); the equivalence suite
+pins the two bit-identical.
 
 Allocation is O(log n): the free pool is kept ordered by
 ``released_at_hours`` (releases arrive in clock order, so appends keep
@@ -128,8 +128,7 @@ class Region:
         j = bisect_right(self._keys, key, lo=self._head)
         self._free.insert(j, _PooledDevice(device, released_at_hours=key))
         self._keys.insert(j, key)
-        if self.provider.lazy_aging:
-            device.bind_timeline(self.timeline, len(self.timeline))
+        device.bind_timeline(self.timeline, len(self.timeline))
 
     def _return_device(self, device: FpgaDevice, released_at: float) -> None:
         """Append a returned board (clock order keeps the pool sorted)."""
@@ -167,7 +166,7 @@ class Region:
         self, now_hours: float, rng: np.random.Generator
     ) -> FpgaDevice:
         """Hand out a free, non-quarantined device per the policy."""
-        self.policy.admission_check(self.name, now_hours)
+        self.policy.admission_check(self.name)
         hi = self._eligible_window(now_hours)
         if hi <= self._head:
             raise CapacityError(
@@ -227,8 +226,7 @@ class Region:
             if device.pending_intervals == 0:
                 continue
             if (
-                device.aging_kernel == "array"
-                and device.loaded_design is None
+                device.loaded_design is None
                 and device.materialised_segments > 0
             ):
                 key = (id(device.aging_store), device.timeline_position)
@@ -253,9 +251,8 @@ class Region:
 class CloudProvider:
     """The platform operator."""
 
-    def __init__(self, seed: SeedLike = None, lazy_aging: bool = True) -> None:
+    def __init__(self, seed: SeedLike = None) -> None:
         self.clock_hours = 0.0
-        self.lazy_aging = lazy_aging
         self._rng: np.random.Generator = make_rng(seed)
         self._regions: dict[str, Region] = {}
 
@@ -309,9 +306,9 @@ class CloudProvider:
         """End a tenancy: scrub the device and return it to the pool.
 
         The scrub clears every bit of logical state.  It cannot touch
-        the analog domain -- that is the vulnerability.  (Under lazy
-        aging the wipe first catches the device up to *now*, so the
-        tenancy's stress is integrated before the design disappears.)
+        the analog domain -- that is the vulnerability.  (The wipe first
+        catches the device up to *now*, so the tenancy's stress is
+        integrated before the design disappears.)
         """
         region = self.region(instance.region_name)
         if instance.instance_id not in region._rented:
@@ -331,22 +328,16 @@ class CloudProvider:
 
         Every device in every region experiences the interval: rented
         devices run their loaded designs (powered, stressing), free
-        devices idle (annealing).  Under lazy aging the interval is
-        only *recorded* here; devices integrate it on first touch.
+        devices idle (annealing).  The interval is only *recorded*
+        here; devices integrate it on first touch.
         """
         if hours < 0.0:
             raise CloudError(f"cannot advance time by {hours} hours")
         if hours == 0.0:
             return
-        if self.lazy_aging:
-            for region in self._regions.values():
-                ambient_k = region.ambient.at(self.clock_hours)
-                region.timeline.append(hours, ambient_k)
-        else:
-            for region in self._regions.values():
-                ambient_k = region.ambient.at(self.clock_hours)
-                for device in region.devices():
-                    device.advance_hours(hours, ambient_k)
+        for region in self._regions.values():
+            ambient_k = region.ambient.at(self.clock_hours)
+            region.timeline.append(hours, ambient_k)
         self.clock_hours += hours
 
     def sync_all(self) -> None:

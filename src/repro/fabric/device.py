@@ -20,38 +20,35 @@ position in it.  :meth:`sync` replays the pending intervals -- exactly
 the ``advance_hours`` calls an eager walker would have made, in the
 same order -- and every observation or mutation of device state
 (loading, wiping, delay reads, voltage changes) syncs first, so lazy
-and eager providers are bit-identical.  A device with no materialised
+aging is bit-identical to the eager walker (the ``EagerProvider``
+oracle in ``tests/oracles/aging.py``).  A device with no materialised
 analog state skips the replay in O(1): its ``sim_hours`` fast-forwards
 along the timeline's identically-accumulated clock.
 
-Two aging kernels implement the advance (selected per process via
-:func:`repro.physics.pool_array.set_aging_kernel`, resolved when the
-device is constructed):
-
-* ``"array"`` (default) -- segments register into a
-  :class:`~repro.physics.pool_array.SegmentBtiArray`; routed nets are
-  grouped by activity class (static-1, static-0, toggling-by-duty,
-  idle), so one interval is a handful of masked array updates.
-  ``segment_state`` returns thin views into the arrays.
-* ``"scalar"`` -- the per-object reference path: one
-  :class:`~repro.physics.bti.SegmentBti` per segment, walked in Python.
-
-Both kernels are bit-identical (same RNG draws at materialisation, same
-numpy transcendentals in the kinetics); the equivalence suite pins this.
+Segments register into a
+:class:`~repro.physics.pool_array.SegmentBtiArray`; routed nets are
+grouped by activity class (static-1, static-0, toggling-by-duty, idle),
+so one interval is a handful of masked array updates, and
+``segment_state`` returns thin views into the arrays.  The test oracle
+``tests/oracles/aging.py`` (``reference_aging()``) keeps the per-object
+walk this replaced -- one :class:`~repro.physics.bti.SegmentBti` per
+segment -- and the equivalence suite pins the two bit-identical (same
+RNG draws at materialisation, same numpy transcendentals in the
+kinetics).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 import numpy as np
 
 from repro.errors import FabricError
 from repro.fabric.bitstream import Bitstream
 from repro.fabric.geometry import FabricGrid
-from repro.fabric.netlist import Net, NetActivity
+from repro.fabric.netlist import NetActivity
 from repro.fabric.parts import PartDescriptor
 from repro.fabric.routing import Route, SegmentId
 from repro.fabric.segments import SEGMENT_LIBRARY
@@ -59,13 +56,8 @@ from repro.fabric.thermal import ThermalModel
 from repro.observability.metrics import registry
 from repro.physics.aging import NEW_PART, WearProfile
 from repro.physics.constants import REFERENCE_VOLTAGE_V
-from repro.physics.bti import SegmentBti, SegmentTraits
 from repro.physics.delay import TransitionDelays
-from repro.physics.pool_array import (
-    SegmentBtiArray,
-    SegmentBtiSlot,
-    get_aging_kernel,
-)
+from repro.physics.pool_array import SegmentBtiArray, SegmentBtiSlot
 from repro.physics.variation import ProcessVariation
 from repro.rng import SeedLike, make_rng
 
@@ -122,7 +114,6 @@ class FpgaDevice:
         part: PartDescriptor,
         wear: WearProfile = NEW_PART,
         seed: SeedLike = None,
-        aging_kernel: Optional[str] = None,
         bti_store: Optional[SegmentBtiArray] = None,
     ) -> None:
         self.part = part
@@ -137,23 +128,10 @@ class FpgaDevice:
         self.sim_hours = 0.0
         self.core_voltage_v = REFERENCE_VOLTAGE_V
         self.grid: FabricGrid = part.make_grid()
-        self.aging_kernel = (
-            aging_kernel if aging_kernel is not None else get_aging_kernel()
-        )
-        if self.aging_kernel not in ("array", "scalar"):
-            raise FabricError(
-                f"unknown aging kernel {self.aging_kernel!r}"
-            )
-        if bti_store is not None and self.aging_kernel != "array":
-            raise FabricError(
-                "a shared bti_store requires the array aging kernel"
-            )
-        # Scalar kernel: one SegmentBti object per materialised segment.
-        self._segments: dict[SegmentId, SegmentBti] = {}
-        # Array kernel: SoA state plus the SegmentId -> slot index map
-        # and the cached per-slot views.  ``bti_store`` lets a whole
-        # fleet share one backing array (slot blocks per device), which
-        # is what enables cross-device bulk catch-up.
+        # SoA state plus the SegmentId -> slot index map and the cached
+        # per-slot views.  ``bti_store`` lets a whole fleet share one
+        # backing array (slot blocks per device), which is what enables
+        # cross-device bulk catch-up.
         self._bti_array = bti_store if bti_store is not None else SegmentBtiArray()
         self._array_index: dict[SegmentId, int] = {}
         self._array_slots: dict[SegmentId, SegmentBtiSlot] = {}
@@ -171,38 +149,21 @@ class FpgaDevice:
     # Analog state store
     # ------------------------------------------------------------------
 
-    def segment_state(
-        self, segment_id: SegmentId
-    ) -> Union[SegmentBti, SegmentBtiSlot]:
+    def segment_state(self, segment_id: SegmentId) -> SegmentBtiSlot:
         """The persistent analog state of one physical segment.
 
         Created lazily on first touch, with die-specific process
         variation and (for worn devices) residual imprints from prior,
-        unobserved tenants.  Under the array kernel the returned object
-        is a thin view into the device's arrays; either way it exposes
-        the full :class:`~repro.physics.bti.SegmentBti` surface.
+        unobserved tenants.  The returned object is a thin view into
+        the device's arrays that exposes the full
+        :class:`~repro.physics.bti.SegmentBti` surface.
         """
         self.sync()
-        if self.aging_kernel == "array":
-            slot = self._array_slots.get(segment_id)
-            if slot is None:
-                slot = self._bti_array.view(self._segment_index(segment_id))
-                self._array_slots[segment_id] = slot
-            return slot
-        state = self._segments.get(segment_id)
-        if state is None:
-            rising, falling, amplitude, high, low = self._draw([segment_id])
-            state = SegmentBti(SegmentTraits(
-                rising_delay_ps=float(rising[0]),
-                falling_delay_ps=float(falling[0]),
-                burn_amplitude_ps=float(amplitude[0]),
-            ))
-            if high[0] or low[0]:
-                state.preload_imprint(
-                    high_charge_ps=float(high[0]), low_charge_ps=float(low[0])
-                )
-            self._segments[segment_id] = state
-        return state
+        slot = self._array_slots.get(segment_id)
+        if slot is None:
+            slot = self._bti_array.view(self._segment_index(segment_id))
+            self._array_slots[segment_id] = slot
+        return slot
 
     def _draw(
         self, segment_ids: list[SegmentId]
@@ -214,8 +175,8 @@ class FpgaDevice:
         imprint stream are separate generators, so drawing each one's
         block for the whole request takes exactly the variates that
         touching the segments one at a time would, and leaves both
-        generators in the same state; this is what keeps the two aging
-        kernels bit-identical from a shared seed.
+        generators in the same state; this is what keeps the aging
+        oracle bit-identical from a shared seed.
         """
         nominal = np.array(
             [_NOMINAL[segment_id.kind] for segment_id in segment_ids],
@@ -230,14 +191,14 @@ class FpgaDevice:
         return rising, falling, amplitude, high, low
 
     def _segment_index(self, segment_id: SegmentId) -> int:
-        """Array-kernel slot of a segment, materialising on first touch."""
+        """Array slot of a segment, materialising on first touch."""
         index = self._array_index.get(segment_id)
         if index is None:
             index = self._materialise_many((segment_id,))[0]
         return index
 
     def _materialise_many(self, segment_ids: Iterable[SegmentId]) -> list[int]:
-        """Array-kernel slots of a request's segments, in request order.
+        """Array slots of a request's segments, in request order.
 
         The segments not yet known (repeats within the request count
         once) are drawn as one block, registered as one slice of slots
@@ -275,9 +236,7 @@ class FpgaDevice:
     @property
     def materialised_segments(self) -> int:
         """Number of segments whose analog state has been realised."""
-        if self.aging_kernel == "array":
-            return len(self._array_index)
-        return len(self._segments)
+        return len(self._array_index)
 
     # ------------------------------------------------------------------
     # Design lifecycle
@@ -301,15 +260,9 @@ class FpgaDevice:
                 f"device {self.device_id} already has "
                 f"{self._loaded.name!r} loaded; wipe first"
             )
-        routed = bitstream.netlist.routed_nets()
-        if self.aging_kernel == "array":
-            self._materialise_many(
-                itertools.chain.from_iterable(net.route for net in routed)
-            )
-        else:
-            for net in routed:
-                for segment_id in net.route:
-                    self.segment_state(segment_id)
+        self._materialise_many(itertools.chain.from_iterable(
+            net.route for net in bitstream.netlist.routed_nets()
+        ))
         self._loaded = bitstream
 
     def wipe(self) -> None:
@@ -448,11 +401,7 @@ class FpgaDevice:
         if duration_hours == 0.0:
             return
         self._ambient_k = ambient_k
-        junction = self.junction_k()
-        if self.aging_kernel == "array":
-            self._advance_array(duration_hours, junction)
-        else:
-            self._advance_scalar(duration_hours, junction)
+        self._advance_array(duration_hours, self.junction_k())
         if self._loaded is not None:
             self.effective_age_hours += duration_hours
         self.sim_hours += duration_hours
@@ -464,19 +413,8 @@ class FpgaDevice:
             "simulated segment-hours of BTI integration",
         ).inc(duration_hours * self.materialised_segments)
 
-    def _advance_scalar(self, duration_hours: float, junction_k: float) -> None:
-        """Reference path: walk every segment object in Python."""
-        driven: set[SegmentId] = set()
-        if self._loaded is not None:
-            for net in self._loaded.netlist.routed_nets():
-                self._apply_net_activity(net, duration_hours, junction_k)
-                driven.update(net.route)
-        for segment_id, state in self._segments.items():
-            if segment_id not in driven:
-                state.idle(duration_hours, junction_k)
-
     def _advance_array(self, duration_hours: float, junction_k: float) -> None:
-        """Vectorised path: a handful of masked array updates."""
+        """One interval's aging: a handful of masked array updates."""
         groups = self._activity_groups()
         age = self.effective_age_hours
         voltage = self.core_voltage_v
@@ -553,30 +491,6 @@ class FpgaDevice:
         self._groups_count = len(self._array_index)
         return self._groups
 
-    def _apply_net_activity(
-        self, net: Net, duration_hours: float, junction_k: float
-    ) -> None:
-        for segment_id in net.route:
-            state = self.segment_state(segment_id)
-            if net.activity is NetActivity.STATIC:
-                state.hold(
-                    int(net.static_value),
-                    duration_hours,
-                    junction_k,
-                    device_age_hours=self.effective_age_hours,
-                    voltage_v=self.core_voltage_v,
-                )
-            elif net.activity is NetActivity.TOGGLING:
-                state.toggle(
-                    duration_hours,
-                    junction_k,
-                    device_age_hours=self.effective_age_hours,
-                    duty_high=net.duty_high,
-                    voltage_v=self.core_voltage_v,
-                )
-            else:
-                state.idle(duration_hours, junction_k)
-
     # ------------------------------------------------------------------
     # Delay queries (used only by on-fabric sensors)
     # ------------------------------------------------------------------
@@ -617,7 +531,7 @@ class FpgaDevice:
         return ThermalModel().junction_k(self._ambient_k, power)
 
     def _route_indices(self, route: Route) -> np.ndarray:
-        """Array-kernel slots of a route's segments (materialising)."""
+        """Array slots of a route's segments (materialising)."""
         return np.asarray(self._materialise_many(route), dtype=np.intp)
 
     def transition_delays(self, route: Route) -> TransitionDelays:
@@ -629,32 +543,21 @@ class FpgaDevice:
         noisy output.
         """
         self.sync()
-        if self.aging_kernel == "array":
-            indices = self._route_indices(route)
-            # Sequential left-to-right sum: bit-identical to the scalar
-            # kernel's TransitionDelays accumulation.
-            rising = sum(self._bti_array.rising_delay_ps(indices).tolist())
-            falling = sum(self._bti_array.falling_delay_ps(indices).tolist())
-            total = TransitionDelays(rising_ps=rising, falling_ps=falling)
-        else:
-            total = TransitionDelays.zero()
-            for segment_id in route:
-                total = total + self.segment_state(segment_id).transition_delays()
+        indices = self._route_indices(route)
+        # Sequential left-to-right sum: bit-identical to the aging
+        # oracle's TransitionDelays accumulation.
+        rising = sum(self._bti_array.rising_delay_ps(indices).tolist())
+        falling = sum(self._bti_array.falling_delay_ps(indices).tolist())
         scale = 1.0 + DELAY_TEMP_COEFF_PER_K * (self.junction_k() - _DELAY_TEMP_REF_K)
         return TransitionDelays(
-            rising_ps=total.rising_ps * scale,
-            falling_ps=total.falling_ps * scale,
+            rising_ps=rising * scale, falling_ps=falling * scale
         )
 
     def route_delta_ps(self, route: Route) -> float:
         """True BTI delta-ps of a route (oracle; for tests/analysis only)."""
         self.sync()
-        if self.aging_kernel == "array":
-            indices = self._route_indices(route)
-            return float(sum(self._bti_array.delta_ps(indices).tolist()))
-        return float(
-            sum(self.segment_state(seg).delta_ps for seg in route)
-        )
+        indices = self._route_indices(route)
+        return float(sum(self._bti_array.delta_ps(indices).tolist()))
 
     def info(self) -> DeviceInfo:
         """Provider-side identity record."""
@@ -669,6 +572,5 @@ class FpgaDevice:
         loaded = self._loaded.name if self._loaded else None
         return (
             f"FpgaDevice(id={self.device_id}, part={self.part.name!r}, "
-            f"age={self.effective_age_hours:.0f}h, loaded={loaded!r}, "
-            f"kernel={self.aging_kernel!r})"
+            f"age={self.effective_age_hours:.0f}h, loaded={loaded!r})"
         )

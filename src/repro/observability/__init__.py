@@ -21,7 +21,8 @@ The measurement layer under every other subsystem:
 * :mod:`repro.observability.timeseries` -- sim-clock-keyed time series
   and the fleet flight recorder (``repro fleet ... --series``):
   bounded-reservoir gauges/rates sampled on the simulated clock,
-  bit-identical between the reference and bulk churn engines;
+  bit-identical between the bulk churn engine and its per-event
+  oracle;
 * :mod:`repro.observability.benchdiff` -- benchmark-suite diffing and
   the CI regression gate (``repro bench diff``);
 * :mod:`repro.observability.progress` -- live progress telemetry: a

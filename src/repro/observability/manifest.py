@@ -31,7 +31,6 @@ __all__ = [
     "build_manifest",
     "diff_manifests",
     "git_state",
-    "resolved_kernels",
 ]
 
 #: Manifest payload format, independent of the archive schema version.
@@ -52,14 +51,16 @@ class RunManifest:
     config: Optional[dict] = None
     git_revision: Optional[str] = None
     git_dirty: Optional[bool] = None
+    #: Kernel switches a run resolved to.  Only manifests stored while
+    #: the library still had switches carry it; new ones leave it empty.
     kernels: dict = field(default_factory=dict)
     spans: tuple = ()
     metrics: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        """JSON-ready representation."""
-        return {
+        """JSON-ready representation (``kernels`` only when set)."""
+        payload = {
             "manifest_version": MANIFEST_VERSION,
             "run_id": self.run_id,
             "created_unix": self.created_unix,
@@ -71,11 +72,13 @@ class RunManifest:
             "config": self.config,
             "git_revision": self.git_revision,
             "git_dirty": self.git_dirty,
-            "kernels": dict(self.kernels),
             "spans": list(self.spans),
             "metrics": dict(self.metrics),
             "extra": dict(self.extra),
         }
+        if self.kernels:
+            payload["kernels"] = dict(self.kernels)
+        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunManifest":
@@ -137,20 +140,6 @@ def git_state() -> tuple[Optional[str], Optional[bool]]:
     return _GIT_STATE
 
 
-def resolved_kernels() -> dict:
-    """The kernel knobs this process actually resolved to.
-
-    Records what ``REPRO_AGING_KERNEL`` (or its in-process setter)
-    produced, so an archived number can be attributed to the array vs
-    scalar aging engine.  Manifests stored before the capture kernel
-    switch was retired also carry a ``"capture"`` key; they still load
-    and diff like any other.
-    """
-    from repro.physics.pool_array import get_aging_kernel
-
-    return {"aging": get_aging_kernel()}
-
-
 def _config_as_dict(config: Any) -> Optional[dict]:
     if config is None:
         return None
@@ -193,7 +182,6 @@ def build_manifest(
         config=config_dict,
         git_revision=revision,
         git_dirty=dirty,
-        kernels=resolved_kernels(),
         spans=tuple(_trace.tree_as_dicts()) if include_spans else (),
         metrics=(
             _metrics.get_registry().snapshot() if include_metrics else {}
@@ -208,7 +196,8 @@ def diff_manifests(a: dict, b: dict) -> dict:
     Returns ``{field: (a_value, b_value)}`` over the identity fields
     (version, interpreter, platform, seed) and any config keys whose
     values differ -- the first place to look when two archives of the
-    same experiment disagree.
+    same experiment disagree.  Stored manifests that still carry a
+    ``kernels`` group diff it key by key too.
     """
     diffs: dict = {}
     for key in ("repro_version", "python_version", "platform", "seed",

@@ -102,7 +102,6 @@ def build_report(
     report = {
         "rows": [row.to_dict() for row in rows],
         "spans_total_s": round(roots_total, 6),
-        "kernels": _active_kernels(),
     }
     retries, simulated_s = _retry_wait(forest)
     if retries:
@@ -126,13 +125,6 @@ def _retry_wait(forest: Sequence[trace.Span]) -> tuple[int, float]:
                 count += 1
                 simulated += float(sp.attrs.get("simulated_delay_s", 0.0))
     return count, simulated
-
-
-def _active_kernels() -> dict:
-    """The kernel selections in effect for this process."""
-    from repro.physics.pool_array import get_aging_kernel
-
-    return {"aging": get_aging_kernel()}
 
 
 def _fmt_seconds(seconds: float) -> str:
@@ -160,12 +152,6 @@ def render_report(report: dict) -> str:
             f"{_fmt_seconds(row['self_s']):>9}  "
             f"{row['self_s'] / total * 100.0:>5.1f}%  "
             f"{_fmt_seconds(row['mean_s']):>9}"
-        )
-    kernels = report.get("kernels", {})
-    if kernels:
-        lines.append(
-            "kernels: "
-            + " ".join(f"{k}={v}" for k, v in sorted(kernels.items()))
         )
     if report.get("retry_waits"):
         lines.append(

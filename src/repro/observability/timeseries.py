@@ -22,12 +22,12 @@ time.  This module keeps those answers:
   appended from then on.  The procedure depends only on the offered
   sample stream -- never on wall time or randomness -- so two runs
   that offer identical samples retain identical points.  That is what
-  lets the test suite pin the reference and bulk churn engines
-  bit-identical at the JSON level.
+  lets the test suite pin the bulk churn engine and its per-event
+  oracle bit-identical at the JSON level.
 
 * :class:`FlightRecorder` -- the fleet flight recorder.  Churn engines
-  feed it grid samples (scalar per event-gap on the reference engine,
-  vectorised whole windows on the bulk engine), the event loop feeds it
+  feed it grid samples (vectorised whole windows on the bulk engine,
+  scalar per event-gap on the per-event oracle), the event loop feeds it
   tracked-event totals, campaigns feed recovery yield, and registered
   *probes* (per-region aging debt) are evaluated at every churn grid
   time.  ``dump_state``/``merge_state`` mirror the metrics registry's
@@ -36,7 +36,7 @@ time.  This module keeps those answers:
 Sampling semantics (the cross-engine contract): a sample at grid time
 ``g`` reflects every churn event with time ``<= g`` and every tracked
 (event-loop) mutation that ran strictly before the clock reached
-``g``.  The reference engine emits pending grids strictly below an
+``g``.  The per-event oracle emits pending grids strictly below an
 event's time before processing it and flushes grids ``<= until`` when
 an advance ends; the bulk engine computes the same values for a whole
 window of grids with ``searchsorted`` bucketing.  Both orderings
@@ -143,7 +143,7 @@ class GaugeSeries:
         Replays exactly the state transitions ``observe`` would make
         sample by sample -- including a mid-window stride doubling --
         so the bulk churn engine's windowed intake retains the same
-        points as the reference engine's scalar intake.
+        points as the per-event oracle's scalar intake.
         """
         ts = np.asarray(ts, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
@@ -275,7 +275,7 @@ class FlightRecorder:
 
     def churn_sample(self, t: float, free: float, in_flight: float,
                      events: float, drops: float) -> None:
-        """One churn grid sample (the reference engine's scalar path)."""
+        """One churn grid sample (the per-event oracle's scalar path)."""
         self.gauge(SERIES_POOL_FREE).observe(t, free)
         self.gauge(SERIES_IN_FLIGHT).observe(t, in_flight)
         self.rate(SERIES_LIFECYCLE).observe(t, events)

@@ -22,10 +22,9 @@ Public surface:
   fresh lab boards vs. aged cloud devices;
 * :class:`~repro.physics.pool_array.TrapPoolArray` /
   :class:`~repro.physics.pool_array.SegmentBtiArray` -- the vectorised
-  structure-of-arrays aging engine, with the
-  :func:`~repro.physics.pool_array.set_aging_kernel` /
-  :func:`~repro.physics.pool_array.aging_kernel` selection knobs
-  (``REPRO_AGING_KERNEL`` sets the import-time default).
+  structure-of-arrays aging engine every device runs.  ``SegmentBti``
+  and ``TrapPool`` stay the model it is pinned to; the per-segment
+  device walk over them is the test oracle ``tests/oracles/aging.py``.
 """
 
 from repro.physics.arrhenius import stress_acceleration, recovery_acceleration
@@ -43,21 +42,13 @@ from repro.physics.constants import (
 )
 from repro.physics.delay import TransitionDelays
 from repro.physics.kinetics import TrapPool
-from repro.physics.pool_array import (
-    AGING_KERNELS,
-    SegmentBtiArray,
-    TrapPoolArray,
-    aging_kernel,
-    get_aging_kernel,
-    set_aging_kernel,
-)
+from repro.physics.pool_array import SegmentBtiArray, TrapPoolArray
 from repro.physics.variation import ProcessVariation
 from repro.physics.aging import WearProfile, NEW_PART, CLOUD_PART
 
 __all__ = [
     "AGE_SUPPRESSION_EXPONENT",
     "AGE_SUPPRESSION_HOURS",
-    "AGING_KERNELS",
     "CLOUD_PART",
     "HIGH_POOL",
     "LOW_POOL",
@@ -74,9 +65,6 @@ __all__ = [
     "TrapPoolArray",
     "WearProfile",
     "age_suppression",
-    "aging_kernel",
-    "get_aging_kernel",
-    "set_aging_kernel",
     "stress_acceleration",
     "recovery_acceleration",
 ]

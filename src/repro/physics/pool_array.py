@@ -28,25 +28,16 @@ The kernels reproduce ``TrapPool``'s formulas element-for-element:
   rarely change between intervals).
 
 ``tests/physics/test_pool_array.py`` pins the equivalence across
-randomised stress/release/re-stress/preload schedule sweeps.
-
-Kernel selection
-----------------
-
-Mirroring the PR 2 capture-kernel switch: ``"array"`` (this module) is
-the production default, ``"scalar"`` the per-object reference path.
-Select per process with :func:`set_aging_kernel`, temporarily with the
-:func:`aging_kernel` context manager, or at import time with the
-``REPRO_AGING_KERNEL`` environment variable.  Devices resolve the
-default when they are constructed (their state layout depends on it).
+randomised stress/release/re-stress/preload schedule sweeps.  This is
+the only aging path a device runs; the per-object walk over
+:class:`~repro.physics.bti.SegmentBti` it replaced is the test oracle
+``tests/oracles/aging.py`` (``reference_aging()``).
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from functools import lru_cache
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -65,53 +56,6 @@ from repro.physics.constants import (
 )
 from repro.physics.delay import TransitionDelays
 from repro.physics.kinetics import REFILL_PENALTY
-
-#: Aging kernels: the vectorised array engine is the production path;
-#: the per-object scalar loop stays as the reference implementation the
-#: equivalence tests pin the array kernel against.
-AGING_KERNELS = ("array", "scalar")
-
-_default_kernel = os.environ.get("REPRO_AGING_KERNEL", "array")
-if _default_kernel not in AGING_KERNELS:
-    _default_kernel = "array"
-
-
-def _check_kernel(kernel: str) -> str:
-    if kernel not in AGING_KERNELS:
-        raise PhysicsError(
-            f"unknown aging kernel {kernel!r}; choose from {AGING_KERNELS}"
-        )
-    return kernel
-
-
-def get_aging_kernel() -> str:
-    """The process-wide default aging kernel."""
-    return _default_kernel
-
-
-def set_aging_kernel(kernel: str) -> str:
-    """Select the process-wide default aging kernel.
-
-    Returns the previous default so callers can restore it.  Devices
-    read the default at construction time, so switch *before* building
-    the device (benchmarks and the equivalence suite use
-    :func:`aging_kernel`).
-    """
-    global _default_kernel
-    previous = _default_kernel
-    _default_kernel = _check_kernel(kernel)
-    return previous
-
-
-@contextmanager
-def aging_kernel(kernel: str) -> Iterator[str]:
-    """Temporarily make every new device use one aging kernel."""
-    previous = set_aging_kernel(kernel)
-    try:
-        yield kernel
-    finally:
-        set_aging_kernel(previous)
-
 
 @lru_cache(maxsize=256)
 def _stress_factor(
@@ -649,8 +593,8 @@ class FleetAgingArray:
 class SegmentBtiSlot:
     """One segment of a :class:`SegmentBtiArray`, duck-typing ``SegmentBti``.
 
-    ``FpgaDevice.segment_state`` hands these out under the array kernel;
-    they are thin views -- all state lives in the arrays.
+    ``FpgaDevice.segment_state`` hands these out; they are thin views --
+    all state lives in the arrays.
     """
 
     __slots__ = ("_array", "_index")

@@ -19,7 +19,7 @@ a documented fault storm, gated on recovery-accuracy bounds.
 event-driven fleet: a :class:`FleetFaultPlan` injects failed/partial
 wipes, region outages, preemption storms, board retirements and
 thermal excursions with draws keyed to event identity, so the same
-plan produces bit-identical campaigns on every churn engine.
+plan produces bit-identical campaigns for any churn batching.
 """
 
 from repro.reliability.chaos import (

@@ -21,14 +21,15 @@ threat model cares about:
   region timeline via :class:`ExcursionAmbient`.
 
 Engine invariance is the design constraint that shapes everything here:
-the same plan must produce bit-identical campaigns across
-``_ReferenceChurn`` and ``_BulkChurn``, every ``batch_hours``, and lazy
-vs. eager aging.  Two rules enforce it:
+the same plan must produce bit-identical campaigns for every
+``batch_hours`` of the bulk churn engine and under the test oracles --
+the per-event churn replay (``tests/oracles/churn.py``) and the eager
+aging walker (``tests/oracles/aging.py``).  Two rules enforce it:
 
 1. Churn-affecting faults (outage arrival drops, storm truncation of
    in-flight rentals) are pure array transforms applied **once** to the
-   pre-drawn :class:`~repro.cloud.campaigns.ChurnTrace`, before either
-   engine sees it -- both engines then replay the identical trace.
+   pre-drawn :class:`~repro.cloud.campaigns.ChurnTrace`, before any
+   engine sees it -- every engine then replays the identical trace.
 2. Tracked-event faults draw randomness from RNG streams keyed by
    *event identity* (``fleet.wipe#victim3``), never by engine iteration
    order, so the draw is the same no matter which engine, batch size,

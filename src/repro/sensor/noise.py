@@ -88,18 +88,11 @@ class NoiseState:
         """Current slow offset, added to falling and subtracted from rising."""
         return self._offset_ps
 
-    def sample_jitter_ps(self) -> float:
-        """Per-sample timing jitter draw."""
-        if self.model.jitter_ps == 0.0:
-            return 0.0
-        return float(self._rng.normal(0.0, self.model.jitter_ps))
-
     def sample_jitter_matrix_ps(self, shape: tuple[int, ...]) -> np.ndarray:
         """A whole batch of per-sample jitter draws as one RNG call.
 
-        A jitter-free model draws nothing (like
-        :meth:`sample_jitter_ps`); otherwise one vectorised ``normal``
-        fills the requested shape.
+        A jitter-free model draws nothing and returns zeros; otherwise
+        one vectorised ``normal`` fills the requested shape.
         """
         if self.model.jitter_ps == 0.0:
             return np.zeros(shape)

@@ -1,14 +1,15 @@
 """Fleet campaigns: bulk churn correctness and seed reproducibility.
 
 The bulk engine resolves whole windows of background churn with numpy
-passes; the reference engine replays the same trace event by event.
-These tests pin them identical -- free-stack contents, event counts,
+passes; the per-event oracle (``tests/oracles/churn.py``) replays the
+same trace event by event.  These tests pin them identical -- free-stack contents, event counts,
 capacity drops -- across seeds, pool sizes (including drop-heavy
 starvation), batch sizes, and interleaved tracked rentals, and pin the
 campaign results themselves engine- and batch-invariant.
 """
 
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -41,6 +42,13 @@ from repro.reliability.fleet_chaos import (
     ThermalExcursion,
     WipeFaultSpec,
 )
+from tests.oracles.churn import reference_churn
+
+
+def _engine(name):
+    """Build churn on the bulk engine, or on the per-event oracle for
+    ``"reference"``."""
+    return reference_churn() if name == "reference" else nullcontext()
 
 
 def _naive_pool(trace, boards, until):
@@ -102,9 +110,10 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("boards", [5, 60, 900])
     def test_bulk_matches_reference(self, seed, boards):
         trace = ChurnModel(30.0, 4.0).draw(150.0, seed=seed)
-        ref = VirtualRegion(boards, trace, engine="reference")
+        with reference_churn():
+            ref = VirtualRegion(boards, trace)
         ref.advance_to(180.0)
-        bulk = VirtualRegion(boards, trace, engine="bulk")
+        bulk = VirtualRegion(boards, trace)
         bulk.advance_to(180.0)
         assert bulk.free_boards() == ref.free_boards()
         assert bulk.events_processed == ref.events_processed
@@ -114,7 +123,8 @@ class TestEngineEquivalence:
         trace = ChurnModel(20.0, 3.0).draw(80.0, seed=11)
         stack, drops, events = _naive_pool(trace, 40, 100.0)
         for engine in ("bulk", "reference"):
-            region = VirtualRegion(40, trace, engine=engine)
+            with _engine(engine):
+                region = VirtualRegion(40, trace)
             region.advance_to(100.0)
             assert region.free_boards() == stack, engine
             assert region.dropped_arrivals == drops, engine
@@ -123,10 +133,9 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("batch", [math.inf, 100.0, 13.0, 1.0])
     def test_batch_size_invariance(self, batch):
         trace = ChurnModel(25.0, 5.0).draw(120.0, seed=5)
-        baseline = VirtualRegion(80, trace, engine="bulk")
+        baseline = VirtualRegion(80, trace)
         baseline.advance_to(150.0)
-        windowed = VirtualRegion(80, trace, engine="bulk",
-                                 batch_hours=batch)
+        windowed = VirtualRegion(80, trace, batch_hours=batch)
         windowed.advance_to(150.0)
         assert windowed.free_boards() == baseline.free_boards()
         assert windowed.events_processed == baseline.events_processed
@@ -137,7 +146,8 @@ class TestEngineEquivalence:
         """Attacker rent/release between windows sees the same boards
         on both engines."""
         trace = ChurnModel(15.0, 4.0).draw(90.0, seed=2)
-        region = VirtualRegion(50, trace, engine=engine, batch_hours=7.0)
+        with _engine(engine):
+            region = VirtualRegion(50, trace, batch_hours=7.0)
         log = []
         held = []
         for t in np.linspace(1.0, 95.0, 30):
@@ -158,15 +168,17 @@ class TestEngineEquivalence:
     def test_advance_backwards_rejected(self):
         trace = ChurnModel(5.0, 2.0).draw(10.0, seed=0)
         for engine in ("bulk", "reference"):
-            region = VirtualRegion(4, trace, engine=engine)
+            with _engine(engine):
+                region = VirtualRegion(4, trace)
             region.advance_to(8.0)
             with pytest.raises(CloudError):
                 region.advance_to(3.0)
 
     def test_unknown_engine_rejected(self):
+        """The churn engine is no longer a setting."""
         trace = ChurnModel(5.0, 2.0).draw(10.0, seed=0)
-        with pytest.raises(ConfigurationError):
-            VirtualRegion(4, trace, engine="psychic")
+        with pytest.raises(TypeError):
+            VirtualRegion(4, trace, engine="bulk")
 
 
 def _saturated_trace(arrivals, ratio, boards=4000, seed=1):
@@ -195,7 +207,8 @@ class TestSaturatedWindow:
 
     def test_saturated_window_sorts_at_most_twice(self, monkeypatch):
         trace, horizon = _saturated_trace(12_000, 1.2)
-        ref = VirtualRegion(4000, trace, engine="reference")
+        with reference_churn():
+            ref = VirtualRegion(4000, trace)
         ref.advance_to(horizon)
         calls = self._count_sorts(monkeypatch)
         bulk = VirtualRegion(4000, trace)
@@ -218,8 +231,8 @@ class TestSaturatedWindow:
         trace = ChurnTrace(arrivals=np.array(arrivals),
                            durations=np.ones(5))
         for engine in ("reference", "bulk"):
-            region = VirtualRegion(1, trace, engine=engine,
-                                   batch_hours=batch)
+            with _engine(engine):
+                region = VirtualRegion(1, trace, batch_hours=batch)
             region.advance_to(5.0)
             assert region.dropped_arrivals == 2, engine
             assert region.events_processed == 8, engine
@@ -246,8 +259,9 @@ def _drive_region(engine, batch, boards, trace, horizon, cadence,
     two engines must agree on."""
     before = _fleet_counters()
     rec = FlightRecorder(cadence_hours=cadence) if cadence else None
-    region = VirtualRegion(boards, trace, engine=engine,
-                           batch_hours=batch, recorder=rec)
+    with _engine(engine):
+        region = VirtualRegion(boards, trace, batch_hours=batch,
+                               recorder=rec)
     log = []
     held = []
     for step, t in enumerate(np.linspace(0.0, horizon, 9)[1:]):
@@ -312,12 +326,12 @@ class TestSaturationIdentity:
         results = []
         for engine, batch in (("reference", math.inf), ("bulk", math.inf),
                               ("bulk", 9.0), ("bulk", 1.0)):
-            result = run_flash_campaign(
-                _scenario(engine=engine, batch_hours=batch, **scenario),
-                flash, fault_plan=plan,
-            ).to_dict()
-            result.pop("engine")
-            results.append(result)
+            with _engine(engine):
+                result = run_flash_campaign(
+                    _scenario(batch_hours=batch, **scenario),
+                    flash, fault_plan=plan,
+                )
+            results.append(result.to_dict())
         first = results[0]
         assert first["dropped_arrivals"] > 0
         assert first["faults"]["churn.truncated_by_storm"] > 0
@@ -363,13 +377,14 @@ class TestCampaigns:
     def test_flash_reports_yield_and_is_reproducible(self):
         plan = FlashAttackPlan(victims=2, flash_limit=5,
                                reaction_hours=0.25)
-        results = [
-            run_flash_campaign(_scenario(engine=engine,
-                                         batch_hours=batch), plan)
-            for engine, batch in (
-                ("bulk", math.inf), ("bulk", 9.0), ("reference", math.inf)
-            )
-        ]
+        results = []
+        for engine, batch in (
+            ("bulk", math.inf), ("bulk", 9.0), ("reference", math.inf)
+        ):
+            with _engine(engine):
+                results.append(
+                    run_flash_campaign(_scenario(batch_hours=batch), plan)
+                )
         first = results[0]
         assert first.victims_attempted == 2
         assert 0.0 <= first.recovery_yield <= 1.0
@@ -405,7 +420,8 @@ class TestCampaigns:
         assert result.kind == "scan"
         assert result.boards_probed > 0
         assert 0.0 <= result.recovery_yield <= 1.0
-        again = run_scan_campaign(_scenario(engine="reference"), plan)
+        with reference_churn():
+            again = run_scan_campaign(_scenario(), plan)
         assert again.recovery_yield == result.recovery_yield
         assert again.details == result.details
 
@@ -433,17 +449,17 @@ class TestChurnBenchmark:
 def _series_json(engine, batch, seed, cadence=1.0):
     """The quick flash campaign's recorder document as canonical JSON."""
     rec = FlightRecorder(cadence_hours=cadence)
-    scenario = _scenario(engine=engine, batch_hours=batch, seed=seed)
-    result = run_flash_campaign(
-        scenario, FlashAttackPlan(victims=2, flash_limit=5,
-                                  reaction_hours=0.25),
-        recorder=rec,
-    )
+    scenario = _scenario(batch_hours=batch, seed=seed)
+    with _engine(engine):
+        result = run_flash_campaign(
+            scenario, FlashAttackPlan(victims=2, flash_limit=5,
+                                      reaction_hours=0.25),
+            recorder=rec,
+        )
     counters = {k: v for k, v in registry.snapshot()["counters"].items()
                 if k.startswith("fleet_events")}
     registry.reset()
-    payload = {k: v for k, v in result.to_dict().items() if k != "engine"}
-    return rec.to_json(), counters, payload
+    return rec.to_json(), counters, result.to_dict()
 
 
 class TestSeriesBitIdentity:
@@ -505,10 +521,10 @@ class TestFleetCounters:
 
     def _counters(self, engine, batch):
         registry.reset()
-        run_flash_campaign(
-            _scenario(engine=engine, batch_hours=batch),
-            FlashAttackPlan(victims=2),
-        )
+        with _engine(engine):
+            run_flash_campaign(
+                _scenario(batch_hours=batch), FlashAttackPlan(victims=2),
+            )
         snap = {k: v for k, v in registry.snapshot()["counters"].items()
                 if k.startswith("fleet_events")}
         registry.reset()
@@ -552,19 +568,19 @@ def _chaos_plan(**overrides):
 
 
 def _faulted_run(engine, batch, plan, cadence=7.0):
-    """One faulted flash campaign -> (result-sans-engine, series, counters)."""
+    """One faulted flash campaign -> (result, series, counters)."""
     registry.reset()
     rec = FlightRecorder(cadence_hours=cadence)
-    result = run_flash_campaign(
-        _scenario(engine=engine, batch_hours=batch),
-        FlashAttackPlan(victims=3, flash_limit=5, reaction_hours=0.25),
-        recorder=rec, fault_plan=plan,
-    )
+    with _engine(engine):
+        result = run_flash_campaign(
+            _scenario(batch_hours=batch),
+            FlashAttackPlan(victims=3, flash_limit=5, reaction_hours=0.25),
+            recorder=rec, fault_plan=plan,
+        )
     counters = {k: v for k, v in registry.snapshot()["counters"].items()
                 if k.startswith(("fleet_", "retry_", "retries_"))}
     registry.reset()
-    payload = {k: v for k, v in result.to_dict().items() if k != "engine"}
-    return payload, rec.to_json(), counters
+    return result.to_dict(), rec.to_json(), counters
 
 
 class TestFleetChaos:
@@ -712,7 +728,8 @@ class TestFleetChaos:
     def test_virtual_region_retire_free(self):
         trace = ChurnModel(5.0, 2.0).draw(10.0, seed=0)
         for engine in ("bulk", "reference"):
-            region = VirtualRegion(6, trace, engine=engine)
+            with _engine(engine):
+                region = VirtualRegion(6, trace)
             before = list(region.free_boards())
             removed = region.retire_free([4, 1])
             assert removed == [before[4], before[1]]
@@ -763,10 +780,10 @@ class TestFleetSweep:
         plans = (None, _sweep_chaos_plan())
         for plan in plans:
             a = fleet_journal_context(
-                _sweep_scenario(engine="reference"), "flash",
+                _sweep_scenario(), "flash",
                 attack_plan=_SWEEP_ATTACK, fault_plan=plan)
             b = fleet_journal_context(
-                _sweep_scenario(engine="bulk", batch_hours=9.0), "flash",
+                _sweep_scenario(batch_hours=9.0), "flash",
                 attack_plan=_SWEEP_ATTACK, fault_plan=plan)
             assert a == b
 
@@ -783,9 +800,9 @@ class TestFleetSweep:
     def test_kill_and_resume_is_bit_identical(self, tmp_path,
                                               monkeypatch):
         """SIGKILL mid-sweep (modelled as a runner that dies on the
-        third seed), then resume under a *different engine*: result
-        JSON, merged series and counters all match the uninterrupted
-        run exactly."""
+        third seed), then resume on the per-event churn oracle with
+        another batch size: result JSON, merged series and counters all
+        match the uninterrupted run exactly."""
         seeds = [1, 2, 3]
         plan = _sweep_chaos_plan()
         context = fleet_journal_context(
@@ -831,13 +848,14 @@ class TestFleetSweep:
         journal = SweepJournal.load(journal_path, context=context)
         assert journal.completed_seeds() == [1, 2]
 
-        # Resume in a fresh "process" under the bulk engine.
+        # Resume in a fresh "process" on the per-event churn oracle.
         rec = FlightRecorder(cadence_hours=7.0)
-        sweep = run_fleet_sweep(
-            _sweep_scenario(engine="bulk", batch_hours=9.0), seeds,
-            attack_plan=_SWEEP_ATTACK, fault_plan=plan, recorder=rec,
-            journal=SweepJournal.load(journal_path, context=context),
-        )
+        with reference_churn():
+            sweep = run_fleet_sweep(
+                _sweep_scenario(batch_hours=9.0), seeds,
+                attack_plan=_SWEEP_ATTACK, fault_plan=plan, recorder=rec,
+                journal=SweepJournal.load(journal_path, context=context),
+            )
         counters = dict(registry.snapshot()["counters"])
         registry.reset()
         assert sweep.resumed_seeds == 2

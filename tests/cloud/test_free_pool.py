@@ -241,31 +241,6 @@ def test_retirement_survives_front_pop_compaction():
     assert region.available_count(provider.clock_hours) == 4
 
 
-def test_outage_window_refuses_allocations():
-    """The eager twin of the fleet plan's OutageWindow: admission
-    raises CapacityError inside the window, recovers after."""
-    policy = AllocationPolicy(outage_windows=((5.0, 10.0),))
-    provider = CloudProvider(seed=9)
-    provider.create_region(
-        "r", build_fleet(VIRTEX_ULTRASCALE_PLUS, 2, seed=9), policy=policy
-    )
-    assert provider.rent("r", "t1").device is not None
-    provider.advance(6.0)
-    with pytest.raises(CapacityError, match="dark"):
-        provider.rent("r", "t2")
-    provider.advance(4.0)  # now 10.0: window is half-open
-    assert provider.rent("r", "t3").device is not None
-
-
-def test_outage_window_validation():
-    from repro.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError, match="outage window"):
-        AllocationPolicy(outage_windows=((10.0, 5.0),))
-    with pytest.raises(ConfigurationError, match="pairs"):
-        AllocationPolicy(outage_windows=("soon",))
-
-
 def test_front_pop_compaction_keeps_pool_consistent():
     """FIFO's lazy front pops periodically compact; the live window
     must survive many wrap-arounds."""

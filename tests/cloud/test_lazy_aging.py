@@ -1,8 +1,9 @@
 """Lazy aging must be bit-identical to the eager walker.
 
-The provider's lazy path records clock intervals on a region timeline
-and replays them on first touch; these tests pin that the replay
-produces *exactly* the state the synchronous walker produces -- same
+The provider records clock intervals on a region timeline and devices
+replay them on first touch; these tests pin that the replay produces
+*exactly* the state the synchronous walker (the ``EagerProvider``
+oracle) produces -- same
 ``sim_hours``, same effective age, same per-route remanence, same
 transition delays -- across randomized rent/load/run/release/wipe
 schedules driven through the event loop.
@@ -18,10 +19,11 @@ from repro.designs import build_route_bank, build_target_design
 from repro.fabric.parts import VIRTEX_ULTRASCALE_PLUS
 from repro.physics.aging import CLOUD_PART
 from repro.physics.pool_array import SegmentBtiArray
+from tests.oracles.aging import EagerProvider
 
 
 def _make_provider(seed, lazy, fleet_size=4):
-    provider = CloudProvider(seed=seed, lazy_aging=lazy)
+    provider = (CloudProvider if lazy else EagerProvider)(seed=seed)
     fleet = build_fleet(
         VIRTEX_ULTRASCALE_PLUS, fleet_size, wear=CLOUD_PART, seed=seed
     )
@@ -145,7 +147,7 @@ class TestBulkGroupSync:
         )
 
         def build(seed):
-            provider = CloudProvider(seed=seed, lazy_aging=True)
+            provider = CloudProvider(seed=seed)
             store = SegmentBtiArray()
             fleet = build_fleet(
                 VIRTEX_ULTRASCALE_PLUS, 3, wear=CLOUD_PART, seed=seed,

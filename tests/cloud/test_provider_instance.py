@@ -168,15 +168,6 @@ class TestTime:
         assert all(d.sim_hours == 5.0 for d in region.devices())
         assert provider.clock_hours == 5.0
 
-    def test_eager_mode_advances_synchronously(self):
-        provider = CloudProvider(seed=11, lazy_aging=False)
-        fleet = build_fleet(VIRTEX_ULTRASCALE_PLUS, 3, seed=11)
-        provider.create_region("us-east-1", fleet)
-        provider.advance(5.0)
-        region = provider.region("us-east-1")
-        # No sync needed: the eager walker touched every device.
-        assert all(d.sim_hours == 5.0 for d in region.devices())
-
     def test_lazy_devices_catch_up_on_touch(self):
         provider = make_provider(fleet_size=2)
         provider.advance(7.0)

@@ -14,7 +14,7 @@ from repro.experiments import (
     run_experiment2,
     run_experiment3,
 )
-from repro.physics.pool_array import aging_kernel
+from tests.oracles.aging import reference_aging
 
 
 class TestConfigs:
@@ -124,7 +124,7 @@ class TestExperiment3:
 
 class TestAgingKernelEquality:
     """Acceptance pin: the experiments report identical recovery
-    accuracy under the vectorised and the scalar aging kernels."""
+    accuracy on the array aging engine and the per-segment oracle."""
 
     @pytest.mark.parametrize("config_cls,runner,seed", [
         (Experiment1Config, run_experiment1, 5),
@@ -134,9 +134,8 @@ class TestAgingKernelEquality:
     def test_accuracy_identical_under_both_kernels(
         self, config_cls, runner, seed
     ):
-        with aging_kernel("array"):
-            vectorised = runner(config_cls.quick(seed=seed))
-        with aging_kernel("scalar"):
+        vectorised = runner(config_cls.quick(seed=seed))
+        with reference_aging():
             reference = runner(config_cls.quick(seed=seed))
         assert (vectorised.recovery_score.accuracy
                 == reference.recovery_score.accuracy)

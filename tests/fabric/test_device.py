@@ -19,10 +19,11 @@ from repro.fabric.parts import VIRTEX_ULTRASCALE_PLUS, ZYNQ_ULTRASCALE_PLUS
 from repro.fabric.routing import Route, SegmentId
 from repro.fabric.segments import SegmentKind
 from repro.physics.aging import CLOUD_PART, NEW_PART
-from repro.physics.pool_array import SegmentBtiArray, aging_kernel
+from repro.physics.pool_array import SegmentBtiArray
 from repro.physics.variation import VariationParams
 from repro.units import celsius_to_kelvin
 from tests.oracles import fabric as oracle
+from tests.oracles.aging import reference_aging
 
 AMBIENT = celsius_to_kelvin(60.0)
 
@@ -144,13 +145,12 @@ class TestWear:
 
 
 class TestAgingKernelEquivalence:
-    """The array kernel must be bit-identical to the scalar reference
-    at the device level: same seed, same schedule, same delays."""
+    """The array engine must be bit-identical to the per-segment
+    oracle at the device level: same seed, same schedule, same delays."""
 
     @staticmethod
-    def _run_history(kernel, wear):
-        with aging_kernel(kernel):
-            device = FpgaDevice(ZYNQ_ULTRASCALE_PLUS, wear=wear, seed=21)
+    def _run_history(wear):
+        device = FpgaDevice(ZYNQ_ULTRASCALE_PLUS, wear=wear, seed=21)
         routes = build_route_bank(device.grid, [2000.0, 3000.0, 1500.0])
         design = build_target_design(
             device.part, routes, [1, 0, 1], heater_dsps=2
@@ -165,41 +165,25 @@ class TestAgingKernelEquivalence:
         )
         device.load(second.bitstream)
         device.advance_hours(16.0, AMBIENT)
-        return device, routes
+        return [(device.route_delta_ps(r), device.transition_delays(r))
+                for r in routes]
 
     @pytest.mark.parametrize("wear", [NEW_PART, CLOUD_PART],
                              ids=["new", "cloud"])
     def test_kernels_bit_identical_across_tenant_history(self, wear):
-        scalar_dev, scalar_routes = self._run_history("scalar", wear)
-        array_dev, array_routes = self._run_history("array", wear)
-        for sr, ar in zip(scalar_routes, array_routes):
-            assert array_dev.route_delta_ps(ar) == scalar_dev.route_delta_ps(sr)
-            assert (array_dev.transition_delays(ar)
-                    == scalar_dev.transition_delays(sr))
-
-    def test_kernel_resolved_at_construction(self):
-        with aging_kernel("scalar"):
-            device = FpgaDevice(ZYNQ_ULTRASCALE_PLUS, seed=1)
-        # Leaving the context does not retroactively change the device.
-        assert device.aging_kernel == "scalar"
-        assert "scalar" in repr(device)
-
-    def test_explicit_kernel_overrides_default(self):
-        with aging_kernel("scalar"):
-            device = FpgaDevice(
-                ZYNQ_ULTRASCALE_PLUS, seed=1, aging_kernel="array"
-            )
-        assert device.aging_kernel == "array"
+        with reference_aging():
+            reference = self._run_history(wear)
+        assert self._run_history(wear) == reference
 
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(FabricError):
-            FpgaDevice(ZYNQ_ULTRASCALE_PLUS, seed=1, aging_kernel="turbo")
+        """The aging kernel is no longer a setting."""
+        with pytest.raises(TypeError):
+            FpgaDevice(ZYNQ_ULTRASCALE_PLUS, seed=1, aging_kernel="array")
 
     def test_segment_views_are_stable(self):
-        """segment_state under the array kernel returns the same cached
+        """segment_state returns the same cached
         view object for the same physical segment."""
         device, routes = conditioned_device()
-        assert device.aging_kernel == "array"
         segment_id = next(iter(routes[0]))
         assert device.segment_state(segment_id) is device.segment_state(
             segment_id
@@ -378,9 +362,8 @@ class TestBatchedMaterialisation:
 
     @_WEARS
     def test_scalar_kernel_matches(self, wear):
-        def history(kernel):
-            device = FpgaDevice(ZYNQ_ULTRASCALE_PLUS, wear=wear, seed=34,
-                                aging_kernel=kernel)
+        def history():
+            device = FpgaDevice(ZYNQ_ULTRASCALE_PLUS, wear=wear, seed=34)
             routes, repeated = self._routes(device)
             design = build_target_design(
                 device.part, routes[:2], [0, 1], heater_dsps=0
@@ -391,10 +374,12 @@ class TestBatchedMaterialisation:
             reads = [device.route_delta_ps(r) for r in routes + [repeated]]
             return device, first, reads, device.transition_delays(repeated)
 
-        scalar, *scalar_reads = history("scalar")
-        array, *array_reads = history("array")
+        with reference_aging():
+            scalar, *scalar_reads = history()
+            scalar_segments = scalar.materialised_segments
+        array, *array_reads = history()
         assert array_reads == scalar_reads
-        assert array.materialised_segments == scalar.materialised_segments
+        assert array.materialised_segments == scalar_segments
 
 
 _SEGMENT_IDS = st.builds(

@@ -1,5 +1,6 @@
 """Tests for run manifests and their persistence integration."""
 
+import dataclasses
 import json
 
 from repro.experiments import Experiment1Config
@@ -9,7 +10,6 @@ from repro.observability.manifest import (
     build_manifest,
     diff_manifests,
     git_state,
-    resolved_kernels,
 )
 from repro.observability.metrics import registry
 
@@ -60,19 +60,14 @@ class TestBuild:
         else:
             assert dirty is None
 
-    def test_kernels_reflect_active_knobs(self):
-        from repro.physics.pool_array import set_aging_kernel
-
-        prev_aging = set_aging_kernel("scalar")
-        try:
-            assert resolved_kernels() == {"aging": "scalar"}
-        finally:
-            set_aging_kernel(prev_aging)
-
     def test_manifest_embeds_git_and_kernels(self):
+        """Git state always; ``kernels`` only when a stored manifest
+        carries one -- new manifests leave it out."""
         m = build_manifest()
-        assert set(m.kernels) == {"aging"}
-        assert m.kernels["aging"] in ("array", "scalar")
+        assert m.kernels == {}
+        assert "kernels" not in m.to_dict()
+        legacy = dataclasses.replace(m, kernels={"aging": "array"})
+        assert legacy.to_dict()["kernels"] == {"aging": "array"}
         revision, dirty = git_state()
         assert m.git_revision == revision
         assert m.git_dirty == dirty
@@ -80,7 +75,6 @@ class TestBuild:
         twin = RunManifest.from_dict(payload)
         assert twin.git_revision == m.git_revision
         assert twin.git_dirty == m.git_dirty
-        assert twin.kernels == m.kernels
 
 
 class TestDiff:
@@ -96,15 +90,30 @@ class TestDiff:
         assert diffs["config.burn_hours"] == (40, 200)
 
     def test_git_and_kernel_diffs_reported(self):
-        a = build_manifest().to_dict()
-        b = build_manifest().to_dict()
+        """Stored manifests from the kernel-switch era diff key by key."""
+        a = dict(build_manifest().to_dict(), kernels={"aging": "array"})
+        b = dict(build_manifest().to_dict(), kernels={"aging": "scalar"})
         b["git_revision"] = "deadbeef0000"
         b["git_dirty"] = not a["git_dirty"]
-        b["kernels"] = dict(b["kernels"], aging="reference")
         diffs = diff_manifests(a, b)
         assert diffs["git_revision"] == (a["git_revision"], "deadbeef0000")
         assert "git_dirty" in diffs
-        assert diffs["kernels.aging"] == (a["kernels"]["aging"], "reference")
+        assert diffs["kernels.aging"] == ("array", "scalar")
+
+    def test_stored_kernels_field_round_trips(self):
+        """A stored manifest that carries ``kernels`` loads, writes back
+        unchanged and diffs clean against itself and against a current
+        manifest, which has no such field."""
+        current = build_manifest(seed=1).to_dict()
+        stored = dict(json.loads(json.dumps(current)),
+                      kernels={"aging": "array"})
+        loaded = RunManifest.from_dict(stored)
+        assert loaded.kernels == {"aging": "array"}
+        assert loaded.to_dict() == stored
+        assert diff_manifests(stored, loaded.to_dict()) == {}
+        assert diff_manifests(stored, current) == {
+            "kernels.aging": ("array", None),
+        }
 
     def test_stored_capture_kernel_key_loads_and_diffs(self):
         """Run-store records written while the capture kernel was still
@@ -112,9 +121,10 @@ class TestDiff:
         diff against a current manifest, which has none."""
         current = build_manifest(seed=1).to_dict()
         stored = json.loads(json.dumps(current))
-        stored["kernels"] = dict(current["kernels"], capture="batched")
+        stored["kernels"] = {"aging": "array", "capture": "batched"}
         loaded = RunManifest.from_dict(stored)
         assert loaded.kernels["capture"] == "batched"
         assert loaded.to_dict()["kernels"] == stored["kernels"]
         diffs = diff_manifests(stored, current)
-        assert diffs == {"kernels.capture": ("batched", None)}
+        assert diffs == {"kernels.aging": ("array", None),
+                         "kernels.capture": ("batched", None)}

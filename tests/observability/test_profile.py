@@ -89,7 +89,7 @@ class TestReport:
         assert {row["name"] for row in report["rows"]} == {
             "experiment", "phase", "capture",
         }
-        assert set(report["kernels"]) == {"aging"}
+        assert "kernels" not in report
 
     def test_report_without_wall_omits_coverage(self):
         report = build_report(_forest())
@@ -101,11 +101,11 @@ class TestReport:
             report["spans_total_s"]
         )
 
-    def test_render_contains_rows_kernels_and_coverage(self):
+    def test_render_contains_rows_and_coverage(self):
         text = render_report(build_report(_forest(), wall_s=10.5))
         assert "span" in text and "self%" in text
         assert "experiment" in text and "capture" in text
-        assert "kernels: " in text
+        assert "kernels: " not in text
         assert "measured wall time" in text and "95.2%" in text
 
     def test_render_without_coverage_line(self):

@@ -18,47 +18,52 @@ from repro.physics.constants import (
     REFERENCE_TEMPERATURE_K,
 )
 from repro.physics.kinetics import TrapPool
+from repro.fabric.device import FpgaDevice
+from repro.fabric.geometry import Coordinate
+from repro.fabric.parts import ZYNQ_ULTRASCALE_PLUS
+from repro.fabric.routing import SegmentId
+from repro.fabric.segments import SegmentKind
 from repro.physics.pool_array import (
-    AGING_KERNELS,
     SegmentBtiArray,
+    SegmentBtiSlot,
     TrapPoolArray,
-    aging_kernel,
-    get_aging_kernel,
-    set_aging_kernel,
 )
+from tests.oracles.aging import reference_aging
 
 REF_K = REFERENCE_TEMPERATURE_K
 
+_SEGMENT = SegmentId(SegmentKind.SINGLE, Coordinate(3, 4), 0)
+
+
+def _state_type():
+    device = FpgaDevice(ZYNQ_ULTRASCALE_PLUS, seed=1)
+    return type(device.segment_state(_SEGMENT))
+
 
 class TestKernelKnobs:
-    def test_known_kernels(self):
-        assert AGING_KERNELS == ("array", "scalar")
-        assert get_aging_kernel() in AGING_KERNELS
+    """The one switch left is the test-side one: ``reference_aging()``
+    swaps devices onto the per-segment oracle and must swap them back,
+    or every later comparison would run oracle against oracle."""
 
-    def test_set_returns_previous_default(self):
-        previous = set_aging_kernel("scalar")
-        try:
-            assert get_aging_kernel() == "scalar"
-        finally:
-            set_aging_kernel(previous)
-        assert get_aging_kernel() == previous
+    def test_known_kernels(self):
+        assert _state_type() is SegmentBtiSlot
+        with reference_aging():
+            assert _state_type() is SegmentBti
 
     def test_context_manager_restores(self):
-        before = get_aging_kernel()
-        with aging_kernel("scalar"):
-            assert get_aging_kernel() == "scalar"
-        assert get_aging_kernel() == before
+        before = dict(vars(FpgaDevice))
+        with reference_aging():
+            assert dict(vars(FpgaDevice)) != before
+        assert dict(vars(FpgaDevice)) == before
+        assert _state_type() is SegmentBtiSlot
 
     def test_context_manager_restores_on_error(self):
-        before = get_aging_kernel()
+        before = dict(vars(FpgaDevice))
         with pytest.raises(RuntimeError):
-            with aging_kernel("scalar"):
+            with reference_aging():
                 raise RuntimeError("boom")
-        assert get_aging_kernel() == before
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(PhysicsError):
-            set_aging_kernel("quantum")
+        assert dict(vars(FpgaDevice)) == before
+        assert _state_type() is SegmentBtiSlot
 
 
 class TestTrapPoolArrayBasics:

@@ -137,7 +137,7 @@ class TestNoiseState:
         state = NoiseState(QUIET, seed=1)
         state.advance_epoch()
         assert state.polarity_offset_ps == 0.0
-        assert state.sample_jitter_ps() == 0.0
+        assert not state.sample_jitter_matrix_ps((3, 4)).any()
 
     def test_offset_is_stationary(self):
         state = NoiseState(CLOUD_NOISE, seed=2)

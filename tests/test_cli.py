@@ -1,10 +1,18 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+from tests.oracles.churn import reference_churn
+
+#: The committed fleet fault plan.
+_FLEET_PLAN = str(
+    Path(__file__).resolve().parent.parent / "plans"
+    / "fleet-chaos-default.json"
+)
 
 
 class TestParser:
@@ -96,13 +104,18 @@ class TestParser:
     def test_fleet_flags(self):
         args = build_parser().parse_args(
             ["fleet", "--campaign", "scan", "--devices", "512",
-             "--victims", "3", "--engine", "reference",
-             "--batch-hours", "9", "--quick"]
+             "--victims", "3", "--batch-hours", "9", "--quick"]
         )
         assert args.campaign == "scan"
         assert args.devices == 512 and args.victims == 3
-        assert args.engine == "reference" and args.batch_hours == 9.0
+        assert args.batch_hours == 9.0
         assert args.quick
+
+    def test_fleet_engine_flag_rejected(self, capsys):
+        """The churn engine is no longer a setting."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fleet", "--engine", "bulk"])
+        assert "--engine" in capsys.readouterr().err
 
     def test_fleet_has_observability_flags(self):
         args = build_parser().parse_args(["fleet", "--trace"])
@@ -286,19 +299,47 @@ class TestMain:
                if e.get("pid") == SIM_CLOCK_PID and e["ph"] == "C"]
         assert {e["name"] for e in sim} == set(payload["series"])
 
+    @staticmethod
+    def _fleet_outputs(tmp_path, name, argv):
+        """Run ``repro fleet`` once; returns (series bytes, result)."""
+        series = tmp_path / f"{name}-series.json"
+        output = tmp_path / f"{name}-result.json"
+        assert main(["fleet", *argv, "--series", str(series),
+                     "--output", str(output), "--no-record"]) == 0
+        return series.read_bytes(), json.loads(output.read_text())
+
+    def _engine_outputs(self, tmp_path, argv):
+        bulk = self._fleet_outputs(tmp_path, "bulk", argv)
+        with reference_churn():
+            reference = self._fleet_outputs(tmp_path, "reference", argv)
+        return bulk, reference
+
     def test_fleet_series_engine_invariant(self, tmp_path):
-        """The CLI surface reproduces the acceptance gate: both engines
-        write byte-identical series files."""
-        paths = {}
-        for engine in ("reference", "bulk"):
-            paths[engine] = tmp_path / f"{engine}.json"
-            assert main([
-                "fleet", "--devices", "40", "--horizon-hours", "60",
-                "--victims", "1", "--seed", "5", "--engine", engine,
-                "--series", str(paths[engine]),
-            ]) == 0
-        assert paths["reference"].read_bytes() == \
-            paths["bulk"].read_bytes()
+        """The CLI surface reproduces the acceptance gate: the bulk
+        engine and the per-event churn oracle write byte-identical
+        series files."""
+        bulk, reference = self._engine_outputs(tmp_path, [
+            "--devices", "40", "--horizon-hours", "60", "--victims", "1",
+            "--seed", "5",
+        ])
+        assert bulk == reference
+
+    @pytest.mark.parametrize("plan", [None, _FLEET_PLAN],
+                             ids=["plain", "default-plan"])
+    def test_fleet_quick_engine_invariant(self, tmp_path, plan):
+        """``fleet --quick --seed 3``, plain and under the committed
+        fault plan: byte-identical series documents and equal results
+        on the bulk engine and the per-event churn oracle."""
+        argv = ["--quick", "--seed", "3"]
+        if plan is not None:
+            argv += ["--fault-plan", plan]
+        (bulk_series, bulk_result), (ref_series, ref_result) = (
+            self._engine_outputs(tmp_path, argv)
+        )
+        assert bulk_series == ref_series
+        assert bulk_result == ref_result
+        if plan is not None:
+            assert bulk_result["faults"], "the storm injected no faults"
 
     def test_fleet_with_committed_fault_plan(self, tmp_path, capsys):
         """The committed chaos plan drives a quick campaign end to end
@@ -348,7 +389,7 @@ class TestMain:
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert journal.exists()
-        assert "sweep [bulk] over 40 boards" in first
+        assert "sweep over 40 boards" in first
         assert f"journal: {journal}" in first
         assert main(argv) == 0
         second = capsys.readouterr().out
@@ -545,7 +586,7 @@ class TestProfileCommand:
         assert report["experiment"] == "exp1"
         assert report["coverage"] >= 0.9
         assert report["rows"] and report["wall_s"] > 0
-        assert set(report["kernels"]) == {"aging"}
+        assert "kernels" not in report
 
 
 class TestBenchCommand:
@@ -639,7 +680,7 @@ class TestRunRecording:
         assert run["kind"] == "sweep"
         assert [row["seed"] for row in run["seed_results"]] == [1, 2, 3]
         assert run["config"]["seeds"] == [1, 2, 3]
-        assert run["manifest"]["kernels"]["aging"] in ("array", "scalar")
+        assert "kernels" not in run["manifest"]
         assert run["metrics"]["dump_id"]
 
     def test_no_record_suppresses_recording(self, tmp_path, capsys):
