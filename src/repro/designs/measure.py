@@ -12,10 +12,12 @@ yielding a :class:`MeasureSession` that owns the per-route TDC instances
 and implements the Calibration and Measurement phases.
 
 Both phases run the whole bank at once: calibration as one lockstep
-scan, measurement as one stacked ``(routes, traces, samples, chain)``
-capture.  Each route owns its own generator stream, so the bank results
-equal a route-by-route loop bit for bit; that loop is kept with the
-tests as the oracle they are compared against.
+scan, measurement as one bank capture whose routes write their draws in
+place into the rows of one preallocated ``(routes, 2, traces, samples)``
+times tensor and one matching uniforms tensor.  Each route owns its own
+generator stream, so the bank results equal a route-by-route loop bit
+for bit; that loop is kept with the tests as the oracle they are
+compared against.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Sequence
+
+import numpy as np
 
 from repro.errors import (
     CalibrationGlitchError,
@@ -42,10 +46,15 @@ from repro.fabric.placement import FixedPlacer
 from repro.fabric.routing import Route
 from repro.reliability.faults import maybe_inject
 from repro.rng import SeedLike, make_rng
-from repro.sensor.bank import RouteDraws, resolve_bank
+from repro.sensor.bank import resolve_bank
 from repro.sensor.calibration import find_theta_init_bank
 from repro.sensor.noise import CLOUD_NOISE, NoiseModel
-from repro.sensor.tdc import Measurement, TunableDualPolarityTdc
+from repro.sensor.tdc import (
+    TRACES_PER_MEASUREMENT,
+    Measurement,
+    TunableDualPolarityTdc,
+)
+from repro.sensor.trace import SAMPLES_PER_TRACE
 
 #: CARRY8 primitives per 64-element chain (eight 8-bit carries).
 _CARRIES_PER_CHAIN = 8
@@ -198,25 +207,32 @@ class MeasureSession:
     def measure_bank(
         self, recover: bool = False
     ) -> tuple[dict[str, Measurement], list[str]]:
-        """Measure every calibrated route in one stacked kernel call.
+        """Measure every calibrated route in one bank kernel call.
 
-        Materialises each route's measurement draws sequentially in bank
-        order -- the identical generator consumption of a
-        :meth:`measure_route` loop -- then resolves the whole board as
-        one ``(routes, traces, samples, chain)`` tensor per polarity.
+        Draws each route's measurement sequentially in bank order -- the
+        identical generator consumption of a :meth:`measure_route` loop
+        -- writing it in place into the next row of the bank's times and
+        uniforms tensors, then resolves every row in one call.
 
         With ``recover=False`` (the :meth:`measure_all` contract) an
         uncalibrated route raises :class:`SensorError` and a capture
         drop propagates.  With ``recover=True`` (the
         ``measure_with_recovery`` contract) drops retry per route and
         failures degrade: the route lands in the returned ``dropped``
-        list instead.  Returns ``(measurements, dropped)``.
+        list instead, and takes no row.  Returns ``(measurements,
+        dropped)``.
         """
         start = perf_counter()
-        ordered: list[tuple[str, TunableDualPolarityTdc, RouteDraws]] = []
+        names = self.route_names
+        times = np.empty(
+            (len(names), 2, TRACES_PER_MEASUREMENT, SAMPLES_PER_TRACE)
+        )
+        uniforms = np.empty(times.shape + (self.device.part.tdc_chain_length,))
+        measured: list[TunableDualPolarityTdc] = []
+        thetas: list[float] = []
         dropped: list[str] = []
         with trace.span("sensor.capture", routes=len(self.routes)):
-            for name in self.route_names:
+            for name in names:
                 if name not in self.theta_init:
                     if not recover:
                         raise SensorError(
@@ -227,26 +243,25 @@ class MeasureSession:
                     continue
                 tdc = self._tdcs[name]
                 theta = self.theta_init[name]
+                row = len(measured)
                 try:
                     if recover:
-                        thetas, times, uniforms = retry_call(
-                            tdc.measure_draws, theta,
-                            label=f"sensor.capture:{name}",
+                        retry_call(
+                            tdc.measure_draws, theta, times[row],
+                            uniforms[row], label=f"sensor.capture:{name}",
                         )
                     else:
-                        thetas, times, uniforms = tdc.measure_draws(theta)
+                        tdc.measure_draws(theta, times[row], uniforms[row])
                 except TransientError:
                     if not recover:
                         raise
                     dropped.append(name)
                     continue
-                ordered.append((name, tdc, RouteDraws(
-                    name=name, theta_init_ps=theta,
-                    times=times, uniforms=uniforms,
-                )))
+                measured.append(tdc)
+                thetas.append(theta)
+            rows = len(measured)
             measurements = resolve_bank(
-                [tdc for _, tdc, _ in ordered],
-                [draws for _, _, draws in ordered],
+                measured, thetas, times[:rows], uniforms[:rows]
             )
         elapsed = perf_counter() - start
         if measurements:

@@ -1,95 +1,86 @@
 """Bank-level capture: every route of a board in one kernel call.
 
-PR 2 batched the *trace* axes -- one ``(traces, samples, chain)`` tensor
-per polarity per route.  This module adds the *routes* axis on top: a
-board's whole measurement bank resolves as one ``(routes, traces,
-samples, chain)`` boolean tensor per polarity, and a calibration round
-probes every still-searching route with one stacked resolve.
+The per-route kernel batches the *trace* axes -- one ``(traces,
+samples, chain)`` tensor per polarity.  This module adds the *routes*
+axis on top: a board's whole measurement bank resolves as one
+``(routes, 2, traces, samples)`` call, and a calibration round probes
+every still-searching route with one call.
 
 The RNG discipline that makes this bit-identical to the per-route path:
 each route owns an independent generator stream (spawned per route by
-:class:`~repro.designs.measure.MeasureSession`), and the bank kernels
-materialise each route's draws *sequentially, in bank order* via
+:class:`~repro.designs.measure.MeasureSession`), and the bank draws each
+route's randomness *sequentially, in bank order* via
 :meth:`~repro.sensor.tdc.TunableDualPolarityTdc.capture_draws` /
-``measure_draws`` -- exactly the draws the per-route loop would make --
-then stack the pre-drawn times and uniforms and resolve them in one
-broadcast comparison.  Batching therefore changes where the arithmetic
-happens, never which random numbers feed it.
+``measure_draws`` -- exactly the draws the per-route loop would make.
+Each route writes its draws in place into its own row of one
+preallocated times tensor and one uniforms tensor, so nothing is
+stacked or copied.  The bank then resolves only each word's Hamming
+distance, from the few taps around its wavefront
+(:func:`~repro.sensor.capture.resolve_distances`).  Batching therefore
+changes where the arithmetic happens, never which random numbers feed
+it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.observability.metrics import registry
-from repro.sensor.capture import resolve_words
+from repro.sensor.capture import resolve_distances
 from repro.sensor.carry_chain import bank_wavefront_positions
-from repro.sensor.postprocess import bank_trace_mean_distances
 from repro.sensor.tdc import Measurement, TunableDualPolarityTdc
 from repro.sensor.trace import SAMPLES_PER_TRACE, Polarity
 
 
-@dataclass(frozen=True)
-class RouteDraws:
-    """One route's pre-materialised measurement randomness.
+def _bank_distances(
+    tdcs: Sequence[TunableDualPolarityTdc],
+    times: np.ndarray,
+    uniforms: np.ndarray,
+) -> np.ndarray:
+    """Hamming distances of a bank of drawn capture words.
 
-    ``times`` is ``(2, traces, samples)`` and ``uniforms`` ``(2, traces,
-    samples, chain)``, axis 0 ordered (rising, falling) -- the output of
-    :meth:`TunableDualPolarityTdc.measure_draws`.
+    ``times`` is ``(routes, 2, traces, samples)`` and ``uniforms``
+    appends the tap axis, axis 1 ordered (rising, falling); row ``r``
+    resolves against ``tdcs[r]``'s chain.  Returns the ``(routes, 2,
+    traces, samples)`` distances, each equal to the Binary Hamming
+    Distance of the word the per-route kernel would build.
     """
-
-    name: str
-    theta_init_ps: float
-    times: np.ndarray
-    uniforms: np.ndarray
+    registry.counter(
+        "capture_words_total",
+        "capture words computed by the batched kernel",
+    ).inc(times.size)
+    positions = bank_wavefront_positions(
+        [tdc.chain for tdc in tdcs], np.maximum(times, 0.0)
+    )
+    return resolve_distances(positions, uniforms)
 
 
 def resolve_bank(
     tdcs: Sequence[TunableDualPolarityTdc],
-    draws: Sequence[RouteDraws],
+    thetas_ps: Sequence[float],
+    times: np.ndarray,
+    uniforms: np.ndarray,
 ) -> dict[str, Measurement]:
-    """Resolve a bank of pre-drawn measurements in one stacked kernel.
+    """Reduce a bank of drawn measurements to one :class:`Measurement` each.
 
-    Stacks every route's times/uniforms into ``(routes, 2, traces,
-    samples[, chain])`` tensors, resolves wavefront positions against
-    the per-route chain boundaries in one call, and reduces to one
-    :class:`Measurement` per route.  Each route's words and means agree
-    bit for bit with ``measure_raw`` on that route alone.
+    Row ``r`` of ``times``/``uniforms`` holds ``tdcs[r]``'s draws from
+    :meth:`~TunableDualPolarityTdc.measure_draws` at ``thetas_ps[r]``.
+    The distances reduce as ``measure_raw`` reduces its words (mean
+    over samples, then over traces), so every route's means and delta
+    agree bit for bit with ``measure_raw`` on that route alone.
     """
-    if not draws:
+    if not tdcs:
         return {}
-    times = np.stack([d.times for d in draws])
-    uniforms = np.stack([d.uniforms for d in draws])
-    chains = [tdc.chain for tdc in tdcs]
-    positions = bank_wavefront_positions(chains, np.maximum(times, 0.0))
-    rising_words = resolve_words(
-        positions[:, 0], uniforms[:, 0], Polarity.RISING
-    )
-    falling_words = resolve_words(
-        positions[:, 1], uniforms[:, 1], Polarity.FALLING
-    )
-    rising_means = bank_trace_mean_distances(
-        rising_words, Polarity.RISING
-    ).mean(axis=-1)
-    falling_means = bank_trace_mean_distances(
-        falling_words, Polarity.FALLING
-    ).mean(axis=-1)
-    registry.counter(
-        "capture_words_total",
-        "capture words computed by the batched kernel",
-    ).inc(2 * times.shape[0] * times.shape[2] * times.shape[3])
+    means = _bank_distances(tdcs, times, uniforms).mean(axis=-1).mean(axis=-1)
     measurements: dict[str, Measurement] = {}
-    for tdc, d, rising, falling in zip(
-        tdcs, draws, rising_means, falling_means
-    ):
+    for tdc, theta, (rising, falling) in zip(tdcs, thetas_ps, means):
         rising = float(rising)
         falling = float(falling)
-        measurements[d.name] = Measurement(
-            route_name=d.name,
-            theta_init_ps=d.theta_init_ps,
+        measurements[tdc.route.name] = Measurement(
+            route_name=tdc.route.name,
+            theta_init_ps=theta,
             rising_distance=rising,
             falling_distance=falling,
             delta_ps=(rising - falling) * tdc.chain.nominal_bin_ps,
@@ -102,43 +93,23 @@ def probe_bank(
     thetas_ps: Sequence[float],
     samples: int = SAMPLES_PER_TRACE,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One calibration probe per route, resolved as one stacked call.
+    """One calibration probe per route, resolved as one call.
 
     Route ``r`` takes a single rising and a single falling trace at
     ``thetas_ps[r]`` -- the same draws, in the same per-route order, as
-    two sequential ``capture_trace`` calls -- and the whole round
-    resolves together.  Returns ``(rising_means, falling_means)``, the
-    per-route mean propagation distances in chain elements.
+    two sequential ``capture_trace`` calls -- written in place into its
+    row of the round's tensors, and the whole round resolves together.
+    Returns ``(rising_means, falling_means)``, the per-route mean
+    propagation distances in chain elements.
     """
-    times_rows = []
-    uniform_rows = []
-    for tdc, theta in zip(tdcs, thetas_ps):
-        rising_times, rising_uniforms = tdc.capture_draws(
-            [theta], Polarity.RISING, samples
-        )
-        falling_times, falling_uniforms = tdc.capture_draws(
-            [theta], Polarity.FALLING, samples
-        )
-        times_rows.append(np.stack([rising_times, falling_times]))
-        uniform_rows.append(np.stack([rising_uniforms, falling_uniforms]))
-    times = np.stack(times_rows)
-    uniforms = np.stack(uniform_rows)
-    chains = [tdc.chain for tdc in tdcs]
-    positions = bank_wavefront_positions(chains, np.maximum(times, 0.0))
-    rising_words = resolve_words(
-        positions[:, 0], uniforms[:, 0], Polarity.RISING
-    )
-    falling_words = resolve_words(
-        positions[:, 1], uniforms[:, 1], Polarity.FALLING
-    )
-    rising_means = bank_trace_mean_distances(
-        rising_words, Polarity.RISING
-    )[:, 0]
-    falling_means = bank_trace_mean_distances(
-        falling_words, Polarity.FALLING
-    )[:, 0]
-    registry.counter(
-        "capture_words_total",
-        "capture words computed by the batched kernel",
-    ).inc(2 * len(times_rows) * samples)
-    return rising_means, falling_means
+    length = tdcs[0].chain_length
+    times = np.empty((len(tdcs), 2, 1, samples))
+    uniforms = np.empty((len(tdcs), 2, 1, samples, length))
+    for row, (tdc, theta) in enumerate(zip(tdcs, thetas_ps)):
+        for index, polarity in enumerate((Polarity.RISING, Polarity.FALLING)):
+            tdc.capture_draws(
+                [theta], polarity, samples,
+                out=(times[row, index], uniforms[row, index]),
+            )
+    means = _bank_distances(tdcs, times, uniforms).mean(axis=-1)[:, :, 0]
+    return means[:, 0], means[:, 1]

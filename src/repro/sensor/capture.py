@@ -5,9 +5,17 @@ behind the wavefront have settled to the post-transition value; registers
 ahead still hold the pre-transition value; the register *at* the
 wavefront is metastable and resolves randomly, occasionally producing the
 small "bubble" regions visible in the paper's Figure 3 examples.
+
+Only a handful of taps around the wavefront can resolve either way, so
+the bank kernels use :func:`resolve_distances`, which computes each
+word's Hamming distance from those taps alone;
+:func:`resolve_words` builds the whole words for the per-route paths
+that return them.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -18,6 +26,10 @@ from repro.sensor.trace import Polarity
 #: Registers within this many bins of the wavefront can resolve randomly.
 METASTABLE_WINDOW_BINS = 0.8
 
+#: Taps ``floor(pos) - 1 ... floor(pos) + 2`` hold every tap that can
+#: resolve either way; see :func:`resolve_distances`.
+_WINDOW_OFFSETS = np.arange(-1.0, 3.0)[:, np.newaxis]
+
 
 def resolve_words(
     positions: np.ndarray, uniforms: np.ndarray, polarity: Polarity
@@ -25,10 +37,10 @@ def resolve_words(
     """Resolve wavefront positions against pre-drawn metastability uniforms.
 
     ``positions`` has any shape; ``uniforms`` appends the tap axis
-    (``positions.shape + (length,)``).  Separating the uniform draws
-    from the resolution lets bank-level kernels materialise each
-    route's RNG in sequential per-route order and still resolve the
-    whole ``(routes, traces, samples, chain)`` stack in one comparison.
+    (``positions.shape + (length,)``).  Tap ``k`` has seen the
+    transition pass when its uniform is below ``clip((pos - k) / 0.8 +
+    0.5, 0, 1)``; a rising launch reads those taps as 1, a falling
+    launch as 0.
     """
     length = uniforms.shape[-1]
     taps = np.arange(length, dtype=float)
@@ -43,76 +55,58 @@ def resolve_words(
     return ~resolved
 
 
+def resolve_distances(
+    positions: np.ndarray, uniforms: np.ndarray
+) -> np.ndarray:
+    """Binary Hamming distances of the words :func:`resolve_words` builds.
+
+    Equals ``batch_hamming_distances(resolve_words(positions, uniforms,
+    p), p)`` for either polarity ``p`` -- both count the taps the
+    transition has passed -- without building the words.  The pass
+    probability ``clip((pos - k) / 0.8 + 0.5, 0, 1)`` does not grow with
+    ``k`` and every uniform lies in [0, 1), so each tap ``k <= floor(pos)
+    - 2`` has probability 1 and always counts, and each tap ``k >=
+    floor(pos) + 3`` has probability 0 and never does.  The distance is
+    therefore ``clip(floor(pos) - 1, 0, length)`` plus the comparisons
+    at the (up to) four taps in between, made with the same float
+    expression as :func:`resolve_words`.
+    """
+    length = uniforms.shape[-1]
+    flat = positions.reshape(-1)
+    floor = np.floor(flat)
+    # Window axis first, so every operation below runs over all words.
+    taps = floor + _WINDOW_OFFSETS
+    passed = np.clip(
+        (flat - taps) / METASTABLE_WINDOW_BINS + 0.5, 0.0, 1.0
+    )
+    # Window taps off either end of the chain do not exist.
+    passed[(taps < 0.0) | (taps >= length)] = 0.0
+    index = np.clip(taps, 0, length - 1).astype(np.intp)
+    index += np.arange(0, flat.size * length, length)
+    window = uniforms.reshape(-1)[index]
+    distances = np.clip(floor - 1.0, 0, length).astype(np.intp)
+    distances += np.count_nonzero(window < passed, axis=0)
+    return distances.reshape(positions.shape)
+
+
 class CaptureBank:
-    """Samples a fractional wavefront position into a capture word."""
+    """The metastability randomness of one sensor's capture registers."""
 
     def __init__(self, length: int, seed: SeedLike = None) -> None:
         if length <= 0:
             raise SensorError(f"bank length must be positive, got {length}")
         self.length = length
         self._rng = make_rng(seed)
-        self._taps = np.arange(length, dtype=float)
 
-    def capture(self, position: float, polarity: Polarity) -> np.ndarray:
-        """One capture word for a wavefront at ``position`` elements.
-
-        For a rising launch, taps behind the wavefront read 1 and taps
-        ahead read 0; a falling launch is the complement.  Taps within
-        the metastable window of the wavefront resolve probabilistically
-        with the wavefront's fractional coverage.
-        """
-        if not 0.0 <= position <= self.length:
-            raise SensorError(
-                f"position {position} outside chain [0, {self.length}]"
-            )
-        # Probability that each tap has seen the transition pass.
-        passed = np.clip(
-            (position - self._taps) / METASTABLE_WINDOW_BINS + 0.5, 0.0, 1.0
-        )
-        resolved = self._rng.random(self.length) < passed
-        if polarity is Polarity.RISING:
-            return resolved
-        return ~resolved
-
-    def draw_uniforms(self, shape: tuple) -> np.ndarray:
+    def draw_uniforms(
+        self, shape: tuple, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Metastability uniforms for a batch, as one C-order draw.
 
-        Consumes this bank's generator stream exactly as
-        :meth:`capture_batch` would for positions of ``shape``; the
-        bank-level kernels draw per route up front and resolve the
-        stacked tensor later via :func:`resolve_words`.
+        Returns ``shape + (length,)`` uniforms, one per tap of each word
+        in ``shape``, for :func:`resolve_words` or
+        :func:`resolve_distances`.  With ``out`` (C-contiguous, of that
+        shape) the draw is written in place, consuming the stream
+        exactly as the allocating draw would.
         """
-        return self._rng.random(tuple(shape) + (self.length,))
-
-    def capture_batch(
-        self, positions: np.ndarray, polarity: Polarity
-    ) -> np.ndarray:
-        """Capture words for a whole batch of wavefront positions at once.
-
-        ``positions`` may have any shape (a measurement uses ``(traces,
-        samples)``); the result appends a tap axis, giving boolean words
-        of shape ``positions.shape + (length,)``.
-
-        The metastability uniforms come from one C-order ``random`` draw,
-        which consumes the generator stream in exactly the order the
-        scalar :meth:`capture` would over the same positions -- so for a
-        jitter-free noise model the batched and scalar paths produce
-        identical words from identical seeds.
-        """
-        positions = np.asarray(positions, dtype=float)
-        if positions.size and (
-            positions.min() < 0.0 or positions.max() > self.length
-        ):
-            raise SensorError(
-                f"batch positions outside chain [0, {self.length}]"
-            )
-        passed = np.clip(
-            (positions[..., np.newaxis] - self._taps) / METASTABLE_WINDOW_BINS
-            + 0.5,
-            0.0,
-            1.0,
-        )
-        resolved = self._rng.random(positions.shape + (self.length,)) < passed
-        if polarity is Polarity.RISING:
-            return resolved
-        return ~resolved
+        return self._rng.random(tuple(shape) + (self.length,), out=out)

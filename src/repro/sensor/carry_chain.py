@@ -103,12 +103,10 @@ def bank_wavefront_positions(
 
     ``times_in_chain_ps`` has shape ``(routes, ...)``; row ``r`` resolves
     against ``chains[r]``'s boundaries, and every element equals
-    ``chains[r].wavefront_positions(times[r])`` bit for bit: the index
-    lookup counts boundaries strictly below each time (exactly what the
-    per-chain ``searchsorted`` returns) and the interpolation arithmetic
-    is identical.  One broadcast comparison replaces the per-route loop,
-    so a board's full ``(routes, traces, samples)`` tensor resolves in a
-    single call.
+    ``chains[r].wavefront_positions(times[r])`` bit for bit: row ``r``'s
+    indices come from one ``searchsorted`` over that chain's boundaries,
+    and the interpolation then runs over the whole bank at once with the
+    per-chain arithmetic.
     """
     times = np.asarray(times_in_chain_ps, dtype=float)
     if times.ndim < 1 or times.shape[0] != len(chains):
@@ -123,17 +121,17 @@ def bank_wavefront_positions(
         raise SensorError(f"bank chains must share a length, got {lengths}")
     length = lengths.pop()
     boundaries = np.stack([chain._boundaries for chain in chains])
-    shaped = boundaries.reshape(
-        (len(chains),) + (1,) * (times.ndim - 1) + (length + 1,)
-    )
-    index = np.clip(
-        (shaped < times[..., np.newaxis]).sum(axis=-1) - 1, 0, length - 1
-    )
-    full = np.broadcast_to(shaped, times.shape + (length + 1,))
-    lo = np.take_along_axis(full, index[..., np.newaxis], axis=-1)[..., 0]
-    hi = np.take_along_axis(full, index[..., np.newaxis] + 1, axis=-1)[..., 0]
+    index = np.empty(times.shape, dtype=np.intp)
+    for row, chain_boundaries in enumerate(boundaries):
+        index[row] = np.searchsorted(chain_boundaries, times[row])
+    index = np.clip(index - 1, 0, length - 1)
+    per_row = (len(chains),) + (1,) * (times.ndim - 1)
+    # Row r's boundaries start at r * (length + 1) in the flattened stack.
+    flat = index + (np.arange(len(chains)) * (length + 1)).reshape(per_row)
+    lo = boundaries.ravel()[flat]
+    hi = boundaries.ravel()[flat + 1]
     fraction = (times - lo) / (hi - lo)
     positions = index + fraction
     positions = np.where(times <= 0.0, 0.0, positions)
-    totals = boundaries[:, -1].reshape((len(chains),) + (1,) * (times.ndim - 1))
+    totals = boundaries[:, -1].reshape(per_row)
     return np.where(times >= totals, float(length), positions)

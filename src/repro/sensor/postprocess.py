@@ -86,25 +86,6 @@ def batch_trace_mean_distances(
     return batch_hamming_distances(words, polarity).mean(axis=-1)
 
 
-def bank_trace_mean_distances(
-    words: np.ndarray, polarity: Polarity
-) -> np.ndarray:
-    """Per-trace mean distances over a bank-stacked word tensor.
-
-    ``words`` is ``(..., traces, samples, chain)`` -- a whole board's
-    measurement adds a leading routes axis.  Each route's reduction is
-    independent of the others (the mean runs over the samples axis only),
-    so every row agrees bit for bit with
-    :func:`batch_trace_mean_distances` applied to that route alone.
-    """
-    if words.ndim < 3:
-        raise SensorError(
-            f"bank trace words need >= 3 dims (... x traces x samples x "
-            f"chain), got shape {words.shape}"
-        )
-    return batch_hamming_distances(words, polarity).mean(axis=-1)
-
-
 def batch_delta_ps(
     rising_words: np.ndarray, falling_words: np.ndarray, bin_ps: float
 ) -> float:

@@ -13,6 +13,12 @@ C-order draw, and the words resolve in one vectorised pass.  The
 per-word reference implementation lives with the tests as an oracle
 that consumes the generator stream in the same order, so the two agree
 bit for bit, jitter and all.
+
+The bank kernels in :mod:`repro.sensor.bank` take the same draws
+without resolving them here: :meth:`TunableDualPolarityTdc.capture_draws`
+and :meth:`~TunableDualPolarityTdc.measure_draws` write a route's times
+and uniforms in place into that route's row of the bank's preallocated
+tensors.
 """
 
 from __future__ import annotations
@@ -93,6 +99,7 @@ class TunableDualPolarityTdc:
         thetas_ps: Sequence[float],
         polarity: Polarity,
         samples: int = SAMPLES_PER_TRACE,
+        out: tuple[Optional[np.ndarray], Optional[np.ndarray]] = (None, None),
     ) -> tuple[np.ndarray, np.ndarray]:
         """Materialise one capture batch's random inputs without resolving.
 
@@ -100,9 +107,9 @@ class TunableDualPolarityTdc:
         samples)`` and ``(len(thetas), samples, chain_length)``, consuming
         this TDC's generator stream in exactly the order
         :meth:`capture_words` does (jitter matrix, then metastability
-        uniforms).  Bank-level kernels call this per route, stack the
-        results, and resolve the whole board in one comparison -- so the
-        stacked path is bit-identical to the per-route batched path.
+        uniforms).  With ``out=(times, uniforms)`` -- C-contiguous arrays
+        of those shapes, typically one route's row of a bank tensor --
+        both are written in place and returned.
         """
         if samples <= 0:
             raise SensorError(f"samples must be positive, got {samples}")
@@ -113,26 +120,32 @@ class TunableDualPolarityTdc:
         offset = self._noise.polarity_offset_ps
         arrival += offset if polarity is Polarity.FALLING else -offset
         jitter = self._noise.sample_jitter_matrix_ps((len(thetas), samples))
-        times_in_chain = thetas[:, np.newaxis] - (arrival + jitter)
-        uniforms = self._bank.draw_uniforms((len(thetas), samples))
+        times_out, uniforms_out = out
+        times_in_chain = np.subtract(
+            thetas[:, np.newaxis], arrival + jitter, out=times_out
+        )
+        uniforms = self._bank.draw_uniforms(
+            (len(thetas), samples), out=uniforms_out
+        )
         return times_in_chain, uniforms
 
     def measure_draws(
         self,
         theta_init_ps: float,
-        traces: int = TRACES_PER_MEASUREMENT,
-        samples: int = SAMPLES_PER_TRACE,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Materialise one full measurement's random inputs per polarity.
+        times: np.ndarray,
+        uniforms: np.ndarray,
+    ) -> None:
+        """Write one full measurement's random inputs in place.
 
         Runs :meth:`measure_raw`'s batched preamble -- capture-drop
         injection check, noise epoch advance, rising then falling draws
         -- without resolving any words, so a bank-level measurement can
-        consume each route's stream in sequential order and defer the
-        resolve to one stacked kernel call.  Returns ``(thetas, times,
-        uniforms)`` where ``times`` is ``(2, traces, samples)`` and
-        ``uniforms`` ``(2, traces, samples, chain_length)``, axis 0
-        ordered (rising, falling).
+        consume each route's stream in sequential order and resolve the
+        whole bank in one call.  ``times`` is ``(2, traces, samples)``
+        and ``uniforms`` ``(2, traces, samples, chain_length)``, both
+        C-contiguous, axis 0 ordered (rising, falling); their shapes set
+        the trace and sample counts.  A dropped capture raises before
+        anything is drawn or written.
         """
         maybe_inject(
             "sensor.capture", CaptureDropError,
@@ -140,18 +153,13 @@ class TunableDualPolarityTdc:
             f"flight (injected)",
         )
         self._noise.advance_epoch()
+        _, traces, samples = times.shape
         thetas = self.phase.steps_down(theta_init_ps, traces)
-        rising_times, rising_uniforms = self.capture_draws(
-            thetas, Polarity.RISING, samples
-        )
-        falling_times, falling_uniforms = self.capture_draws(
-            thetas, Polarity.FALLING, samples
-        )
-        return (
-            np.asarray(thetas, dtype=float),
-            np.stack([rising_times, falling_times]),
-            np.stack([rising_uniforms, falling_uniforms]),
-        )
+        for index, polarity in enumerate((Polarity.RISING, Polarity.FALLING)):
+            self.capture_draws(
+                thetas, polarity, samples,
+                out=(times[index], uniforms[index]),
+            )
 
     def capture_words(
         self,

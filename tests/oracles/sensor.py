@@ -11,10 +11,14 @@ with ``==``:
   drawn first, then every word resolves on its own, drawing its
   metastability uniforms from the same stream.  That is the stream
   order of ``capture_draws``, so the oracle and the batched kernel
-  agree bit for bit with jitter on.
+  agree bit for bit with jitter on.  :func:`capture` and
+  :func:`capture_batch` resolve words straight from a
+  :class:`~repro.sensor.capture.CaptureBank`'s stream, with the whole
+  tap comparison the bank kernels skip.
 * **measurement** -- the per-trace post-processing of Section 5.2 over
   oracle captures, and a route-by-route ``measure_route`` loop for a
-  whole bank.
+  whole bank.  Oracle captures count ``capture_words_total`` as the
+  kernels do, so the counter can be compared too.
 * **calibration** -- a route-by-route :func:`find_theta_init` loop with
   per-route retries, the scan the lockstep kernel must reproduce.
 
@@ -36,6 +40,7 @@ from repro.observability.metrics import registry
 from repro.reliability.faults import maybe_inject
 from repro.reliability.retry import retry_call
 from repro.sensor.calibration import find_theta_init
+from repro.sensor.capture import METASTABLE_WINDOW_BINS, CaptureBank
 from repro.sensor.postprocess import traces_mean_distance
 from repro.sensor.tdc import (
     TRACES_PER_MEASUREMENT,
@@ -43,6 +48,59 @@ from repro.sensor.tdc import (
     TunableDualPolarityTdc,
 )
 from repro.sensor.trace import SAMPLES_PER_TRACE, Polarity, Trace
+
+
+def capture(
+    bank: CaptureBank, position: float, polarity: Polarity
+) -> np.ndarray:
+    """One capture word for a wavefront at ``position`` elements.
+
+    For a rising launch, taps behind the wavefront read 1 and taps
+    ahead read 0; a falling launch is the complement.  Taps within the
+    metastable window of the wavefront resolve probabilistically with
+    the wavefront's fractional coverage, from ``length`` uniforms drawn
+    off the bank's stream.
+    """
+    if not 0.0 <= position <= bank.length:
+        raise SensorError(
+            f"position {position} outside chain [0, {bank.length}]"
+        )
+    taps = np.arange(bank.length, dtype=float)
+    # Probability that each tap has seen the transition pass.
+    passed = np.clip(
+        (position - taps) / METASTABLE_WINDOW_BINS + 0.5, 0.0, 1.0
+    )
+    resolved = bank.draw_uniforms(()) < passed
+    if polarity is Polarity.RISING:
+        return resolved
+    return ~resolved
+
+
+def capture_batch(
+    bank: CaptureBank, positions: np.ndarray, polarity: Polarity
+) -> np.ndarray:
+    """Capture words for a whole batch of positions: ``shape + (length,)``.
+
+    The uniforms come from one C-order draw, which consumes the bank's
+    stream exactly as :func:`capture` would over the same positions.
+    """
+    positions = np.asarray(positions, dtype=float)
+    if positions.size and (
+        positions.min() < 0.0 or positions.max() > bank.length
+    ):
+        raise SensorError(
+            f"batch positions outside chain [0, {bank.length}]"
+        )
+    taps = np.arange(bank.length, dtype=float)
+    passed = np.clip(
+        (positions[..., np.newaxis] - taps) / METASTABLE_WINDOW_BINS + 0.5,
+        0.0,
+        1.0,
+    )
+    resolved = bank.draw_uniforms(positions.shape) < passed
+    if polarity is Polarity.RISING:
+        return resolved
+    return ~resolved
 
 
 def sample_word(
@@ -63,7 +121,7 @@ def sample_word(
     arrival += offset if polarity is Polarity.FALLING else -offset
     time_in_chain = theta - (arrival + jitter_ps)
     position = tdc.chain.wavefront_position(max(time_in_chain, 0.0))
-    return tdc._bank.capture(position, polarity)
+    return capture(tdc._bank, position, polarity)
 
 
 def capture_words(
@@ -78,6 +136,10 @@ def capture_words(
     if len(thetas_ps) == 0:
         raise SensorError("need at least one theta setting")
     jitter = tdc._noise.sample_jitter_matrix_ps((len(thetas_ps), samples))
+    registry.counter(
+        "capture_words_total",
+        "capture words computed by the batched kernel",
+    ).inc(len(thetas_ps) * samples)
     return np.stack([
         np.stack([
             sample_word(tdc, theta, polarity, jitter[i, j])

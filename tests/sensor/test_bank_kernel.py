@@ -11,9 +11,11 @@ top of it against :mod:`tests.oracles.sensor`:
   never reorders any route's own draws;
 * one stacked ``measure_bank`` call against a ``measure_route`` loop,
   also bit for bit with jitter on;
-* the stacked geometry primitives (``bank_wavefront_positions``,
-  ``bank_trace_mean_distances``) against their per-chain/per-route
-  forms, including boundary-exact times;
+* the bank geometry primitive (``bank_wavefront_positions``) against
+  its per-chain form, including boundary-exact times;
+* the bank's Hamming-weight kernel (``resolve_distances``, which reads
+  only the taps around each wavefront) against the distances of the
+  whole words ``resolve_words`` builds, at edge positions;
 * failure parity: an uncalibratable route raises the same
   :class:`CalibrationError` either way and leaves the same partial
   theta_init behind, and the ``sensor.calibrate`` / ``sensor.capture``
@@ -22,6 +24,8 @@ top of it against :mod:`tests.oracles.sensor`:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.phases import measure_with_recovery
 from repro.designs import build_measure_design, build_route_bank
@@ -31,13 +35,11 @@ from repro.fabric.parts import ZYNQ_ULTRASCALE_PLUS
 from repro.observability.metrics import registry
 from repro.reliability.faults import FaultPlan, FaultSpec, fault_plan
 from repro.sensor.calibration import find_theta_init, find_theta_init_bank
+from repro.sensor.capture import resolve_distances, resolve_words
 from repro.sensor.carry_chain import CarryChain, bank_wavefront_positions
 from repro.sensor.clocking import PhaseGenerator
 from repro.sensor.noise import CLOUD_NOISE, LAB_NOISE, NoiseModel
-from repro.sensor.postprocess import (
-    bank_trace_mean_distances,
-    batch_trace_mean_distances,
-)
+from repro.sensor.postprocess import batch_hamming_distances
 from repro.sensor.tdc import TunableDualPolarityTdc
 from repro.sensor.trace import Polarity
 from tests.oracles import sensor as oracle
@@ -178,16 +180,110 @@ class TestBankPrimitives:
         with pytest.raises(SensorError):
             bank_wavefront_positions(chains, np.zeros((2, 5)))
 
-    def test_bank_trace_means_match_per_route(self):
-        rng = np.random.default_rng(11)
-        words = rng.random((3, 10, 16, 64)) < 0.5
-        for polarity in Polarity:
-            stacked = bank_trace_mean_distances(words, polarity)
-            per_route = np.stack([
-                batch_trace_mean_distances(route_words, polarity)
-                for route_words in words
-            ])
-            np.testing.assert_array_equal(stacked, per_route)
+
+def _nudged(values):
+    """Each value, or its next float down or up."""
+    return st.tuples(
+        values, st.sampled_from([None, -np.inf, np.inf])
+    ).map(lambda t: t[0] if t[1] is None else float(np.nextafter(*t)))
+
+
+def _edge_positions(length):
+    """Wavefront positions on and around the taps' decision edges:
+    integer ``k`` (pass probability 0.5 at tap ``k``), ``k +- 0.4`` (the
+    edges of the metastable window), the chain ends, and the float
+    neighbours of each."""
+    near = st.tuples(
+        st.integers(0, length), st.sampled_from([0.0, -0.4, 0.4])
+    ).map(lambda t: t[0] + t[1])
+    return st.one_of(
+        st.floats(0.0, float(length)), _nudged(near)
+    ).filter(lambda p: 0.0 <= p <= length)
+
+
+def _edge_times(chain):
+    """Times exactly on a chain's bin boundaries (and one float off),
+    at or below zero, and at or beyond the chain's total delay."""
+    boundaries = st.sampled_from([float(b) for b in chain._boundaries])
+    total = chain.total_delay_ps
+    return st.one_of(
+        _nudged(boundaries),
+        st.floats(-50.0, 0.0),
+        st.floats(total, total + 50.0),
+    )
+
+
+class TestWeightKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        length=st.sampled_from([1, 2, 5, 64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_distances_match_whole_words(self, data, length, seed):
+        """resolve_distances == the Hamming distance of every whole
+        word, for both polarities, uniforms on the pass thresholds
+        included."""
+        positions = np.array(data.draw(
+            st.lists(_edge_positions(length), min_size=1, max_size=24)
+        ))
+        rng = np.random.default_rng(seed)
+        uniforms = rng.random(positions.shape + (length,))
+        # Uniforms exactly on (and one float below) the thresholds the
+        # edge positions produce, plus the ends of [0, 1).
+        specials = np.array([0.0, 0.5, np.nextafter(0.5, 0.0),
+                             np.nextafter(1.0, 0.0)])
+        pick = rng.random(uniforms.shape) < 0.3
+        uniforms[pick] = rng.choice(specials, size=int(pick.sum()))
+        distances = resolve_distances(positions, uniforms)
+        rising = resolve_words(positions, uniforms, Polarity.RISING)
+        falling = resolve_words(positions, uniforms, Polarity.FALLING)
+        np.testing.assert_array_equal(
+            distances, np.count_nonzero(rising, axis=-1)
+        )
+        np.testing.assert_array_equal(
+            distances, length - np.count_nonzero(falling, axis=-1)
+        )
+
+    def test_bank_shape_kept(self):
+        rng = np.random.default_rng(4)
+        positions = rng.uniform(0.0, 64.0, (3, 2, 10, 16))
+        uniforms = rng.random(positions.shape + (64,))
+        distances = resolve_distances(positions, uniforms)
+        assert distances.shape == positions.shape
+        np.testing.assert_array_equal(
+            distances,
+            batch_hamming_distances(
+                resolve_words(positions, uniforms, Polarity.RISING),
+                Polarity.RISING,
+            ),
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=4),
+        length=st.sampled_from([1, 3, 64]),
+        width=st.integers(1, 12),
+    )
+    def test_bank_wavefront_matches_per_chain_at_edges(
+        self, data, seeds, length, width
+    ):
+        """The per-row searchsorted bank lookup == each chain's own
+        wavefront_positions on boundaries, at <= 0 and >= total."""
+        chains = [CarryChain(length=length, nominal_bin_ps=2.8, seed=s)
+                  for s in seeds]
+        times = np.array([
+            data.draw(st.lists(_edge_times(chain), min_size=width,
+                               max_size=width))
+            for chain in chains
+        ])
+        stacked = bank_wavefront_positions(chains, times)
+        deeper = bank_wavefront_positions(chains, times[:, np.newaxis])
+        for i, chain in enumerate(chains):
+            expected = chain.wavefront_positions(times[i])
+            np.testing.assert_array_equal(stacked[i], expected)
+            np.testing.assert_array_equal(deeper[i, 0], expected)
 
 
 class TestFailureParity:
@@ -268,22 +364,36 @@ class TestFailureParity:
         assert scalar_unrecovered == batched_unrecovered
 
     def test_capture_drop_degradation_parity(self):
-        """Under the sensor.capture fault site the stacked bank pass
-        drops exactly the routes the per-route oracle loop would, and
-        measures the survivors identically, jitter and all."""
+        """Under the sensor.capture fault site the bank pass drops
+        exactly the routes the per-route oracle loop would, and measures
+        the survivors identically, jitter and all.  A route that drops
+        mid-bank takes no row of the bank tensors, so every route's
+        generator ends in the oracle's state and the bank counts the
+        oracle's capture words."""
         spec = {"sensor.capture": FaultSpec(probability=0.7)}
 
         scalar = make_session(13, noise=CLOUD_NOISE)
         with oracle.reference_sensor():
             scalar.calibrate()
+            registry.reset()
             with fault_plan(FaultPlan(seed=99, specs=spec)):
                 scalar_m, scalar_dropped = measure_with_recovery(scalar)
+        scalar_words = registry.counter("capture_words_total").value
 
         batched = make_session(13, noise=CLOUD_NOISE)
         batched.calibrate()
+        registry.reset()
         with fault_plan(FaultPlan(seed=99, specs=spec)):
             batched_m, batched_dropped = measure_with_recovery(batched)
+        batched_words = registry.counter("capture_words_total").value
 
         assert scalar_dropped
         assert scalar_dropped == batched_dropped
         assert scalar_m == batched_m
+        for name in scalar.route_names:
+            assert (
+                batched._tdcs[name]._bank._rng.bit_generator.state
+                == scalar._tdcs[name]._bank._rng.bit_generator.state
+            ), name
+        assert scalar_words > 0
+        assert batched_words == scalar_words

