@@ -57,7 +57,7 @@ def fingerprint_session(
     Each route is measured ``repeats`` times and the features averaged:
     per-sample jitter scales the feature noise down by sqrt(repeats),
     while the die-identifying delay offsets are deterministic and
-    survive the mean.  Measurement is cheap (one batched capture per
+    survive the mean.  Measurement is cheap (one bank capture per
     repeat), so a handful of repeats buys a fingerprint stable to small
     fractions of a bin.
     """
@@ -65,11 +65,13 @@ def fingerprint_session(
         raise AttackError("repeats must be >= 1")
     names = session.route_names
     features = np.zeros((len(names), 2))
-    for i, name in enumerate(names):
-        for _ in range(repeats):
-            measurement = session.measure_route(name)
-            features[i, 0] += measurement.rising_distance
-            features[i, 1] += measurement.falling_distance
+    for _ in range(repeats):
+        # Each route owns its generator stream, so measuring the bank
+        # per repeat draws what measuring route by route would.
+        measurements = session.measure_all()
+        for i, name in enumerate(names):
+            features[i, 0] += measurements[name].rising_distance
+            features[i, 1] += measurements[name].falling_distance
     features /= repeats
     return RouteFingerprint(route_names=tuple(names), features=features)
 

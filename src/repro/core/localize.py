@@ -129,6 +129,9 @@ class ImprintScanner:
             heater_dsps=0,
             name="imprint-scan-hold",
         )
+        # Every TDC draws from the one shared generator, so the scan
+        # calibrates one route at a time and measures one TDC per pass:
+        # a bank across the TDCs would reorder that stream.
         tdcs = {
             name: TunableDualPolarityTdc(
                 device=device, route=route, noise=self.noise, seed=rng

@@ -29,7 +29,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import (
-    CalibrationGlitchError,
     ConfigurationError,
     SensorError,
     TransientError,
@@ -44,10 +43,9 @@ from repro.fabric.netlist import Cell, CellType, Net, NetActivity, Netlist
 from repro.fabric.parts import PartDescriptor
 from repro.fabric.placement import FixedPlacer
 from repro.fabric.routing import Route
-from repro.reliability.faults import maybe_inject
 from repro.rng import SeedLike, make_rng
 from repro.sensor.bank import resolve_bank
-from repro.sensor.calibration import find_theta_init_bank
+from repro.sensor.calibration import check_glitch, find_theta_init_bank
 from repro.sensor.noise import CLOUD_NOISE, NoiseModel
 from repro.sensor.tdc import (
     TRACES_PER_MEASUREMENT,
@@ -130,8 +128,8 @@ class MeasureSession:
         (and retries) per route in bank order before any probe, and
         glitched routes degrade to uncalibrated.  The scan over the
         survivors stores the thetas a route-by-route
-        :func:`~repro.sensor.calibration.find_theta_init` loop would,
-        bit for bit, and raises
+        :func:`~repro.sensor.calibration.find_theta_init` loop would
+        (each route owns its generator stream), and raises
         :class:`~repro.errors.CalibrationError` for the first route that
         loop would have failed on.
         """
@@ -139,17 +137,12 @@ class MeasureSession:
         unrecovered = 0
         with trace.span("sensor.calibrate", routes=len(self._tdcs)):
             for name, tdc in self._tdcs.items():
-                def _arm(name: str = name) -> None:
-                    # The same fault check find_theta_init runs before
-                    # its first probe, retried per route so the site
-                    # stream is consumed in bank order.
-                    maybe_inject(
-                        "sensor.calibrate", CalibrationGlitchError,
-                        f"route {name!r}: calibration sweep aborted "
-                        f"(injected environmental glitch)",
-                    )
+                # Retried per route, so the site stream is consumed in
+                # bank order.
                 try:
-                    retry_call(_arm, label=f"sensor.calibrate:{name}")
+                    retry_call(
+                        check_glitch, name, label=f"sensor.calibrate:{name}"
+                    )
                 except TransientError:
                     unrecovered += 1
                     registry.counter(
@@ -178,41 +171,16 @@ class MeasureSession:
             )
         self.theta_init = dict(theta_init)
 
-    def measure_route(self, route_name: str) -> Measurement:
-        """The Measurement phase for one route."""
-        if route_name not in self._tdcs:
-            raise ConfigurationError(f"no TDC for route {route_name!r}")
-        if route_name not in self.theta_init:
-            raise SensorError(
-                f"route {route_name!r} is not calibrated; run calibrate() "
-                f"or use_theta_init()"
-            )
-        start = perf_counter()
-        with trace.span("sensor.capture", route=route_name):
-            measurement = self._tdcs[route_name].measure(
-                self.theta_init[route_name]
-            )
-        registry.counter(
-            "captures_total", "complete TDC measurements taken"
-        ).inc()
-        registry.histogram(
-            "capture_latency_seconds", "host wall time per TDC measurement"
-        ).observe(perf_counter() - start)
-        registry.histogram(
-            "readout_skew_ps",
-            "falling-minus-rising delta per capture (dT readout skew)",
-        ).observe(measurement.delta_ps)
-        return measurement
-
     def measure_bank(
         self, recover: bool = False
     ) -> tuple[dict[str, Measurement], list[str]]:
         """Measure every calibrated route in one bank kernel call.
 
         Draws each route's measurement sequentially in bank order -- the
-        identical generator consumption of a :meth:`measure_route` loop
-        -- writing it in place into the next row of the bank's times and
-        uniforms tensors, then resolves every row in one call.
+        identical generator consumption of a route-by-route
+        ``TunableDualPolarityTdc.measure`` loop -- writing it in place
+        into the next row of the bank's times and uniforms tensors, then
+        resolves every row in one call.
 
         With ``recover=False`` (the :meth:`measure_all` contract) an
         uncalibrated route raises :class:`SensorError` and a capture

@@ -6,9 +6,8 @@ the parts of the architecture the paper's attack touches:
 * a tile grid with CLB/DSP/BRAM columns (:mod:`repro.fabric.geometry`);
 * the programmable-routing segment library -- single/double/quad/long
   wires joined by switch (PIP) transistors (:mod:`repro.fabric.segments`);
-* routes as chains of segments, with both a delay-targeting router (the
-  experiments specify routes by nominal delay) and a maze router over the
-  grid for netlists (:mod:`repro.fabric.router`);
+* routes as chains of segments, built by a delay-targeting router (the
+  experiments specify routes by nominal delay; :mod:`repro.fabric.router`);
 * logic resources, netlists, placement (:mod:`repro.fabric.resources`,
   :mod:`repro.fabric.netlist`, :mod:`repro.fabric.placement`);
 * compiled bitstreams, including sealed marketplace images
@@ -25,7 +24,7 @@ from repro.fabric.device import FpgaDevice
 from repro.fabric.geometry import Coordinate, FabricGrid, TileType
 from repro.fabric.netlist import Cell, CellType, Net, Netlist, NetActivity
 from repro.fabric.parts import PartDescriptor, VIRTEX_ULTRASCALE_PLUS, ZYNQ_ULTRASCALE_PLUS
-from repro.fabric.router import DelayTargetRouter, MazeRouter
+from repro.fabric.router import DelayTargetRouter
 from repro.fabric.routing import Route, SegmentId
 from repro.fabric.segments import SegmentKind, SEGMENT_LIBRARY
 
@@ -37,7 +36,6 @@ __all__ = [
     "DelayTargetRouter",
     "FabricGrid",
     "FpgaDevice",
-    "MazeRouter",
     "Net",
     "NetActivity",
     "Netlist",

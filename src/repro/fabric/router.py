@@ -1,23 +1,18 @@
-"""Routers: delay-targeting serpentine routes and maze routing.
-
-Two routers serve two needs:
+"""Routers: delay-targeting serpentine routes and wire compositions.
 
 * :class:`DelayTargetRouter` realises the experiments' "a route with
   1000/2000/5000/10000 ps of delay" specification: it composes wire
   segments (preferring LONG lines, as the vendor router does for long
   connections) into a serpentine chain starting at a given tile, snaking
   within the die, and avoiding segments already claimed by other routes.
-* :class:`MazeRouter` routes arbitrary netlist connections point-to-point
-  over the interconnect graph (Dijkstra on delay), used by the OpenTitan
-  route-length study.
+* :func:`compose_displacement` gives the wire classes a point-to-point
+  connection uses, which the OpenTitan route-length study prices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
-
-import networkx as nx
 
 from repro.errors import RoutingError
 from repro.fabric.geometry import Coordinate, FabricGrid
@@ -152,83 +147,6 @@ class DelayTargetRouter:
         raise RoutingError(
             f"all {self.tracks_per_class} tracks of {kind.value} at "
             f"{origin} are occupied"
-        )
-
-
-class MazeRouter:
-    """Dijkstra maze router over the interconnect graph.
-
-    Nodes are tile coordinates, edges are wire-class hops in the four
-    cardinal directions weighted by delay.  Used for point-to-point
-    netlist routing (the OpenTitan study); returns a :class:`Route` whose
-    physical segments are allocated from the same track space as
-    :class:`DelayTargetRouter`.
-    """
-
-    _ROUTE_CLASSES = (
-        SegmentKind.SINGLE,
-        SegmentKind.DOUBLE,
-        SegmentKind.QUAD,
-        SegmentKind.LONG,
-    )
-
-    def __init__(self, grid: FabricGrid, tracks_per_class: int = 8) -> None:
-        self.grid = grid
-        self.tracks_per_class = tracks_per_class
-        self.occupied: set = set()
-        self._graph = self._build_graph()
-
-    def _build_graph(self) -> nx.DiGraph:
-        graph = nx.DiGraph()
-        for x in range(self.grid.columns):
-            for y in range(self.grid.shell_rows, self.grid.rows):
-                graph.add_node((x, y))
-        for x in range(self.grid.columns):
-            for y in range(self.grid.shell_rows, self.grid.rows):
-                for kind in self._ROUTE_CLASSES:
-                    spec = spec_for(kind)
-                    span = spec.span_tiles
-                    for dx, dy in ((span, 0), (-span, 0), (0, span), (0, -span)):
-                        nx_, ny_ = x + dx, y + dy
-                        if (nx_, ny_) in graph:
-                            graph.add_edge(
-                                (x, y),
-                                (nx_, ny_),
-                                weight=spec.delay_ps,
-                                kind=kind,
-                            )
-        return graph
-
-    def route(self, name: str, source: Coordinate, sink: Coordinate) -> Route:
-        """Route from ``source`` to ``sink``, minimising delay.
-
-        Adds a LOCAL pin hop at each end, as every net must enter and
-        leave the interconnect through the tile's local switchbox.
-        """
-        self.grid.require_user_visible(source)
-        self.grid.require_user_visible(sink)
-        segments: list[SegmentId] = [self._claim(SegmentKind.LOCAL, source)]
-        if source != sink:
-            try:
-                path = nx.dijkstra_path(
-                    self._graph, (source.x, source.y), (sink.x, sink.y)
-                )
-            except nx.NetworkXNoPath as exc:
-                raise RoutingError(f"no path from {source} to {sink}") from exc
-            for (x1, y1), (x2, y2) in zip(path, path[1:]):
-                kind = self._graph.edges[(x1, y1), (x2, y2)]["kind"]
-                segments.append(self._claim(kind, Coordinate(x1, y1)))
-        segments.append(self._claim(SegmentKind.LOCAL, sink))
-        return Route(name=name, segments=tuple(segments))
-
-    def _claim(self, kind: SegmentKind, origin: Coordinate) -> SegmentId:
-        for track in range(self.tracks_per_class):
-            candidate = SegmentId(kind=kind, origin=origin, track=track)
-            if candidate not in self.occupied:
-                self.occupied.add(candidate)
-                return candidate
-        raise RoutingError(
-            f"routing congestion: no free {kind.value} track at {origin}"
         )
 
 

@@ -62,8 +62,8 @@ FAULT_SITES = (
     "cloud.allocate",   # Region.allocate        -> CapacityError
     "cloud.preempt",    # F1Instance.run_hours   -> PreemptionError
     "cloud.evict",      # F1Instance.load_image  -> EvictionError
-    "sensor.calibrate",  # find_theta_init       -> CalibrationGlitchError
-    "sensor.capture",   # measure_raw            -> CaptureDropError
+    "sensor.calibrate",  # check_glitch          -> CalibrationGlitchError
+    "sensor.capture",   # measure_draws          -> CaptureDropError
 )
 
 

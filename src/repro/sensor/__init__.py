@@ -24,9 +24,6 @@ from repro.sensor.carry_chain import CarryChain
 from repro.sensor.clocking import PhaseGenerator
 from repro.sensor.noise import NoiseModel, LAB_NOISE, CLOUD_NOISE
 from repro.sensor.postprocess import (
-    batch_delta_ps,
-    batch_hamming_distances,
-    batch_trace_mean_distances,
     binary_hamming_distance,
     trace_mean_distance,
 )
@@ -45,9 +42,6 @@ __all__ = [
     "RingOscillatorSensor",
     "Trace",
     "TunableDualPolarityTdc",
-    "batch_delta_ps",
-    "batch_hamming_distances",
-    "batch_trace_mean_distances",
     "binary_hamming_distance",
     "build_ro_netlist",
     "find_theta_init",

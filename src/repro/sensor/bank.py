@@ -1,17 +1,17 @@
 """Bank-level capture: every route of a board in one kernel call.
 
-The per-route kernel batches the *trace* axes -- one ``(traces,
-samples, chain)`` tensor per polarity.  This module adds the *routes*
-axis on top: a board's whole measurement bank resolves as one
-``(routes, 2, traces, samples)`` call, and a calibration round probes
-every still-searching route with one call.
+The sensor's one resolve path.  A board's whole measurement bank
+resolves as one ``(routes, 2, traces, samples)`` call, and a
+calibration round probes every still-searching route with one call;
+a single route's measurement or calibration is the same call over a
+bank of one.
 
-The RNG discipline that makes this bit-identical to the per-route path:
-each route owns an independent generator stream (spawned per route by
-:class:`~repro.designs.measure.MeasureSession`), and the bank draws each
-route's randomness *sequentially, in bank order* via
+The RNG discipline that makes a bank bit-identical to a route-by-route
+loop: each route owns an independent generator stream (spawned per
+route by :class:`~repro.designs.measure.MeasureSession`), and the bank
+draws each route's randomness *sequentially, in bank order* via
 :meth:`~repro.sensor.tdc.TunableDualPolarityTdc.capture_draws` /
-``measure_draws`` -- exactly the draws the per-route loop would make.
+``measure_draws`` -- exactly the draws the loop would make.
 Each route writes its draws in place into its own row of one
 preallocated times tensor and one uniforms tensor, so nothing is
 stacked or copied.  The bank then resolves only each word's Hamming
@@ -45,7 +45,7 @@ def _bank_distances(
     appends the tap axis, axis 1 ordered (rising, falling); row ``r``
     resolves against ``tdcs[r]``'s chain.  Returns the ``(routes, 2,
     traces, samples)`` distances, each equal to the Binary Hamming
-    Distance of the word the per-route kernel would build.
+    Distance of the whole word ``resolve_words`` would build.
     """
     registry.counter(
         "capture_words_total",
@@ -67,9 +67,9 @@ def resolve_bank(
 
     Row ``r`` of ``times``/``uniforms`` holds ``tdcs[r]``'s draws from
     :meth:`~TunableDualPolarityTdc.measure_draws` at ``thetas_ps[r]``.
-    The distances reduce as ``measure_raw`` reduces its words (mean
+    The distances reduce as the paper's pipeline reduces words (mean
     over samples, then over traces), so every route's means and delta
-    agree bit for bit with ``measure_raw`` on that route alone.
+    agree bit for bit with the per-trace reduction of its words.
     """
     if not tdcs:
         return {}
@@ -95,10 +95,9 @@ def probe_bank(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One calibration probe per route, resolved as one call.
 
-    Route ``r`` takes a single rising and a single falling trace at
-    ``thetas_ps[r]`` -- the same draws, in the same per-route order, as
-    two sequential ``capture_trace`` calls -- written in place into its
-    row of the round's tensors, and the whole round resolves together.
+    Route ``r`` takes a single rising and then a single falling trace
+    at ``thetas_ps[r]``, written in place into its row of the round's
+    tensors, and the whole round resolves together.
     Returns ``(rising_means, falling_means)``, the per-route mean
     propagation distances in chain elements.
     """

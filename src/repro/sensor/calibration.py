@@ -12,10 +12,10 @@ devices of the same part, so an attacker can calibrate once on any board
 they control and reuse the value -- :func:`find_theta_init` is therefore
 deliberately independent of device identity beyond the part's timing.
 
-A Measure session calibrates its whole bank with one lockstep scan,
-:func:`find_theta_init_bank`; :func:`find_theta_init` is the same scan
-for one route.  The route-by-route session loop survives only as a test
-oracle, and the two agree bit for bit.
+Every calibration runs one lockstep scan, :func:`find_theta_init_bank`:
+a Measure session over its whole bank, :func:`find_theta_init` over a
+bank of one.  The sequential one-route scan it replaced survives only
+as a test oracle, and the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from repro.errors import CalibrationError, CalibrationGlitchError
 from repro.observability.log import get_logger
 from repro.observability.metrics import registry
 from repro.reliability.faults import maybe_inject
-from repro.sensor.postprocess import trace_mean_distance
+from repro.sensor.bank import probe_bank
 from repro.sensor.tdc import TunableDualPolarityTdc
-from repro.sensor.trace import Polarity
 
 _log = get_logger("sensor.calibration")
 
@@ -58,21 +57,20 @@ def _default_coarse_ps(tdc: TunableDualPolarityTdc) -> float:
     return tdc.chain.nominal_bin_ps * tdc.chain_length / 4.0
 
 
-def _mean_positions(
-    tdc: TunableDualPolarityTdc, theta_ps: float
-) -> tuple[float, float]:
-    rising = trace_mean_distance(tdc.capture_trace(theta_ps, Polarity.RISING))
-    falling = trace_mean_distance(
-        tdc.capture_trace(theta_ps, Polarity.FALLING)
+def check_glitch(route_name: str) -> None:
+    """The ``sensor.calibrate`` fault site, checked once per route.
+
+    Runs before the route's first probe, so a retried calibration
+    consumes the identical noise sequence.
+    """
+    maybe_inject(
+        "sensor.calibrate", CalibrationGlitchError,
+        f"route {route_name!r}: calibration sweep aborted "
+        f"(injected environmental glitch)",
     )
-    return rising, falling
 
 
-def find_theta_init(
-    tdc: TunableDualPolarityTdc,
-    theta_start_ps: Optional[float] = None,
-    coarse_step_ps: Optional[float] = None,
-) -> float:
+def find_theta_init(tdc: TunableDualPolarityTdc) -> float:
     """Search downward from a large theta until transitions are centred.
 
     Returns the theta_init to use for this route's measurements.  Raises
@@ -80,81 +78,12 @@ def find_theta_init(
     the capture window (e.g. the route is far longer than the
     programmable phase range).
 
-    This is the one-route scan that ``core.localize`` and the examples
-    call directly; :func:`find_theta_init_bank` runs it for a whole
-    bank in lockstep and is pinned against it probe for probe.
+    The one-route entry point for ``core.localize`` and the examples:
+    the :func:`check_glitch` fault site, then
+    :func:`find_theta_init_bank` over a bank of one.
     """
-    # Chaos fault site: a glitched sweep aborts before the first probe
-    # trace, so the re-run consumes the identical noise sequence.
-    maybe_inject(
-        "sensor.calibrate", CalibrationGlitchError,
-        f"route {tdc.route.name!r}: calibration sweep aborted "
-        f"(injected environmental glitch)",
-    )
-    phase = tdc.phase
-    if theta_start_ps is None:
-        theta_start_ps = _default_start_ps(tdc)
-    start = theta_start_ps
-    coarse = coarse_step_ps if coarse_step_ps is not None else (
-        _default_coarse_ps(tdc)
-    )
-    theta = phase.quantise(start)
-
-    # Coarse descent: stop when either transition is inside the window.
-    while theta > 0.0:
-        rising, falling = _mean_positions(tdc, theta)
-        if rising < float(tdc.chain_length) or falling < float(tdc.chain_length):
-            break
-        theta = max(theta - coarse, 0.0)
-    else:
-        registry.counter(
-            "calibration_failures_total", "routes that failed calibration"
-        ).inc()
-        _log.error("calibration_failed", route=tdc.route.name,
-                   reason="never_entered_chain")
-        raise CalibrationError(
-            f"route {tdc.route.name!r}: transitions never entered the chain"
-        )
-
-    # Fine descent: centre the mean of both polarities in the window.
-    # Every probe beyond the first is a retry at a reduced theta.
-    best_theta = None
-    fine = phase.step_ps
-    probes = int(2.0 * coarse / fine) + tdc.chain_length
-    retries = 0
-    for attempt in range(probes):
-        rising, falling = _mean_positions(tdc, theta)
-        centre = (rising + falling) / 2.0
-        if _TARGET_LOW <= centre <= _TARGET_HIGH and min(rising, falling) > 4.0:
-            best_theta = theta
-            retries = attempt
-            break
-        if max(rising, falling) <= _TARGET_LOW:
-            retries = attempt
-            break
-        theta -= fine
-        if theta < 0.0:
-            retries = attempt
-            break
-    else:
-        retries = probes
-    registry.counter(
-        "calibration_retries_total",
-        "fine-descent probes re-taken beyond the first per route",
-    ).inc(retries)
-    if best_theta is None:
-        registry.counter(
-            "calibration_failures_total", "routes that failed calibration"
-        ).inc()
-        _log.error("calibration_failed", route=tdc.route.name,
-                   reason="could_not_centre")
-        raise CalibrationError(
-            f"route {tdc.route.name!r}: could not centre transitions "
-            f"in the capture window"
-        )
-    _log.debug("calibrated_route", route=tdc.route.name,
-               theta_init_ps=best_theta, retries=retries)
-    return best_theta
+    check_glitch(tdc.route.name)
+    return find_theta_init_bank({tdc.route.name: tdc})[tdc.route.name]
 
 
 @dataclass
@@ -175,12 +104,18 @@ class _LockstepRoute:
 
 
 def _advance_scan(scan: _LockstepRoute, rising: float, falling: float) -> None:
-    """Apply one probe's outcome, mirroring :func:`find_theta_init` exactly."""
+    """Apply one probe's outcome to one route's scan.
+
+    The coarse descent steps down by ``coarse`` until either transition
+    enters the chain; the fine descent then steps down one phase step
+    per probe until the mean of both polarities sits inside the target
+    window, giving up after ``probes`` attempts.
+    """
     if scan.stage == "coarse":
         chain_length = float(scan.tdc.chain_length)
         if rising < chain_length or falling < chain_length:
-            # find_theta_init re-probes this same theta as the first
-            # fine-descent attempt.
+            # The same theta is re-probed as the first fine-descent
+            # attempt.
             scan.stage = "fine"
             return
         scan.theta = max(scan.theta - scan.coarse, 0.0)
@@ -223,10 +158,10 @@ def find_theta_init_bank(
     theta and resolves the whole round as one stacked tensor via
     :func:`repro.sensor.bank.probe_bank`.  Each route owns an
     independent generator stream and its probe sequence (thetas, draw
-    order, draw shapes) is exactly the sequence :func:`find_theta_init`
-    takes, so the returned theta_init values and the calibration
-    counters are bit-identical to a per-route :func:`find_theta_init`
-    loop, with or without jitter.
+    order, draw shapes) is exactly the sequence a sequential one-route
+    scan takes, so the returned theta_init values and the calibration
+    counters are bit-identical to a route-by-route loop of that scan,
+    with or without jitter.
 
     Failures reproduce the sequential contract: counters, logs and
     stored thetas replay in bank order and the first failing route
@@ -236,12 +171,12 @@ def find_theta_init_bank(
     failure consumed their probe draws, but a failed calibration
     abandons the session, so nothing observable depends on them.)
 
-    Unlike :func:`find_theta_init` this function also counts
-    ``calibrations_total`` per stored route, because the caller cannot
-    interleave per-route bookkeeping with a fused scan.
+    It also counts ``calibrations_total`` per stored route, because the
+    caller cannot interleave per-route bookkeeping with a fused scan.
+    The fault site is the caller's: :func:`find_theta_init` and
+    ``MeasureSession.calibrate`` check :func:`check_glitch` per route
+    before the scan.
     """
-    from repro.sensor.bank import probe_bank
-
     scans = []
     for name, tdc in tdcs.items():
         theta = tdc.phase.quantise(_default_start_ps(tdc))
@@ -252,8 +187,7 @@ def find_theta_init_bank(
             probes=int(2.0 * coarse / fine) + tdc.chain_length,
         )
         if theta <= 0.0:
-            # find_theta_init's while-loop never runs: an immediate
-            # failure.
+            # No phase left to descend from: an immediate failure.
             scan.stage = "failed"
             scan.failure = "never_entered_chain"
         scans.append(scan)

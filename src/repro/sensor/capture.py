@@ -9,8 +9,9 @@ small "bubble" regions visible in the paper's Figure 3 examples.
 Only a handful of taps around the wavefront can resolve either way, so
 the bank kernels use :func:`resolve_distances`, which computes each
 word's Hamming distance from those taps alone;
-:func:`resolve_words` builds the whole words for the per-route paths
-that return them.
+:func:`resolve_words` builds the whole words only for
+``TunableDualPolarityTdc.measure_raw``, which returns them for the raw
+trace archive.
 """
 
 from __future__ import annotations
@@ -60,9 +61,10 @@ def resolve_distances(
 ) -> np.ndarray:
     """Binary Hamming distances of the words :func:`resolve_words` builds.
 
-    Equals ``batch_hamming_distances(resolve_words(positions, uniforms,
-    p), p)`` for either polarity ``p`` -- both count the taps the
-    transition has passed -- without building the words.  The pass
+    Equals the Binary Hamming distance of each word
+    ``resolve_words(positions, uniforms, p)`` builds, for either
+    polarity ``p`` -- both count the taps the transition has passed --
+    without building the words.  The pass
     probability ``clip((pos - k) / 0.8 + 0.5, 0, 1)`` does not grow with
     ``k`` and every uniform lies in [0, 1), so each tap ``k <= floor(pos)
     - 2`` has probability 1 and always counts, and each tap ``k >=

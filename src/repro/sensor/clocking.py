@@ -10,6 +10,9 @@ picoseconds at typical settings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from repro.errors import SensorError
 
@@ -40,6 +43,26 @@ class PhaseGenerator:
                 f"[0, {self.max_ps}]"
             )
         return round(theta_ps / self.step_ps) * self.step_ps
+
+    def quantise_array(self, thetas_ps: Sequence[float]) -> np.ndarray:
+        """:meth:`quantise` over many phases at once, as one array.
+
+        ``np.rint`` rounds half to even, as Python's ``round`` does, so
+        every element equals :meth:`quantise` of it bit for bit, and
+        the first phase outside the programmable range raises the same
+        :class:`SensorError`.
+        """
+        for theta_ps in thetas_ps:
+            if not 0.0 <= theta_ps <= self.max_ps:
+                raise SensorError(
+                    f"theta {theta_ps} ps outside programmable range "
+                    f"[0, {self.max_ps}]"
+                )
+        thetas = np.array(thetas_ps, dtype=float)
+        thetas /= self.step_ps
+        np.rint(thetas, out=thetas)
+        thetas *= self.step_ps
+        return thetas
 
     def steps_down(self, theta_ps: float, count: int) -> list[float]:
         """``count`` successive settings decreasing from ``theta_ps``.

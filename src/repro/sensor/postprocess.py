@@ -52,54 +52,6 @@ def traces_mean_distance(traces: Sequence[Trace]) -> float:
     return float(np.mean([trace_mean_distance(t) for t in traces]))
 
 
-def batch_hamming_distances(
-    words: np.ndarray, polarity: Polarity
-) -> np.ndarray:
-    """Binary Hamming Distances over a stacked word tensor.
-
-    ``words`` is a boolean array whose last axis is the chain taps (a
-    measurement stacks to ``(traces, samples, chain_length)``); the
-    result drops that axis, one distance per capture word.
-    """
-    if words.ndim < 1 or words.dtype != np.bool_:
-        raise SensorError("batched words must be a boolean array")
-    counts = np.count_nonzero(words, axis=-1)
-    if polarity is Polarity.RISING:
-        return counts
-    return words.shape[-1] - counts
-
-
-def batch_trace_mean_distances(
-    words: np.ndarray, polarity: Polarity
-) -> np.ndarray:
-    """Per-trace mean distance over a ``(traces, samples, chain)`` tensor.
-
-    The reduction order (mean over samples within a trace, traces kept
-    separate) mirrors :func:`trace_mean_distance` applied per trace, so
-    the floats agree bit for bit with the scalar pipeline.
-    """
-    if words.ndim != 3:
-        raise SensorError(
-            f"batched trace words must be 3-D (traces x samples x chain), "
-            f"got shape {words.shape}"
-        )
-    return batch_hamming_distances(words, polarity).mean(axis=-1)
-
-
-def batch_delta_ps(
-    rising_words: np.ndarray, falling_words: np.ndarray, bin_ps: float
-) -> float:
-    """:func:`delta_ps_from_traces` on stacked word tensors."""
-    if bin_ps <= 0.0:
-        raise SensorError(f"bin width must be positive, got {bin_ps}")
-    distance_difference = float(
-        np.mean(batch_trace_mean_distances(rising_words, Polarity.RISING))
-    ) - float(
-        np.mean(batch_trace_mean_distances(falling_words, Polarity.FALLING))
-    )
-    return distance_difference * bin_ps
-
-
 def delta_ps_from_traces(
     rising: Sequence[Trace],
     falling: Sequence[Trace],

@@ -7,18 +7,18 @@ Section 5.2: ten traces of sixteen samples per polarity with theta
 iteratively decreased from theta_init, reduced to one falling-minus-
 rising delay estimate in picoseconds.
 
-Every capture runs through one batched kernel: a measurement's jitter
-is drawn as one matrix per polarity, its metastability uniforms as one
-C-order draw, and the words resolve in one vectorised pass.  The
+There is one path from drawn randomness to a measurement.
+:meth:`TunableDualPolarityTdc.capture_draws` and
+:meth:`~TunableDualPolarityTdc.measure_draws` draw a route's jitter as
+one matrix per polarity and its metastability uniforms as one C-order
+draw, written in place into that route's row of a bank's preallocated
+tensors; the bank kernels in :mod:`repro.sensor.bank` resolve them.
+:meth:`~TunableDualPolarityTdc.measure` is that path over a bank of
+one, and :meth:`~TunableDualPolarityTdc.measure_raw` also builds the
+whole capture words from the same draws, for the trace archive.  The
 per-word reference implementation lives with the tests as an oracle
 that consumes the generator stream in the same order, so the two agree
 bit for bit, jitter and all.
-
-The bank kernels in :mod:`repro.sensor.bank` take the same draws
-without resolving them here: :meth:`TunableDualPolarityTdc.capture_draws`
-and :meth:`~TunableDualPolarityTdc.measure_draws` write a route's times
-and uniforms in place into that route's row of the bank's preallocated
-tensors.
 """
 
 from __future__ import annotations
@@ -31,14 +31,12 @@ import numpy as np
 from repro.errors import CaptureDropError, SensorError
 from repro.fabric.device import FpgaDevice
 from repro.fabric.routing import Route
-from repro.observability.metrics import registry
 from repro.reliability.faults import maybe_inject
 from repro.rng import SeedLike, make_rng
 from repro.sensor.capture import CaptureBank, resolve_words
 from repro.sensor.carry_chain import CarryChain
 from repro.sensor.clocking import PhaseGenerator
 from repro.sensor.noise import CLOUD_NOISE, NoiseModel, NoiseState
-from repro.sensor.postprocess import batch_trace_mean_distances
 from repro.sensor.trace import SAMPLES_PER_TRACE, Polarity, Trace
 from repro.sensor.transition import TransitionGenerator
 
@@ -105,17 +103,17 @@ class TunableDualPolarityTdc:
 
         Returns ``(times_in_chain, uniforms)`` of shapes ``(len(thetas),
         samples)`` and ``(len(thetas), samples, chain_length)``, consuming
-        this TDC's generator stream in exactly the order
-        :meth:`capture_words` does (jitter matrix, then metastability
-        uniforms).  With ``out=(times, uniforms)`` -- C-contiguous arrays
-        of those shapes, typically one route's row of a bank tensor --
-        both are written in place and returned.
+        this TDC's generator stream in one fixed order: the jitter
+        matrix, then the metastability uniforms.  With ``out=(times,
+        uniforms)`` -- C-contiguous arrays of those shapes, typically
+        one route's row of a bank tensor -- both are written in place
+        and returned.
         """
         if samples <= 0:
             raise SensorError(f"samples must be positive, got {samples}")
         if len(thetas_ps) == 0:
             raise SensorError("need at least one theta setting")
-        thetas = np.array([self.phase.quantise(t) for t in thetas_ps])
+        thetas = self.phase.quantise_array(thetas_ps)
         arrival = self.generator.arrival_at_chain_ps(polarity)
         offset = self._noise.polarity_offset_ps
         arrival += offset if polarity is Polarity.FALLING else -offset
@@ -137,15 +135,15 @@ class TunableDualPolarityTdc:
     ) -> None:
         """Write one full measurement's random inputs in place.
 
-        Runs :meth:`measure_raw`'s batched preamble -- capture-drop
-        injection check, noise epoch advance, rising then falling draws
-        -- without resolving any words, so a bank-level measurement can
-        consume each route's stream in sequential order and resolve the
-        whole bank in one call.  ``times`` is ``(2, traces, samples)``
-        and ``uniforms`` ``(2, traces, samples, chain_length)``, both
-        C-contiguous, axis 0 ordered (rising, falling); their shapes set
-        the trace and sample counts.  A dropped capture raises before
-        anything is drawn or written.
+        The capture-drop injection check, the noise epoch advance, then
+        the rising and the falling draws, without resolving any words:
+        a bank-level measurement consumes each route's stream in
+        sequential order and resolves the whole bank in one call, and
+        :meth:`measure` is the same with a bank of one.  ``times`` is
+        ``(2, traces, samples)`` and ``uniforms`` ``(2, traces, samples,
+        chain_length)``, both C-contiguous, axis 0 ordered (rising,
+        falling); their shapes set the trace and sample counts.  A
+        dropped capture raises before anything is drawn or written.
         """
         maybe_inject(
             "sensor.capture", CaptureDropError,
@@ -161,46 +159,6 @@ class TunableDualPolarityTdc:
                 out=(times[index], uniforms[index]),
             )
 
-    def capture_words(
-        self,
-        thetas_ps: Sequence[float],
-        polarity: Polarity,
-        samples: int = SAMPLES_PER_TRACE,
-    ) -> np.ndarray:
-        """The batched capture kernel: one polarity, many thetas at once.
-
-        Computes every capture word of a measurement in one shot as a
-        ``(len(thetas), samples, chain_length)`` boolean tensor: jitter
-        is drawn as a single RNG matrix, the wavefront positions resolve
-        through one vectorised ``searchsorted`` over the chain
-        boundaries, and metastability resolves with one broadcast
-        comparison against the pre-drawn uniforms.
-        """
-        times_in_chain, uniforms = self.capture_draws(
-            thetas_ps, polarity, samples
-        )
-        positions = self.chain.wavefront_positions(
-            np.maximum(times_in_chain, 0.0)
-        )
-        words = resolve_words(positions, uniforms, polarity)
-        # One increment per batch, sized in words: the kernel's
-        # throughput counter costs O(1) per call, not per word.
-        registry.counter(
-            "capture_words_total",
-            "capture words computed by the batched kernel",
-        ).inc(times_in_chain.shape[0] * samples)
-        return words
-
-    def capture_trace(
-        self,
-        theta_ps: float,
-        polarity: Polarity,
-        samples: int = SAMPLES_PER_TRACE,
-    ) -> Trace:
-        """One trace: ``samples`` capture words at a fixed theta."""
-        words = self.capture_words([theta_ps], polarity, samples)[0]
-        return Trace(polarity=polarity, theta_ps=theta_ps, words=words)
-
     def measure(
         self,
         theta_init_ps: float,
@@ -215,8 +173,7 @@ class TunableDualPolarityTdc:
         irregularities"), averages the Binary Hamming Distances, and
         converts to picoseconds.
         """
-        measurement, _, _ = self.measure_raw(theta_init_ps, traces, samples)
-        return measurement
+        return self._measure_one(theta_init_ps, traces, samples)[0]
 
     def measure_raw(
         self,
@@ -230,44 +187,40 @@ class TunableDualPolarityTdc:
         raw capture words are what a hardware deployment would log;
         :mod:`repro.sensor.traceio` archives them so the identical
         post-processing/analysis pipeline can replay either source.
+        The words are built from the measurement's own draws, so their
+        Hamming distances reduce to exactly the returned measurement.
         """
-        # Chaos fault site: a dropped capture aborts before the noise
-        # epoch advances, so a retried measurement sees exactly the
-        # noise sequence the clean run would have.
-        maybe_inject(
-            "sensor.capture", CaptureDropError,
-            f"route {self.route.name!r}: capture trace dropped in "
-            f"flight (injected)",
+        measurement, times, uniforms = self._measure_one(
+            theta_init_ps, traces, samples
         )
-        self._noise.advance_epoch()
+        positions = self.chain.wavefront_positions(np.maximum(times, 0.0))
         thetas = self.phase.steps_down(theta_init_ps, traces)
-        rising_words = self.capture_words(thetas, Polarity.RISING, samples)
-        falling_words = self.capture_words(thetas, Polarity.FALLING, samples)
-        rising = [
-            Trace(polarity=Polarity.RISING, theta_ps=t, words=w)
-            for t, w in zip(thetas, rising_words)
-        ]
-        falling = [
-            Trace(polarity=Polarity.FALLING, theta_ps=t, words=w)
-            for t, w in zip(thetas, falling_words)
-        ]
-        # One Hamming pass per polarity serves both the distances and the
-        # delta; the reduction order matches delta_ps_from_traces bit for
-        # bit (mean over samples per trace, then mean over traces).
-        rising_mean = float(
-            np.mean(batch_trace_mean_distances(rising_words, Polarity.RISING))
-        )
-        falling_mean = float(
-            np.mean(
-                batch_trace_mean_distances(falling_words, Polarity.FALLING)
+        rising, falling = (
+            [
+                Trace(polarity=polarity, theta_ps=theta, words=words)
+                for theta, words in zip(
+                    thetas,
+                    resolve_words(positions[index], uniforms[index], polarity),
+                )
+            ]
+            for index, polarity in enumerate(
+                (Polarity.RISING, Polarity.FALLING)
             )
         )
-        delta = (rising_mean - falling_mean) * self.chain.nominal_bin_ps
-        measurement = Measurement(
-            route_name=self.route.name,
-            theta_init_ps=theta_init_ps,
-            rising_distance=rising_mean,
-            falling_distance=falling_mean,
-            delta_ps=delta,
-        )
         return measurement, rising, falling
+
+    def _measure_one(
+        self, theta_init_ps: float, traces: int, samples: int
+    ) -> tuple[Measurement, np.ndarray, np.ndarray]:
+        """One measurement as a bank of one: draw, then resolve the bank.
+
+        Returns the measurement with this route's ``(2, traces,
+        samples)`` times and matching uniforms.
+        """
+        from repro.sensor.bank import resolve_bank  # bank imports tdc
+
+        times = np.empty((1, 2, traces, samples))
+        uniforms = np.empty(times.shape + (self.chain_length,))
+        self.measure_draws(theta_init_ps, times[0], uniforms[0])
+        measurement = resolve_bank([self], [theta_init_ps], times, uniforms)
+        return measurement[self.route.name], times[0], uniforms[0]

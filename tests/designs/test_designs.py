@@ -148,7 +148,7 @@ class TestMeasureDesign:
         device.load(measure.bitstream)
         session = measure.attach(device, noise=LAB_NOISE, seed=1)
         with pytest.raises(SensorError):
-            session.measure_route(routes[0].name)
+            session.measure_all()
 
     def test_use_theta_init_requires_all_routes(self):
         device = FpgaDevice(ZYNQ_ULTRASCALE_PLUS, seed=54)

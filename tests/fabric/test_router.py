@@ -1,4 +1,4 @@
-"""Tests for delay-targeting and maze routing."""
+"""Tests for delay-targeting routing and wire compositions."""
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +9,6 @@ from repro.fabric.geometry import Coordinate, FabricGrid
 from repro.fabric.parts import ZYNQ_ULTRASCALE_PLUS
 from repro.fabric.router import (
     DelayTargetRouter,
-    MazeRouter,
     compose_delay,
     compose_displacement,
     displacement_delay_ps,
@@ -87,35 +86,6 @@ class TestDelayTargetRouter:
         assert counts[1000] == 6
         assert counts[10000] == 46
         assert counts[2000] < counts[5000] < counts[10000]
-
-
-class TestMazeRouter:
-    def test_route_connects_endpoints(self):
-        grid = FabricGrid(16, 16)
-        router = MazeRouter(grid)
-        route = router.route("n", Coordinate(1, 1), Coordinate(10, 12))
-        assert route.segments[0].origin == Coordinate(1, 1)
-        assert route.segments[-1].origin == Coordinate(10, 12)
-
-    def test_same_tile_route_is_two_local_hops(self):
-        grid = FabricGrid(8, 8)
-        router = MazeRouter(grid)
-        route = router.route("n", Coordinate(2, 2), Coordinate(2, 2))
-        assert all(s.kind is SegmentKind.LOCAL for s in route)
-
-    def test_delay_close_to_greedy_composition(self):
-        grid = FabricGrid(48, 64)
-        router = MazeRouter(grid)
-        route = router.route("n", Coordinate(2, 2), Coordinate(38, 50))
-        greedy = displacement_delay_ps(36, 48)
-        assert route.nominal_delay_ps == pytest.approx(greedy, rel=0.1)
-
-    def test_distinct_nets_get_distinct_segments(self):
-        grid = FabricGrid(16, 16)
-        router = MazeRouter(grid)
-        a = router.route("a", Coordinate(0, 0), Coordinate(8, 8))
-        b = router.route("b", Coordinate(0, 0), Coordinate(8, 8))
-        assert not a.overlaps(b)
 
 
 class TestDisplacement:

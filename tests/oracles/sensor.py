@@ -1,30 +1,33 @@
-"""Reference sensor paths: the oracles for the batched TDC kernels.
+"""Reference sensor paths: the oracles for the bank kernels.
 
-Production has one sensor path: the batched capture kernel
-(:meth:`TunableDualPolarityTdc.capture_words`), the stacked bank
-measurement (:meth:`MeasureSession.measure_bank`) and the lockstep
-bank calibration (:meth:`MeasureSession.calibrate`).  This module keeps
-the plain versions they replaced, so tests can compare against them
-with ``==``:
+Production has one sensor path: a route's draws are written in place
+(``capture_draws``/``measure_draws``) and resolved by the bank kernels
+(:mod:`repro.sensor.bank`) -- ``MeasureSession.measure_bank`` and
+``calibrate`` over a whole bank, ``TunableDualPolarityTdc.measure``/
+``measure_raw`` and ``find_theta_init`` over a bank of one.  This module
+keeps the plain versions they replaced, so tests can compare against
+them with ``==``:
 
 * **capture** -- one word at a time.  Each polarity's jitter matrix is
   drawn first, then every word resolves on its own, drawing its
   metastability uniforms from the same stream.  That is the stream
-  order of ``capture_draws``, so the oracle and the batched kernel
-  agree bit for bit with jitter on.  :func:`capture` and
-  :func:`capture_batch` resolve words straight from a
+  order of ``capture_draws``, so the oracle and the kernels agree bit
+  for bit with jitter on.  :func:`capture` and :func:`capture_batch`
+  resolve words straight from a
   :class:`~repro.sensor.capture.CaptureBank`'s stream, with the whole
   tap comparison the bank kernels skip.
 * **measurement** -- the per-trace post-processing of Section 5.2 over
-  oracle captures, and a route-by-route ``measure_route`` loop for a
-  whole bank.  Oracle captures count ``capture_words_total`` as the
-  kernels do, so the counter can be compared too.
-* **calibration** -- a route-by-route :func:`find_theta_init` loop with
-  per-route retries, the scan the lockstep kernel must reproduce.
+  oracle captures, and a route-by-route loop of it for a whole bank.
+  Oracle captures count ``capture_words_total`` as the kernels do, so
+  the counter can be compared too.
+* **calibration** -- the sequential one-route scan
+  (:func:`find_theta_init`) over oracle captures, and a route-by-route
+  loop of it with per-route retries: the scans the lockstep kernel must
+  reproduce.
 
-:func:`reference_sensor` swaps all of them into the library for
-whole-experiment runs (the perf benchmark's reference side and the
-end-to-end equality tests).
+:func:`reference_sensor` swaps the measurement and session paths into
+the library for whole-experiment runs (the perf benchmark's reference
+side and the end-to-end equality tests).
 """
 
 from __future__ import annotations
@@ -35,13 +38,24 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.designs.measure import MeasureSession
-from repro.errors import CaptureDropError, SensorError, TransientError
+from repro.errors import (
+    CalibrationError,
+    CaptureDropError,
+    SensorError,
+    TransientError,
+)
 from repro.observability.metrics import registry
 from repro.reliability.faults import maybe_inject
 from repro.reliability.retry import retry_call
-from repro.sensor.calibration import find_theta_init
+from repro.sensor.calibration import (
+    _TARGET_HIGH,
+    _TARGET_LOW,
+    _default_coarse_ps,
+    _default_start_ps,
+    check_glitch,
+)
 from repro.sensor.capture import METASTABLE_WINDOW_BINS, CaptureBank
-from repro.sensor.postprocess import traces_mean_distance
+from repro.sensor.postprocess import trace_mean_distance, traces_mean_distance
 from repro.sensor.tdc import (
     TRACES_PER_MEASUREMENT,
     Measurement,
@@ -208,13 +222,77 @@ def measure(
     return measure_raw(tdc, theta_init_ps, traces, samples)[0]
 
 
+def find_theta_init(tdc: TunableDualPolarityTdc) -> float:
+    """The sequential one-route scan over oracle captures.
+
+    A coarse descent until either transition enters the chain, then a
+    fine descent one phase step per probe until both are centred; each
+    probe is one rising and then one falling oracle trace.  Counts
+    retries and failures as the lockstep scan does, but not
+    ``calibrations_total``; log events are not reproduced.
+    """
+    check_glitch(tdc.route.name)
+    coarse = _default_coarse_ps(tdc)
+    theta = tdc.phase.quantise(_default_start_ps(tdc))
+
+    def probe(theta_ps: float) -> tuple[float, float]:
+        return (
+            trace_mean_distance(capture_trace(tdc, theta_ps, Polarity.RISING)),
+            trace_mean_distance(
+                capture_trace(tdc, theta_ps, Polarity.FALLING)
+            ),
+        )
+
+    def fail(reason: str) -> CalibrationError:
+        registry.counter(
+            "calibration_failures_total", "routes that failed calibration"
+        ).inc()
+        return CalibrationError(f"route {tdc.route.name!r}: {reason}")
+
+    while theta > 0.0:
+        rising, falling = probe(theta)
+        if rising < float(tdc.chain_length) or falling < float(
+            tdc.chain_length
+        ):
+            break
+        theta = max(theta - coarse, 0.0)
+    else:
+        raise fail("transitions never entered the chain")
+
+    best_theta = None
+    fine = tdc.phase.step_ps
+    probes = int(2.0 * coarse / fine) + tdc.chain_length
+    retries = probes
+    for attempt in range(probes):
+        rising, falling = probe(theta)
+        centre = (rising + falling) / 2.0
+        if _TARGET_LOW <= centre <= _TARGET_HIGH and min(rising, falling) > 4.0:
+            best_theta = theta
+            retries = attempt
+            break
+        if max(rising, falling) <= _TARGET_LOW:
+            retries = attempt
+            break
+        theta -= fine
+        if theta < 0.0:
+            retries = attempt
+            break
+    registry.counter(
+        "calibration_retries_total",
+        "fine-descent probes re-taken beyond the first per route",
+    ).inc(retries)
+    if best_theta is None:
+        raise fail("could not centre transitions in the capture window")
+    return best_theta
+
+
 def calibrate_sequential(session: MeasureSession) -> dict[str, float]:
     """Route-by-route calibration: the lockstep scan's oracle.
 
-    Each route runs :func:`find_theta_init` under its own retry budget;
-    a glitch past the budget leaves the route uncalibrated.  The
-    calibration counters match the lockstep scan's; spans and log
-    events are not reproduced.
+    Each route runs the sequential :func:`find_theta_init` under its own
+    retry budget; a glitch past the budget leaves the route
+    uncalibrated.  The calibration counters match the lockstep scan's;
+    spans and log events are not reproduced.
     """
     for name, tdc in session._tdcs.items():
         try:
@@ -236,7 +314,7 @@ def calibrate_sequential(session: MeasureSession) -> dict[str, float]:
 def measure_bank_sequential(
     session: MeasureSession, recover: bool = False
 ) -> tuple[dict[str, Measurement], list[str]]:
-    """A ``measure_route`` loop: the stacked ``measure_bank``'s oracle.
+    """A route-by-route oracle :func:`measure` loop: ``measure_bank``'s oracle.
 
     Same contract: without ``recover`` an uncalibrated route raises and
     a capture drop propagates; with it, drops retry per route and
@@ -245,15 +323,22 @@ def measure_bank_sequential(
     measurements: dict[str, Measurement] = {}
     dropped: list[str] = []
     for name in session.route_names:
-        if not recover:
-            measurements[name] = session.measure_route(name)
-            continue
         if name not in session.theta_init:
+            if not recover:
+                raise SensorError(
+                    f"route {name!r} is not calibrated; run calibrate() "
+                    f"or use_theta_init()"
+                )
             dropped.append(name)
+            continue
+        tdc = session._tdcs[name]
+        theta = session.theta_init[name]
+        if not recover:
+            measurements[name] = measure(tdc, theta)
             continue
         try:
             measurements[name] = retry_call(
-                session.measure_route, name, label=f"sensor.capture:{name}",
+                measure, tdc, theta, label=f"sensor.capture:{name}",
             )
         except TransientError:
             dropped.append(name)
@@ -264,15 +349,16 @@ def measure_bank_sequential(
 def reference_sensor() -> Iterator[None]:
     """Run the library on the oracle sensor paths inside the block.
 
-    Every capture resolves word by word, every measurement reduces per
-    trace, sessions calibrate route by route and measure with a
-    ``measure_route`` loop.  Outputs equal the production paths' bit
-    for bit; only the wall time differs.
+    Every measurement captures word by word and reduces per trace;
+    sessions calibrate with the sequential scan route by route and
+    measure with an oracle loop.  Outputs equal the production paths'
+    bit for bit; only the wall time differs.
     """
     patches = [
-        (TunableDualPolarityTdc, "capture_words",
-         lambda self, thetas_ps, polarity, samples=SAMPLES_PER_TRACE:
-         capture_words(self, thetas_ps, polarity, samples)),
+        (TunableDualPolarityTdc, "measure",
+         lambda self, theta_init_ps, traces=TRACES_PER_MEASUREMENT,
+         samples=SAMPLES_PER_TRACE:
+         measure(self, theta_init_ps, traces, samples)),
         (TunableDualPolarityTdc, "measure_raw",
          lambda self, theta_init_ps, traces=TRACES_PER_MEASUREMENT,
          samples=SAMPLES_PER_TRACE:

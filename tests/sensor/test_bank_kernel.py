@@ -1,16 +1,16 @@
 """Whole-board bank kernels vs. the per-route reference oracles.
 
-The batched *trace* kernel is pinned to the per-word oracle in
-``test_batched_kernel``.  This suite pins the *routes* axis added on
-top of it against :mod:`tests.oracles.sensor`:
+A bank of one is pinned to the per-word oracle in
+``test_batched_kernel``.  This suite pins whole banks against
+:mod:`tests.oracles.sensor`:
 
 * the lockstep calibration scan (``MeasureSession.calibrate``,
-  ``find_theta_init_bank``) against the route-by-route
-  ``find_theta_init`` loop, bit for bit, **with jitter on** -- every
+  ``find_theta_init_bank``) against a route-by-route loop of the
+  sequential one-route scan, bit for bit, **with jitter on** -- every
   route owns an independent generator stream, so batching across routes
   never reorders any route's own draws;
-* one stacked ``measure_bank`` call against a ``measure_route`` loop,
-  also bit for bit with jitter on;
+* one stacked ``measure_bank`` call against a route-by-route oracle
+  measurement loop, also bit for bit with jitter on;
 * the bank geometry primitive (``bank_wavefront_positions``) against
   its per-chain form, including boundary-exact times;
 * the bank's Hamming-weight kernel (``resolve_distances``, which reads
@@ -39,7 +39,6 @@ from repro.sensor.capture import resolve_distances, resolve_words
 from repro.sensor.carry_chain import CarryChain, bank_wavefront_positions
 from repro.sensor.clocking import PhaseGenerator
 from repro.sensor.noise import CLOUD_NOISE, LAB_NOISE, NoiseModel
-from repro.sensor.postprocess import batch_hamming_distances
 from repro.sensor.tdc import TunableDualPolarityTdc
 from repro.sensor.trace import Polarity
 from tests.oracles import sensor as oracle
@@ -90,20 +89,29 @@ class TestCalibrationBitIdentity:
             assert registry.counters[name].value == value, name
 
     def test_function_level_parity_per_route(self):
-        """find_theta_init_bank == a find_theta_init loop, route by route."""
+        """find_theta_init_bank == a loop of the sequential scan, route
+        by route, and the one-route find_theta_init agrees with both."""
         device = FpgaDevice(ZYNQ_ULTRASCALE_PLUS, seed=21)
         routes = build_route_bank(device.grid, [1000.0, 5000.0, 2000.0])
-        scalar_results = {}
-        bank_tdcs = {}
-        for i, route in enumerate(routes):
-            scalar_results[route.name] = find_theta_init(
-                TunableDualPolarityTdc(device, route, noise=LAB_NOISE,
-                                       seed=100 + i)
-            )
-            bank_tdcs[route.name] = TunableDualPolarityTdc(
+
+        def tdc(i, route):
+            return TunableDualPolarityTdc(
                 device, route, noise=LAB_NOISE, seed=100 + i
             )
+
+        scalar_results = {
+            route.name: oracle.find_theta_init(tdc(i, route))
+            for i, route in enumerate(routes)
+        }
+        one_route = {
+            route.name: find_theta_init(tdc(i, route))
+            for i, route in enumerate(routes)
+        }
+        bank_tdcs = {
+            route.name: tdc(i, route) for i, route in enumerate(routes)
+        }
         assert find_theta_init_bank(bank_tdcs) == scalar_results
+        assert one_route == scalar_results
 
 
 class TestMeasureBankBitIdentity:
@@ -253,9 +261,8 @@ class TestWeightKernel:
         assert distances.shape == positions.shape
         np.testing.assert_array_equal(
             distances,
-            batch_hamming_distances(
-                resolve_words(positions, uniforms, Polarity.RISING),
-                Polarity.RISING,
+            np.count_nonzero(
+                resolve_words(positions, uniforms, Polarity.RISING), axis=-1
             ),
         )
 
@@ -312,9 +319,8 @@ class TestFailureParity:
         scalar_results = {}
         scalar_error = None
         try:
-            with oracle.reference_sensor():
-                for name, tdc in scalar_tdcs.items():
-                    scalar_results[name] = find_theta_init(tdc)
+            for name, tdc in scalar_tdcs.items():
+                scalar_results[name] = oracle.find_theta_init(tdc)
         except (CalibrationError, SensorError) as exc:
             scalar_error = exc
         assert scalar_error is not None

@@ -1,11 +1,12 @@
-"""Batched capture kernel vs. the per-word reference oracle.
+"""One-route measurements vs. the per-word reference oracle.
 
-The batched kernel is the production measurement path; the per-word
-loop in :mod:`tests.oracles.sensor` is the reference it is pinned to.
-The oracle draws each polarity's jitter matrix first and then resolves
-word by word, drawing each word's metastability uniforms in turn --
-the stream order of ``capture_draws`` -- so every capture word and
-every ``Measurement`` field is identical from identical seeds, with or
+A single route measures through the bank kernel as a bank of one
+(``measure``, ``measure_raw``); the per-word loop in
+:mod:`tests.oracles.sensor` is the reference it is pinned to.  The
+oracle draws each polarity's jitter matrix first and then resolves word
+by word, drawing each word's metastability uniforms in turn -- the
+stream order of ``capture_draws`` -- so every capture word and every
+``Measurement`` field is identical from identical seeds, with or
 without per-sample jitter.
 """
 
@@ -16,18 +17,18 @@ from repro.designs import build_route_bank
 from repro.errors import SensorError
 from repro.fabric.device import FpgaDevice
 from repro.fabric.parts import ZYNQ_ULTRASCALE_PLUS
-from repro.sensor.capture import CaptureBank
+from repro.sensor.bank import probe_bank
+from repro.sensor.capture import CaptureBank, resolve_distances, resolve_words
 from repro.sensor.carry_chain import CarryChain
 from repro.sensor.noise import CLOUD_NOISE, LAB_NOISE, NoiseModel
 from repro.sensor.postprocess import (
-    batch_delta_ps,
-    batch_hamming_distances,
-    batch_trace_mean_distances,
+    binary_hamming_distance,
     delta_ps_from_traces,
     trace_mean_distance,
+    traces_mean_distance,
 )
 from repro.sensor.tdc import TunableDualPolarityTdc
-from repro.sensor.trace import Polarity
+from repro.sensor.trace import Polarity, Trace
 from tests.oracles import sensor as oracle
 
 #: Slow polarity offset on, per-sample jitter off.
@@ -93,47 +94,45 @@ class TestCaptureBatch:
     def test_invalid_batch_params_rejected(self):
         tdc = make_tdc(1)
         with pytest.raises(SensorError):
-            tdc.capture_words([THETA], Polarity.RISING, samples=0)
+            tdc.capture_draws([THETA], Polarity.RISING, samples=0)
         with pytest.raises(SensorError):
-            tdc.capture_words([], Polarity.RISING)
+            tdc.capture_draws([], Polarity.RISING)
 
 
 class TestBatchPostprocess:
     def test_batch_matches_per_trace_pipeline(self):
-        rng = np.random.default_rng(3)
-        rising_words = rng.random((10, 16, 64)) < 0.4
-        falling_words = rng.random((10, 16, 64)) < 0.6
-        from repro.sensor.trace import Trace
-
-        rising = [Trace(Polarity.RISING, 100.0, w) for w in rising_words]
-        falling = [Trace(Polarity.FALLING, 100.0, w) for w in falling_words]
-        np.testing.assert_array_equal(
-            batch_trace_mean_distances(rising_words, Polarity.RISING),
-            [trace_mean_distance(t) for t in rising],
-        )
-        assert batch_delta_ps(rising_words, falling_words, 2.8) == (
-            delta_ps_from_traces(rising, falling, 2.8)
-        )
+        """The bank's reduction == the paper's per-trace pipeline over
+        the words ``measure_raw`` builds from the same draws."""
+        tdc = make_tdc(3, CLOUD_NOISE)
+        for _ in range(3):
+            measurement, rising, falling = tdc.measure_raw(THETA)
+            assert measurement.rising_distance == traces_mean_distance(rising)
+            assert measurement.falling_distance == traces_mean_distance(
+                falling
+            )
+            assert measurement.delta_ps == delta_ps_from_traces(
+                rising, falling, tdc.chain.nominal_bin_ps
+            )
 
     def test_batch_hamming_polarity(self):
-        words = np.zeros((2, 3, 8), dtype=bool)
-        words[..., :5] = True
-        assert (batch_hamming_distances(words, Polarity.RISING) == 5).all()
-        assert (batch_hamming_distances(words, Polarity.FALLING) == 3).all()
+        """A wavefront at 5.5 bins has passed taps 0-5 and no others:
+        six ones in a rising word, six zeros in a falling one."""
+        positions = np.full((2, 3), 5.5)
+        uniforms = np.random.default_rng(0).random((2, 3, 8))
+        assert (resolve_distances(positions, uniforms) == 6).all()
+        for polarity in Polarity:
+            words = resolve_words(positions, uniforms, polarity)
+            for word in words.reshape(-1, 8):
+                assert binary_hamming_distance(word, polarity) == 6
 
     def test_invalid_inputs_rejected(self):
+        words = np.zeros((16, 8), dtype=bool)
+        rising = [Trace(Polarity.RISING, 100.0, words)]
+        falling = [Trace(Polarity.FALLING, 100.0, ~words)]
         with pytest.raises(SensorError):
-            batch_hamming_distances(np.zeros((2, 8)), Polarity.RISING)
+            traces_mean_distance([])
         with pytest.raises(SensorError):
-            batch_trace_mean_distances(
-                np.zeros((2, 8), dtype=bool), Polarity.RISING
-            )
-        with pytest.raises(SensorError):
-            batch_delta_ps(
-                np.zeros((1, 2, 8), dtype=bool),
-                np.zeros((1, 2, 8), dtype=bool),
-                0.0,
-            )
+            delta_ps_from_traces(rising, falling, 0.0)
 
 
 def assert_same_measurement(batched_tdc, oracle_tdc):
@@ -163,26 +162,38 @@ class TestKernelEquivalence:
             assert_same_measurement(batched, reference)
 
     def test_capture_trace_bit_identical_without_jitter(self):
-        batched = make_tdc(9).capture_trace(THETA, Polarity.RISING)
-        reference = oracle.capture_trace(make_tdc(9), THETA, Polarity.RISING)
-        np.testing.assert_array_equal(reference.words, batched.words)
+        """A calibration probe through the bank kernel (one rising, then
+        one falling trace) == the oracle's two traces."""
+        rising, falling = probe_bank([make_tdc(9)], [THETA])
+        reference = make_tdc(9)
+        assert rising[0] == trace_mean_distance(
+            oracle.capture_trace(reference, THETA, Polarity.RISING)
+        )
+        assert falling[0] == trace_mean_distance(
+            oracle.capture_trace(reference, THETA, Polarity.FALLING)
+        )
 
     @pytest.mark.parametrize("polarity", list(Polarity))
     def test_capture_trace_bit_identical_with_jitter(self, polarity):
-        batched = make_tdc(9, CLOUD_NOISE).capture_trace(THETA, polarity)
-        reference = oracle.capture_trace(
-            make_tdc(9, CLOUD_NOISE), THETA, polarity
+        """A one-trace ``measure_raw``: each polarity's words == the
+        oracle's."""
+        _, *batched = make_tdc(9, CLOUD_NOISE).measure_raw(THETA, traces=1)
+        _, *reference = oracle.measure_raw(
+            make_tdc(9, CLOUD_NOISE), THETA, traces=1
         )
-        np.testing.assert_array_equal(reference.words, batched.words)
+        index = list(Polarity).index(polarity)
+        np.testing.assert_array_equal(
+            reference[index][0].words, batched[index][0].words
+        )
 
     def test_reference_sensor_swaps_the_tdc_methods(self):
         """Inside ``reference_sensor`` the production methods run the
         oracle, and outside it they are restored."""
-        original = TunableDualPolarityTdc.capture_words
+        original = TunableDualPolarityTdc.measure
         with oracle.reference_sensor():
             swapped = make_tdc(3, LAB_NOISE).measure(THETA)
-            assert TunableDualPolarityTdc.capture_words is not original
-        assert TunableDualPolarityTdc.capture_words is original
+            assert TunableDualPolarityTdc.measure is not original
+        assert TunableDualPolarityTdc.measure is original
         assert swapped == make_tdc(3, LAB_NOISE).measure(THETA)
 
     def test_trace_metadata_matches(self):

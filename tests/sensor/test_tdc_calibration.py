@@ -7,6 +7,7 @@ from repro.errors import CalibrationError, SensorError
 from repro.designs import build_route_bank
 from repro.fabric.device import FpgaDevice
 from repro.fabric.parts import ZYNQ_ULTRASCALE_PLUS
+from repro.sensor.bank import probe_bank
 from repro.sensor.calibration import find_theta_init
 from repro.sensor.clocking import PhaseGenerator
 from repro.sensor.noise import CLOUD_NOISE, LAB_NOISE, NoiseModel, NoiseState
@@ -37,6 +38,38 @@ class TestPhaseGenerator:
         with pytest.raises(SensorError):
             phase.quantise(1001.0)
 
+    @pytest.mark.parametrize("step", [2.8, 0.25])
+    def test_quantise_array_matches_quantise(self, step):
+        """Bit for bit, at half-step ties (exact for a 0.25 ps step),
+        their float neighbours, grid points, 0 and ``max_ps``."""
+        phase = PhaseGenerator(step_ps=step, max_ps=40000.0)
+        k = np.arange(0.0, min(40000.0 / step, 15000.0))
+        ties = (k + 0.5) * step
+        grid = k * step
+        values = np.concatenate([
+            [0.0, phase.max_ps],
+            ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf),
+            grid, np.nextafter(grid, np.inf),
+            np.random.default_rng(1).uniform(0.0, phase.max_ps, 20000),
+        ])
+        values = values[(values >= 0.0) & (values <= phase.max_ps)]
+        expected = np.array([phase.quantise(float(v)) for v in values])
+        quantised = phase.quantise_array(values)
+        assert quantised.dtype == np.float64
+        np.testing.assert_array_equal(
+            quantised.view(np.int64), expected.view(np.int64)
+        )
+
+    def test_quantise_array_out_of_range_rejected(self):
+        phase = PhaseGenerator(step_ps=2.8, max_ps=1000.0)
+        for bad in ([-1.0], [10.0, 1001.0], [np.nextafter(0.0, -1.0)],
+                    [np.nextafter(1000.0, np.inf)], [np.nan]):
+            with pytest.raises(SensorError):
+                phase.quantise_array(bad)
+            if not np.isnan(bad[-1]):
+                with pytest.raises(SensorError):
+                    phase.quantise(bad[-1])
+
     def test_steps_down_sequence(self):
         phase = PhaseGenerator(step_ps=2.8, max_ps=1000.0)
         steps = phase.steps_down(100.8, 3)
@@ -52,11 +85,8 @@ class TestCalibration:
     def test_finds_centred_window(self, tdc_setup):
         _, _, tdc = tdc_setup
         theta = find_theta_init(tdc)
-        trace_r = tdc.capture_trace(theta, Polarity.RISING)
-        trace_f = tdc.capture_trace(theta, Polarity.FALLING)
-        from repro.sensor.postprocess import trace_mean_distance
-
-        centre = (trace_mean_distance(trace_r) + trace_mean_distance(trace_f)) / 2
+        rising, falling = probe_bank([tdc], [theta])
+        centre = (rising[0] + falling[0]) / 2
         assert 12.0 <= centre <= 52.0
 
     def test_unreachable_route_raises(self):
@@ -67,7 +97,7 @@ class TestCalibration:
             phase=PhaseGenerator(step_ps=2.8, max_ps=500.0),
         )
         with pytest.raises((CalibrationError, SensorError)):
-            find_theta_init(tdc, theta_start_ps=500.0)
+            find_theta_init(tdc)  # the scan starts at max_ps = 500 ps
 
     def test_theta_init_portable_across_same_part_devices(self):
         """Experiment 3's premise: calibrate once, reuse on any board."""
@@ -129,7 +159,7 @@ class TestMeasurement:
     def test_invalid_trace_params_rejected(self, tdc_setup):
         _, _, tdc = tdc_setup
         with pytest.raises(SensorError):
-            tdc.capture_trace(100.0, Polarity.RISING, samples=0)
+            tdc.capture_draws([100.0], Polarity.RISING, samples=0)
 
 
 class TestNoiseState:

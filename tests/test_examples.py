@@ -1,0 +1,50 @@
+"""The examples that drive the one-route sensor calls, run end to end.
+
+``hardware_trace_replay.py`` calibrates with ``find_theta_init`` and
+records with ``measure_raw``; ``skeleton_free_localization.py`` runs
+``core.localize``, whose TDCs share one generator.  Each runs in a
+fresh interpreter and must print its headline lines exactly, so any
+change to those calls' random streams shows up here.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_example(name: str) -> list[str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "examples" / name)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    return [line.strip() for line in result.stdout.splitlines()]
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("hardware_trace_replay.py", [
+            "rut[0]: replayed last delta +4.830 ps (live +4.830 ps) -> bit 1",
+            "rut[1]: replayed last delta -10.325 ps (live -10.325 ps) "
+            "-> bit 0",
+        ]),
+        ("skeleton_free_localization.py", [
+            "flagged 2 segments (2 true positives, 0 false)",
+        ]),
+    ],
+    ids=["hardware_trace_replay", "skeleton_free_localization"],
+)
+def test_example_headline(name, expected):
+    lines = _run_example(name)
+    for line in expected:
+        assert line in lines
