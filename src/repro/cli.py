@@ -42,7 +42,7 @@ import argparse
 import os
 import sys
 import traceback
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Optional, Sequence
 
 from repro import __version__
@@ -703,6 +703,10 @@ def _cmd_exp3(args) -> int:
     result = run_experiment3(config)
     args._accuracy = result.recovery_score.accuracy
     args._route_status = result.route_status
+    if result.identification is not None:
+        args._extra = {"identification": dict(
+            asdict(result.identification), victim_board=result.victim_board,
+        )}
     if not args.no_figure:
         print(render_experiment_panels(
             result.bundle, "Figure 8 (Experiment 3, cloud TM2)"

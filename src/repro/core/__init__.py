@@ -25,9 +25,14 @@ from repro.core.metrics import RecoveryScore, score_recovery
 from repro.core.phases import CalibrationPhase, ConditionPhase, MeasurementPhase
 from repro.core.protocol import ConditionMeasureProtocol
 from repro.core.threat_model1 import ThreatModel1Attack, ThreatModel1Result
-from repro.core.threat_model2 import ThreatModel2Attack, ThreatModel2Result
+from repro.core.threat_model2 import (
+    BoardIdentification,
+    ThreatModel2Attack,
+    ThreatModel2Result,
+)
 
 __all__ = [
+    "BoardIdentification",
     "BurnTrendClassifier",
     "CalibrationPhase",
     "ConditionMeasureProtocol",

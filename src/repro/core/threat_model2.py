@@ -49,6 +49,25 @@ from repro.rng import RngFactory, SeedLike
 
 
 @dataclass(frozen=True)
+class BoardIdentification:
+    """Why a flash-attack haul's board was taken as the victim's.
+
+    Attributes:
+        scores: identification score per board label, in probe order
+            (see :func:`_board_scores`; the highest wins).
+        devices: the physical die behind each board label.
+        chosen: the label of the board taken as the victim's.
+        gap: the chosen board's score minus the runner-up's -- how
+            clearly it won.
+    """
+
+    scores: dict[str, float]
+    devices: dict[str, int]
+    chosen: str
+    gap: float
+
+
+@dataclass(frozen=True)
 class ThreatModel2Result:
     """Outcome of a Threat Model 2 run."""
 
@@ -60,6 +79,9 @@ class ThreatModel2Result:
     #: Per-route recovery status: ``"ok"``, ``"degraded"`` (points lost
     #: past the retry budget) or ``"unrecovered"`` (bit is a guess).
     route_status: dict[str, str] = field(default_factory=dict)
+    #: How the victim's board was picked; ``None`` when only one board
+    #: was probed.
+    identification: Optional[BoardIdentification] = None
 
 
 @dataclass
@@ -134,8 +156,20 @@ class ThreatModel2Attack:
             if flash is not None:
                 flash.release_except(None)
         bundles = tuple(probe.bundle for probe in probes)
+        identification = None
         if len(bundles) > 1:
-            best = _identify_victim_board(bundles, self.conditioned_to)
+            scores = _board_scores(bundles, self.conditioned_to)
+            best = bundles[int(np.argmax(scores))]
+            ranked = sorted(scores, reverse=True)
+            identification = BoardIdentification(
+                scores={b.label: s for b, s in zip(bundles, scores)},
+                devices={
+                    probe.bundle.label: probe.instance.device.device_id
+                    for probe in probes
+                },
+                chosen=best.label,
+                gap=ranked[0] - ranked[1],
+            )
             # The other flash-acquired boards ran the identical probe
             # without victim data: a measured null distribution.  Null
             # series too thin to yield a slope (their measurements were
@@ -171,6 +205,7 @@ class ThreatModel2Attack:
             devices_probed=len(bundles),
             all_bundles=bundles,
             route_status=dict(self._route_status),
+            identification=identification,
         )
 
     def _arm_boards(self, instances: Sequence[F1Instance]) -> list:
@@ -271,10 +306,10 @@ class ThreatModel2Attack:
         return clock + measure_dt * passes
 
 
-def _identify_victim_board(
+def _board_scores(
     bundles: Sequence[SeriesBundle], conditioned_to: int
-) -> SeriesBundle:
-    """Pick the board that carried the victim out of a flash-attack haul.
+) -> list[float]:
+    """Score each board of a flash-attack haul; the victim's scores highest.
 
     Two signatures distinguish the victim's board, both per unit route
     length over the longer (less noisy) routes:
@@ -314,4 +349,4 @@ def _identify_victim_board(
         )
         directional = median if conditioned_to == 0 else -median
         scores.append(directional + 2.0 * iqr)
-    return bundles[int(np.argmax(scores))]
+    return scores

@@ -25,7 +25,7 @@ from repro.cloud.fleet import build_fleet, cloud_wear_profile
 from repro.cloud.provider import CloudProvider
 from repro.core.metrics import RecoveryScore, grouped_accuracy, score_recovery
 from repro.core.phases import CalibrationPhase
-from repro.core.threat_model2 import ThreatModel2Attack
+from repro.core.threat_model2 import BoardIdentification, ThreatModel2Attack
 from repro.designs import build_measure_design, build_route_bank, build_target_design
 from repro.experiments.config import Experiment3Config
 from repro.fabric.parts import VIRTEX_ULTRASCALE_PLUS
@@ -50,6 +50,12 @@ class Experiment3Result:
     devices_probed: int
     #: Per-route health from the attack (ok / degraded / unrecovered).
     route_status: dict = None
+    #: How the attack picked the victim's board (per-board scores, gap
+    #: to the runner-up); ``None`` when only one board was probed.
+    identification: Optional[BoardIdentification] = None
+    #: The label of the probed board that holds the victim's die -- the
+    #: truth the identification is scored against.
+    victim_board: Optional[str] = None
 
     def accuracy_by_length(self) -> dict[float, float]:
         """Recovery accuracy per route-length class."""
@@ -121,6 +127,7 @@ def run_experiment3(
                        label="exp3.victim_load")
             for _ in range(config.victim_burn_hours):
                 provider.advance(1.0)
+            victim_device = victim.device.device_id
             provider.release(victim)  # the provider wipes the board here
 
         # --- Attack period.
@@ -144,6 +151,14 @@ def run_experiment3(
         for name, series in result.bundle.series.items():
             series.burn_value = truth[name]
         score = score_recovery(result.recovered_bits, truth)
+        victim_board = None
+        if result.identification is not None:
+            victim_board = next(
+                (label for label, device
+                 in result.identification.devices.items()
+                 if device == victim_device),
+                None,
+            )
         root.set(accuracy=round(score.accuracy, 4),
                  devices_probed=result.devices_probed)
     registry.counter("experiments_total", "experiment runs completed").inc()
@@ -160,4 +175,6 @@ def run_experiment3(
         recovery_score=score,
         devices_probed=result.devices_probed,
         route_status=dict(result.route_status),
+        identification=result.identification,
+        victim_board=victim_board,
     )

@@ -458,8 +458,14 @@ class FpgaDevice:
         floating: list[int] = []
         driven: set[int] = set()
         if self._loaded is not None:
-            for net in self._loaded.netlist.routed_nets():
-                indices = [self._segment_index(s) for s in net.route]
+            nets = self._loaded.netlist.routed_nets()
+            flat = self._materialise_many(itertools.chain.from_iterable(
+                net.route for net in nets
+            ))
+            end = 0
+            for net in nets:
+                start, end = end, end + len(net.route)
+                indices = flat[start:end]
                 if net.activity is NetActivity.STATIC:
                     target = (
                         static_one if int(net.static_value) == 1 else static_zero

@@ -168,18 +168,23 @@ class Netlist:
 
         Edges run driver -> sink, restricted to combinational cell
         types; flip-flops break the path.  Used by the DRC's
-        ring-oscillator scan.
+        ring-oscillator scan.  Only cells that touch an edge become
+        nodes (a cell without one is on no cycle), added in cell
+        order, so a design's sequential logic -- the heater's
+        FF -> DSP -> FF units -- never enters the cycle search.
         """
-        graph = nx.DiGraph()
-        for cell in self.cells.values():
-            graph.add_node(cell.name)
+        cells = self.cells
+        edges = []
         for net in self.nets.values():
-            driver_cell = self.cells[net.driver]
-            if driver_cell.cell_type not in COMBINATIONAL_TYPES:
+            if cells[net.driver].cell_type not in COMBINATIONAL_TYPES:
                 continue
             for sink in net.sinks:
-                if self.cells[sink].cell_type in COMBINATIONAL_TYPES:
-                    graph.add_edge(net.driver, sink)
+                if cells[sink].cell_type in COMBINATIONAL_TYPES:
+                    edges.append((net.driver, sink))
+        touched = {name for edge in edges for name in edge}
+        graph = nx.DiGraph()
+        graph.add_nodes_from(name for name in cells if name in touched)
+        graph.add_edges_from(edges)
         return graph
 
     def static_nets(self) -> list[Net]:

@@ -56,17 +56,15 @@ def estimate_power(netlist: Netlist, activity_factor: float = 1.0) -> PowerRepor
         raise ConfigurationError(
             f"activity_factor must be in [0, 1], got {activity_factor}"
         )
-    static_inputs: set[str] = set()
-    active_inputs: set[str] = set()
+    active: set[str] = set()
     for net in netlist.nets.values():
-        targets = set(net.sinks) | {net.driver}
         if net.activity is NetActivity.TOGGLING:
-            active_inputs |= targets
-        elif net.activity is NetActivity.STATIC:
-            static_inputs |= targets
+            active.add(net.driver)
+            active.update(net.sinks)
+    # Summed in cell order, one addition per active cell.
     dynamic = 0.0
-    for cell in netlist.cells.values():
-        if cell.name in active_inputs:
+    for name, cell in netlist.cells.items():
+        if name in active:
             dynamic += DYNAMIC_POWER_PER_CELL[cell.cell_type]
     return PowerReport(
         static_watts=STATIC_POWER_WATTS,

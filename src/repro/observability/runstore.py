@@ -12,8 +12,7 @@ Each run row stores the full provenance needed to trend and gate
 against it months later:
 
 * the :class:`~repro.observability.manifest.RunManifest` (version,
-  interpreter, platform, argv, git revision + dirty flag, resolved
-  kernel knobs);
+  interpreter, platform, argv, git revision + dirty flag);
 * a canonical hash of the experiment config (so runs group into
   comparable (experiment, config-hash) series);
 * the fault-plan hash for chaos runs;

@@ -273,20 +273,10 @@ class FlightRecorder:
 
     # -- churn intake (the engines call these) ------------------------
 
-    def churn_sample(self, t: float, free: float, in_flight: float,
-                     events: float, drops: float) -> None:
-        """One churn grid sample (the per-event oracle's scalar path)."""
-        self.gauge(SERIES_POOL_FREE).observe(t, free)
-        self.gauge(SERIES_IN_FLIGHT).observe(t, in_flight)
-        self.rate(SERIES_LIFECYCLE).observe(t, events)
-        self.rate(SERIES_DROPPED).observe(t, drops)
-        for name, fn in self._probes:
-            self._series[name].observe(t, float(fn(float(t))))
-
     def churn_window(self, ts, free, in_flight, events, drops) -> None:
         """A whole window of churn grid samples (the bulk engine's
-        vectorised path); sample ordering matches :meth:`churn_sample`
-        called once per grid."""
+        vectorised path); sample ordering matches one scalar sample per
+        grid (``tests/oracles/churn.py``)."""
         if len(ts) == 0:
             return
         self.gauge(SERIES_POOL_FREE).observe_many(ts, free)
@@ -300,7 +290,12 @@ class FlightRecorder:
 
     def record_origin(self, boards: float) -> None:
         """The t=0 sample: a full pool, nothing in flight, no events."""
-        self.churn_sample(0.0, float(boards), 0.0, 0.0, 0.0)
+        self.gauge(SERIES_POOL_FREE).observe(0.0, float(boards))
+        self.gauge(SERIES_IN_FLIGHT).observe(0.0, 0.0)
+        self.rate(SERIES_LIFECYCLE).observe(0.0, 0.0)
+        self.rate(SERIES_DROPPED).observe(0.0, 0.0)
+        for name, fn in self._probes:
+            self._series[name].observe(0.0, float(fn(0.0)))
 
     # -- event-driven intake ------------------------------------------
 

@@ -121,6 +121,34 @@ class TestExperiment3:
         for series in result.bundle:
             assert series.hours[0] == 0.0  # attacker's clock, not victim's
 
+    def test_identification_recorded(self, result):
+        ident = result.identification
+        assert len(ident.scores) == result.devices_probed
+        assert list(ident.devices) == list(ident.scores)
+        assert ident.chosen == result.bundle.label
+        assert ident.scores[ident.chosen] == max(ident.scores.values())
+        runner_up = sorted(ident.scores.values())[-2]
+        assert ident.gap == ident.scores[ident.chosen] - runner_up >= 0.0
+        assert result.victim_board in ident.scores
+
+
+class TestVictimIdentification:
+    """Threat Model 2 must take the victim's own board out of the haul
+    (ROADMAP item 2: the identification rule still misses some seeds)."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_true_victim_chosen(self, seed):
+        result = run_experiment3(Experiment3Config.quick(seed=seed))
+        assert result.identification.chosen == result.victim_board
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: exp3 --quick seed 64 picks the null board",
+    )
+    def test_true_victim_chosen_seed_64(self):
+        result = run_experiment3(Experiment3Config.quick(seed=64))
+        assert result.identification.chosen == result.victim_board
+
 
 class TestAgingKernelEquality:
     """Acceptance pin: the experiments report identical recovery

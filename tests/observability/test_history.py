@@ -7,6 +7,7 @@ import pytest
 from repro.observability.history import render_history_html, write_history_html
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.runstore import RunRecord, RunStore
+from tests.oracles.churn import churn_sample
 
 
 @pytest.fixture
@@ -101,9 +102,8 @@ class TestSeriesSparklines:
             recorder = FlightRecorder(cadence_hours=1.0, max_points=64)
             recorder.record_origin(40)
             for hour in range(1, 30):
-                recorder.churn_sample(float(hour), 40.0 - hour % 7,
-                                      float(hour % 7), float(2 * hour),
-                                      0.0)
+                churn_sample(recorder, float(hour), 40.0 - hour % 7,
+                             float(hour % 7), float(2 * hour), 0.0)
             recorder.sample("fleet.recovery_yield", 29.0, 0.5,
                             help="recovered fraction")
             series = recorder.to_dict()

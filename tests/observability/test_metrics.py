@@ -15,6 +15,7 @@ from repro.observability.metrics import (
     MetricsRegistry,
     registry,
 )
+from tests.oracles.churn import churn_sample
 
 
 class TestCounter:
@@ -159,7 +160,7 @@ class TestExport:
 
         recorder = FlightRecorder()
         recorder.record_origin(40)
-        recorder.churn_sample(3.0, 38.0, 2.0, 4.0, 1.0)
+        churn_sample(recorder, 3.0, 38.0, 2.0, 4.0, 1.0)
         text = to_prometheus_text(own, series=recorder)
 
         name_re = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*")

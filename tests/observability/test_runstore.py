@@ -18,6 +18,7 @@ from repro.observability.runstore import (
     resolve_runstore_path,
     summarise_route_status,
 )
+from tests.oracles.churn import churn_sample
 
 
 def make_record(**overrides) -> RunRecord:
@@ -119,7 +120,7 @@ class TestSeriesBlob:
 
         recorder = FlightRecorder(cadence_hours=2.0, max_points=16)
         recorder.record_origin(32)
-        recorder.churn_sample(2.0, 30.0, 2.0, 4.0, 0.0)
+        churn_sample(recorder, 2.0, 30.0, 2.0, 4.0, 0.0)
         recorder.sample("fleet.recovery_yield", 5.0, 0.75)
         run_id = store.record_run(make_record(
             kind="fleet", series=recorder.to_dict()

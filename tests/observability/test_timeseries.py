@@ -25,6 +25,7 @@ from repro.observability.timeseries import (
     SERIES_LIFECYCLE,
     SERIES_POOL_FREE,
 )
+from tests.oracles.churn import churn_sample
 
 
 def _offer_scalar(series, samples):
@@ -147,7 +148,7 @@ class TestFlightRecorder:
     def test_churn_sample_populates_core_series(self):
         rec = FlightRecorder()
         rec.record_origin(40)
-        rec.churn_sample(1.0, 38.0, 2.0, 4.0, 0.0)
+        rec.churn_window([1.0], [38.0], [2.0], [4.0], [0.0])
         assert set(rec.names()) == {
             SERIES_POOL_FREE, SERIES_IN_FLIGHT,
             SERIES_LIFECYCLE, SERIES_DROPPED,
@@ -159,10 +160,10 @@ class TestFlightRecorder:
     def test_probe_evaluated_at_grid_times(self):
         rec = FlightRecorder()
         rec.add_probe("debt", lambda t: t * 2.0, help="synthetic")
-        rec.churn_sample(3.0, 1.0, 0.0, 0.0, 0.0)
+        rec.record_origin(1)
         rec.churn_window([4.0, 5.0], [1.0, 1.0], [0.0, 0.0],
                          [0.0, 0.0], [0.0, 0.0])
-        assert rec.series["debt"].points == [[3.0, 6.0], [4.0, 8.0],
+        assert rec.series["debt"].points == [[0.0, 0.0], [4.0, 8.0],
                                              [5.0, 10.0]]
 
     def test_churn_window_matches_scalar_loop(self):
@@ -172,8 +173,8 @@ class TestFlightRecorder:
         drops = np.floor(ts / 10.0)
         scalar = FlightRecorder(max_points=64)
         for i in range(400):
-            scalar.churn_sample(ts[i], free[i], 50.0 - free[i],
-                                events[i], drops[i])
+            churn_sample(scalar, ts[i], free[i], 50.0 - free[i],
+                         events[i], drops[i])
         vector = FlightRecorder(max_points=64)
         vector.churn_window(ts, free, 50.0 - free, events, drops)
         assert scalar.to_json() == vector.to_json()

@@ -23,7 +23,25 @@ from typing import Iterator, Optional
 
 from repro.cloud import campaigns
 from repro.cloud.campaigns import ChurnTrace, _inc_churn_counters
-from repro.observability.timeseries import FlightRecorder
+from repro.observability.timeseries import (
+    SERIES_DROPPED,
+    SERIES_IN_FLIGHT,
+    SERIES_LIFECYCLE,
+    SERIES_POOL_FREE,
+    FlightRecorder,
+)
+
+
+def churn_sample(recorder: FlightRecorder, t: float, free: float,
+                 in_flight: float, events: float, drops: float) -> None:
+    """One churn grid sample, series by series (the scalar path that
+    :meth:`FlightRecorder.churn_window` must match)."""
+    recorder.gauge(SERIES_POOL_FREE).observe(t, free)
+    recorder.gauge(SERIES_IN_FLIGHT).observe(t, in_flight)
+    recorder.rate(SERIES_LIFECYCLE).observe(t, events)
+    recorder.rate(SERIES_DROPPED).observe(t, drops)
+    for name, fn in recorder._probes:
+        recorder.series[name].observe(t, float(fn(float(t))))
 
 
 class ReferenceChurn:
@@ -58,8 +76,8 @@ class ReferenceChurn:
         in, tracked handlers at g are not -- grids are emitted while
         the clock advances, before handlers run)."""
         fill = len(self.stack)
-        self._recorder.churn_sample(
-            g, fill, self.n_boards - fill,
+        churn_sample(
+            self._recorder, g, fill, self.n_boards - fill,
             self.events_processed, self.dropped_arrivals,
         )
 

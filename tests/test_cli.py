@@ -217,11 +217,24 @@ class TestMain:
         out = capsys.readouterr().out
         assert "accuracy by length" in out
 
-    def test_exp3_quick(self, capsys):
+    def test_exp3_quick(self, tmp_path, capsys):
+        store_path = tmp_path / "runs.db"
         assert main(["exp3", "--quick", "--no-figure",
-                     "--recovery-hours", "8", "--seed", "19"]) == 0
+                     "--recovery-hours", "8", "--seed", "19",
+                     "--runstore", str(store_path)]) == 0
         out = capsys.readouterr().out
         assert "boards probed" in out
+
+        from repro.observability.runstore import RunStore
+
+        with RunStore(store_path) as store:
+            run = store.get_run(store.resolve("latest"))
+        ident = run["extra"]["identification"]
+        assert set(ident) == {"scores", "devices", "chosen", "gap",
+                              "victim_board"}
+        assert ident["chosen"] in ident["scores"]
+        assert ident["victim_board"] in ident["scores"]
+        assert ident["gap"] >= 0.0
 
     def test_sweep_quick(self, capsys):
         assert main(["sweep", "exp1", "--seeds", "5,6"]) == 0

@@ -1,10 +1,13 @@
-"""The examples that drive the one-route sensor calls, run end to end.
+"""Examples run end to end, with their headline lines pinned.
 
 ``hardware_trace_replay.py`` calibrates with ``find_theta_init`` and
 records with ``measure_raw``; ``skeleton_free_localization.py`` runs
-``core.localize``, whose TDCs share one generator.  Each runs in a
-fresh interpreter and must print its headline lines exactly, so any
-change to those calls' random streams shows up here.
+``core.localize``, whose TDCs share one generator;
+``cloud_user_data_recovery.py`` runs Threat Model 2 against a victim
+with the full 3,896-DSP heater; ``quickstart.py`` is the lab-bench
+burn, wipe and read-back.  Each runs in a fresh interpreter and must
+print its headline lines exactly, so any change to those calls' random
+streams shows up here.
 """
 
 import os
@@ -41,8 +44,16 @@ def _run_example(name: str) -> list[str]:
         ("skeleton_free_localization.py", [
             "flagged 2 segments (2 true positives, 0 false)",
         ]),
+        ("cloud_user_data_recovery.py", [
+            "boards probed: 3; victim board identified: tm2-board-3",
+            "recovered 16/16 bits (100.0%, BER 0.000)",
+        ]),
+        ("quickstart.py", [
+            "recovered 8/8 bits (100.0%, BER 0.000)",
+        ]),
     ],
-    ids=["hardware_trace_replay", "skeleton_free_localization"],
+    ids=["hardware_trace_replay", "skeleton_free_localization",
+         "cloud_user_data_recovery", "quickstart"],
 )
 def test_example_headline(name, expected):
     lines = _run_example(name)
