@@ -12,7 +12,7 @@ Examples::
     python -m repro sweep exp1 --seeds 1:64 --jobs 4 --resume sweep.journal
     python -m repro chaos exp1 --quick
     python -m repro chaos sweep --experiment exp2 --seeds 1:8 --jobs 2
-    python -m repro fleet --quick --fault-plan plans/fleet-chaos-default.json
+    python -m repro fleet --quick --fault-plan plans/chaos-default.json
     python -m repro fleet --quick --seeds 1:4 --resume fleet.journal
     python -m repro profile exp1 --quick
     python -m repro bench diff OLD_BENCH.json BENCH_perf.json --gate 80
@@ -104,6 +104,17 @@ def build_parser() -> argparse.ArgumentParser:
                             "(jsonl), or nothing; 'auto' shows the tty "
                             "view only on a terminal (default)")
 
+    def fault_plan_flag(p: argparse.ArgumentParser, default: str) -> None:
+        """The one fault plan document ``chaos`` and ``fleet`` read."""
+        p.add_argument("--fault-plan", type=str, default=None,
+                       metavar="FILE",
+                       help="fault plan JSON: raise-site specs storm the "
+                            "experiments, fleet sections (failed/partial "
+                            "wipes, outages, preemption storms, "
+                            "retirements, thermal excursions) storm the "
+                            "campaigns; see plans/chaos-default.json "
+                            f"(default: {default})")
+
     def common(p: argparse.ArgumentParser) -> None:
         """Flags shared by every experiment sub-command."""
         p.add_argument("--quick", action="store_true",
@@ -175,9 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--seed", type=int, default=0,
                     help="experiment seed for a single chaos run "
                          "(default: 0)")
-    pc.add_argument("--plan", type=str, default=None, metavar="FILE",
-                    help="fault plan JSON (default: the committed "
-                         "default storm, plans/chaos-default.json)")
+    fault_plan_flag(pc, "the committed default storm")
     pc.add_argument("--seeds", type=str, default="1:4", metavar="SPEC",
                     help="seed spec for 'chaos sweep' (default: 1:4)")
     pc.add_argument("--jobs", type=str, default="1", metavar="N",
@@ -267,12 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="HOURS",
                     help="sim-hours between flight-recorder samples "
                          "(default: 1.0)")
-    pf.add_argument("--fault-plan", type=str, default=None, metavar="FILE",
-                    help="fleet fault plan JSON (failed/partial wipes, "
-                         "region outages, preemption storms, board "
-                         "retirements, thermal excursions); see "
-                         "plans/fleet-chaos-default.json.  Results stay "
-                         "bit-identical across --batch-hours")
+    fault_plan_flag(pf, "no faults; results stay bit-identical across "
+                        "--batch-hours either way")
     pf.add_argument("--seeds", type=str, default=None, metavar="SPEC",
                     help="run the campaign as a multi-seed sweep over "
                          "this seed spec (e.g. '1:8'); reports mean "
@@ -486,9 +491,9 @@ def _cmd_fleet(args) -> int:
         return 2
     fault_plan = None
     if args.fault_plan:
-        from repro.reliability.fleet_chaos import load_fleet_fault_plan
+        from repro.reliability.faults import load_fault_plan
 
-        fault_plan = load_fleet_fault_plan(args.fault_plan)
+        fault_plan = load_fault_plan(args.fault_plan)
         args._fault_plan = fault_plan.to_dict()
 
     recorder = None
@@ -796,15 +801,16 @@ def _cmd_chaos(args) -> int:
         run_chaos_sweep,
     )
 
-    plan = None
-    if args.plan:
+    if args.fault_plan:
         from repro.reliability.faults import load_fault_plan
 
-        plan = load_fault_plan(args.plan)
-    quick = not args.paper
-    from repro.reliability.chaos import default_chaos_plan
+        plan = load_fault_plan(args.fault_plan)
+    else:
+        from repro.reliability.chaos import default_chaos_plan
 
-    args._fault_plan = (plan or default_chaos_plan(args.seed)).to_dict()
+        plan = default_chaos_plan()
+    quick = not args.paper
+    args._fault_plan = plan.to_dict()
     if args.target == "sweep":
         parsed = _parse_sweep_spec(args)
         if parsed is None:

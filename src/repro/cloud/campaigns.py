@@ -82,11 +82,7 @@ from repro.observability.timeseries import (
 )
 from repro.physics.aging import CLOUD_PART, WearProfile
 from repro.physics.pool_array import SegmentBtiArray
-from repro.reliability.fleet_chaos import (
-    FleetFaultPlan,
-    derive_fleet_plan_seed,
-    note_fleet_fault,
-)
+from repro.reliability.faults import FaultPlan, derive_plan_seed, note_fault
 from repro.reliability.retry import get_retry_policy, note_retry
 from repro.rng import RngFactory, SeedLike, make_rng
 
@@ -617,7 +613,7 @@ class VirtualRegion:
 
         ``positions`` index :meth:`free_boards` bottom-to-top and must
         arrive descending so each pop leaves lower positions valid
-        (:meth:`FleetFaultPlan.retire_positions` returns them that
+        (:meth:`FaultPlan.retire_positions` returns them that
         way).  Retirement is a hard failure, not a rental: the region's
         board count shrinks, so the in-flight series
         (``n_boards - fill``) stays truthful.  Returns the retired
@@ -748,14 +744,17 @@ class FleetSimulator:
 
     def __init__(self, scenario: FleetScenario,
                  recorder: Optional[FlightRecorder] = None,
-                 fault_plan: Optional[FleetFaultPlan] = None) -> None:
+                 fault_plan: Optional[FaultPlan] = None) -> None:
         self.scenario = scenario
         self.recorder = recorder
         # A fresh copy keeps the caller's plan unconsumed: every run
         # starts from pristine RNG streams and an empty ledger, so the
         # same plan object can drive reference and bulk runs to the
         # same bytes.
-        self.faults = fault_plan.fresh() if fault_plan is not None else None
+        self.faults = (
+            fault_plan.reseeded(fault_plan.seed)
+            if fault_plan is not None else None
+        )
         factory = RngFactory(scenario.seed)
         self.rng = factory.stream("campaign")
         self.churn_trace = scenario.churn.draw(
@@ -816,7 +815,7 @@ class FleetSimulator:
 
     def note_fault(self, site: str, now_hours: float, **attrs) -> None:
         """One fleet fault landed: counters, instant span, series."""
-        note_fleet_fault(site, hours=round(now_hours, 6), **attrs)
+        note_fault(site, hours=round(now_hours, 6), **attrs)
         if self.recorder is not None:
             self.recorder.sample_rate(
                 SERIES_FAULTS, now_hours, self.faults.total_fires,
@@ -1302,7 +1301,7 @@ def run_flash_campaign(
     scenario: FleetScenario,
     plan: Optional[FlashAttackPlan] = None,
     recorder: Optional[FlightRecorder] = None,
-    fault_plan: Optional[FleetFaultPlan] = None,
+    fault_plan: Optional[FaultPlan] = None,
 ) -> CampaignResult:
     """A flash re-acquisition race over a churning fleet.
 
@@ -1400,7 +1399,7 @@ def run_scan_campaign(
     scenario: FleetScenario,
     plan: Optional[ScanPlan] = None,
     recorder: Optional[FlightRecorder] = None,
-    fault_plan: Optional[FleetFaultPlan] = None,
+    fault_plan: Optional[FaultPlan] = None,
 ) -> CampaignResult:
     """Marketplace scanning: periodic pool sampling for pentimenti.
 
@@ -1530,7 +1529,7 @@ def fleet_journal_context(
     scenario: FleetScenario,
     campaign: str,
     attack_plan=None,
-    fault_plan: Optional[FleetFaultPlan] = None,
+    fault_plan: Optional[FaultPlan] = None,
 ) -> dict:
     """The sweep identity a campaign journal is verified against.
 
@@ -1572,7 +1571,7 @@ def run_fleet_sweep(
     seeds: Sequence[int],
     campaign: str = "flash",
     attack_plan=None,
-    fault_plan: Optional[FleetFaultPlan] = None,
+    fault_plan: Optional[FaultPlan] = None,
     journal=None,
     recorder: Optional[FlightRecorder] = None,
 ) -> FleetSweepResult:
@@ -1589,9 +1588,9 @@ def run_fleet_sweep(
     run bit-for-bit.
 
     Per-seed fault plans derive from ``fault_plan.seed`` and the
-    campaign seed (:func:`~repro.reliability.fleet_chaos
-    .derive_fleet_plan_seed`), so fault streams decorrelate across
-    seeds yet the whole sweep stays reproducible from the pair.
+    campaign seed (:func:`~repro.reliability.faults.derive_plan_seed`),
+    so fault streams decorrelate across seeds yet the whole sweep stays
+    reproducible from the pair.
     """
     try:
         runner = _CAMPAIGN_RUNNERS[campaign]
@@ -1636,7 +1635,7 @@ def run_fleet_sweep(
             seed_plan = None
             if fault_plan is not None:
                 seed_plan = fault_plan.reseeded(
-                    derive_fleet_plan_seed(fault_plan.seed, seed)
+                    derive_plan_seed(fault_plan.seed, seed)
                 )
             seed_recorder = None
             if recorder is not None:

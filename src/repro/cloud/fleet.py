@@ -44,14 +44,14 @@ def apply_thermal_excursions(region, excursions) -> None:
     """Replay thermal excursions through a region's ambient profile.
 
     Wraps the region's ambient in an
-    :class:`~repro.reliability.fleet_chaos.ExcursionAmbient` so every
+    :class:`~repro.reliability.faults.ExcursionAmbient` so every
     *subsequent* clock interval recorded on the region's
     :class:`~repro.cloud.provider.RegionTimeline` samples the spiked
     temperature.  The wrapper is a pure function of time, so lazy aging
     and the eager oracle integrate identical ambient sequences.  No-op
     for an empty excursion list.
     """
-    from repro.reliability.fleet_chaos import ExcursionAmbient
+    from repro.reliability.faults import ExcursionAmbient
 
     excursions = tuple(excursions)
     if not excursions:

@@ -225,7 +225,10 @@ class ThreatModel2Attack:
             name="tm2-hold",
         )
         probes = []
-        for instance in instances:
+        # Labels follow probe order, not the provider's process-wide
+        # instance ids, so a run reports the same board names however
+        # many instances the process rented before it.
+        for index, instance in enumerate(instances):
             retry_call(instance.load_image, self._measure_design.bitstream,
                        label="tm2.arm")
             session = instance.attach_sensors(
@@ -233,7 +236,7 @@ class ThreatModel2Attack:
             )
             session.use_theta_init(self.theta_init)
             bundle = SeriesBundle(
-                label=f"tm2-board-{instance.instance_id}"
+                label=f"tm2-board-{index}"
             )
             for route in self.routes:
                 bundle.add(
@@ -272,9 +275,8 @@ class ThreatModel2Attack:
     ) -> float:
         passes = max(self.measurement_passes, 1)
         route_status = getattr(self, "_route_status", {})
-        for probe in probes:
-            with trace.span("tm2.board_measure",
-                            board=probe.instance.instance_id, passes=passes):
+        for index, probe in enumerate(probes):
+            with trace.span("tm2.board_measure", board=index, passes=passes):
                 retry_call(probe.instance.load_image,
                            self._measure_design.bitstream,
                            label="tm2.measure_load")

@@ -83,9 +83,10 @@ def build_fma_array(
 ) -> int:
     """Add a pipelined FMA array of ``dsp_count`` units to a netlist.
 
-    Units fill DSP tiles column-major, skipping ``avoid_columns`` (the
-    region reserved for the routes under test and the Measure design's
-    future carry chains -- the Target design's keep-out).  Returns the
+    Units fill the free DSP sites tile by tile, column-major, skipping
+    tiles an earlier design filled and ``avoid_columns`` (the region
+    reserved for the routes under test and the Measure design's future
+    carry chains -- the Target design's keep-out).  Returns the
     number of units placed; raises :class:`PlacementError`, before
     adding anything, if fewer than ``dsp_count`` DSP sites are
     available.
@@ -164,10 +165,10 @@ def _build_block(
             break
         if coord.x in avoid_columns:
             continue
-        units = min(dsp_capacity, dsp_count - placed)
         first = next_index.get((coord, dsp), 0)
-        if first + units > dsp_capacity:
-            raise PlacementError(f"tile {coord} has no free {dsp.value} site")
+        units = min(dsp_capacity - first, dsp_count - placed)
+        if units <= 0:
+            continue  # an earlier design filled this tile
         next_index[(coord, dsp)] = first + units
         reg_tile = None
         for offset in range(units):

@@ -19,7 +19,7 @@ spans were merged back into the parent (see
   (``ph="C"``) so the words/segments ramp -- and the fault storm's
   cost -- is visible alongside the spans;
 * the zero-duration reliability markers (``fault.inject`` spans from
-  :func:`repro.reliability.faults.maybe_inject`, ``retry.wait`` spans
+  :func:`repro.reliability.faults.note_fault`, ``retry.wait`` spans
   from :func:`repro.reliability.retry.note_retry`) become instant
   events (``ph="i"``, thread-scoped) so injections and backoffs render
   as pins on the lane where they struck rather than invisible
@@ -73,7 +73,7 @@ THROUGHPUT_COUNTERS = (
 )
 
 #: Zero-duration marker spans rendered as instant events, not slices.
-INSTANT_SPANS = frozenset({"fault.inject", "retry.wait", "fleet.fault"})
+INSTANT_SPANS = frozenset({"fault.inject", "retry.wait"})
 
 
 def _span_pid(sp: trace.Span, default_pid: int) -> int:

@@ -4,12 +4,12 @@ The chaos harness answers the robustness question directly: *with a
 documented storm of transient failures raining on the pipeline, does
 the attack still finish, and how much accuracy does it give up?*  A
 :func:`run_chaos` call executes one experiment driver under a fault
-plan (by default :func:`default_chaos_plan` -- capacity misses on 15%
-of allocations, two scheduled preemptions, occasional evictions,
-calibration glitches and a 5% capture drop rate) and reports the
-injection ledger, the retries spent recovering, and whether the
-recovery accuracy stayed within the documented degradation bound
-(:data:`CHAOS_ACCURACY_BOUNDS`).
+plan (by default :func:`default_chaos_plan`, whose raise sites put
+capacity misses on 15% of allocations, two scheduled preemptions,
+occasional evictions, calibration glitches and a 5% capture drop rate)
+and reports the injection ledger, the retries spent recovering, and
+whether the recovery accuracy stayed within the documented degradation
+bound (:data:`CHAOS_ACCURACY_BOUNDS`).
 
 :func:`run_chaos_sweep` does the same across a Monte Carlo seed set,
 re-seeding the plan per experiment seed so sharded (``--jobs N``) and
@@ -26,7 +26,17 @@ from typing import Optional, Sequence, Union
 from repro.errors import ConfigurationError
 from repro.observability.log import get_logger
 from repro.observability.metrics import registry
-from repro.reliability.faults import FaultPlan, FaultSpec, fault_plan
+from repro.reliability.faults import (
+    FaultPlan,
+    FaultSpec,
+    OutageWindow,
+    PreemptionStorm,
+    RetirementWave,
+    ThermalExcursion,
+    WipeFaultSpec,
+    derive_plan_seed,
+    fault_plan,
+)
 
 __all__ = [
     "DEFAULT_CHAOS_SPECS",
@@ -39,9 +49,9 @@ __all__ = [
 
 _log = get_logger("reliability.chaos")
 
-#: The committed default storm (also shipped as ``plans/chaos-default
-#: .json``): >= 10% transient allocation failures, two scheduled
-#: preemptions, and >= 5% dropped captures, per the robustness gate.
+#: The default storm's raise-site specs: >= 10% transient allocation
+#: failures, two scheduled preemptions, and >= 5% dropped captures, per
+#: the robustness gate.
 DEFAULT_CHAOS_SPECS = {
     "cloud.allocate": FaultSpec(probability=0.15),
     "cloud.preempt": FaultSpec(schedule=(1, 4)),
@@ -63,23 +73,25 @@ CHAOS_ACCURACY_BOUNDS = {
 
 
 def default_chaos_plan(seed: int = 0) -> FaultPlan:
-    """The default storm as a fresh, seeded plan."""
-    return FaultPlan(seed=seed, specs=dict(DEFAULT_CHAOS_SPECS))
+    """The committed default plan (``plans/chaos-default.json``), seeded.
 
-
-def derive_plan_seed(chaos_seed: int, seed: int) -> int:
-    """Per-experiment-seed plan seed: deterministic, collision-spread.
-
-    Shared convention with the fleet layer
-    (:func:`repro.reliability.fleet_chaos.derive_fleet_plan_seed`): a
-    sweep folds each campaign/experiment seed into the plan seed so
-    fault streams decorrelate across seeds yet stay reproducible.
+    Experiments feel :data:`DEFAULT_CHAOS_SPECS`; fleet campaigns feel
+    every fleet fault family at modest severity: 2% failed and 5%
+    partial wipes (the paper-relevant leak), one region outage window,
+    one half-strength preemption storm, a small retirement wave and one
+    thermal excursion.
     """
-    return int(chaos_seed) * 1_000_003 + int(seed)
-
-
-#: Backwards-compatible private alias (pre-PR-10 name).
-_derive_plan_seed = derive_plan_seed
+    return FaultPlan(
+        seed=seed,
+        specs=dict(DEFAULT_CHAOS_SPECS),
+        wipe=WipeFaultSpec(fail_probability=0.02, partial_probability=0.05,
+                           scrub_fraction=0.5),
+        outages=(OutageWindow(start_hours=90.0, duration_hours=14.0),),
+        storms=(PreemptionStorm(start_hours=150.0, probability=0.5),),
+        retirements=(RetirementWave(time_hours=60.0, boards=3),),
+        excursions=(ThermalExcursion(start_hours=40.0, duration_hours=24.0,
+                                     delta_k=8.0),),
+    )
 
 
 def _chaos_metric(
@@ -94,15 +106,8 @@ def _chaos_metric(
     """
     from repro.montecarlo import _experiment_metric
 
-    specs = {
-        site: FaultSpec.from_dict(payload)
-        for site, payload in plan_payload["specs"].items()
-    }
-    plan = FaultPlan(
-        seed=_derive_plan_seed(plan_payload.get("seed", 0), seed),
-        specs=specs,
-    )
-    with fault_plan(plan):
+    plan = FaultPlan.from_dict(plan_payload)
+    with fault_plan(plan.reseeded(derive_plan_seed(plan.seed, seed))):
         return _experiment_metric(experiment, quick, overrides, seed)
 
 

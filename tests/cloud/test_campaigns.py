@@ -34,8 +34,8 @@ from repro.errors import CloudError, ConfigurationError
 from repro.observability.metrics import registry
 from repro.observability.timeseries import FlightRecorder
 from repro.reliability.checkpoint import SweepJournal
-from repro.reliability.fleet_chaos import (
-    FleetFaultPlan,
+from repro.reliability.faults import (
+    FaultPlan,
     OutageWindow,
     PreemptionStorm,
     RetirementWave,
@@ -314,7 +314,7 @@ class TestSaturationIdentity:
         """A preemption storm on a 2x-oversubscribed region releases
         every spanning rental at one instant (mass release ties) while
         arrivals keep missing capacity."""
-        plan = FleetFaultPlan(seed=3, storms=(
+        plan = FaultPlan(seed=3, storms=(
             PreemptionStorm(start_hours=120.0, probability=0.5),))
         scenario = dict(
             devices=24,
@@ -564,7 +564,7 @@ def _chaos_plan(**overrides):
                                      duration_hours=24.0, delta_k=8.0),),
     )
     base.update(overrides)
-    return FleetFaultPlan(**base)
+    return FaultPlan(**base)
 
 
 def _faulted_run(engine, batch, plan, cadence=7.0):
@@ -631,7 +631,7 @@ class TestFleetChaos:
         """A region dark across every victim rent (and past the retry
         budget) yields skipped victims and a truthful region map, not
         an exception."""
-        plan = FleetFaultPlan(seed=1, outages=(
+        plan = FaultPlan(seed=1, outages=(
             OutageWindow(start_hours=0.0, duration_hours=300.0),))
         result = run_flash_campaign(
             _scenario(),
@@ -653,7 +653,7 @@ class TestFleetChaos:
         """A short outage at the first victim's rent instant: the RENT
         retries under backoff and lands once the region lights up."""
         # Quick flash victims rent at warmup=12.0; dark 11.9..12.5.
-        plan = FleetFaultPlan(seed=1, outages=(
+        plan = FaultPlan(seed=1, outages=(
             OutageWindow(start_hours=11.9, duration_hours=0.6,
                          drop_churn=False),))
         result = run_flash_campaign(
@@ -673,7 +673,7 @@ class TestFleetChaos:
         # Victim tenancies are sequential: victim 0 holds [12, 60),
         # victim 1 holds [84, 132) (warmup 12, burn 48, spacing 24) --
         # one storm inside each window catches exactly that victim.
-        plan = FleetFaultPlan(seed=1, storms=(
+        plan = FaultPlan(seed=1, storms=(
             PreemptionStorm(start_hours=40.0, probability=1.0,
                             cut_churn=False),
             PreemptionStorm(start_hours=100.0, probability=1.0,
@@ -691,7 +691,7 @@ class TestFleetChaos:
         assert len(preempted_details) == 2
 
     def test_retirement_shrinks_pool_permanently(self):
-        plan = FleetFaultPlan(seed=2, retirements=(
+        plan = FaultPlan(seed=2, retirements=(
             RetirementWave(time_hours=5.0, boards=7),))
         result = run_flash_campaign(
             _scenario(), FlashAttackPlan(victims=2), fault_plan=plan,
@@ -714,7 +714,7 @@ class TestFleetChaos:
                              mean_rental_hours=1.0),
             seed=2, wear=NEW_PART,
         )
-        plan = FleetFaultPlan(seed=0,
+        plan = FaultPlan(seed=0,
                               wipe=WipeFaultSpec(fail_probability=1.0))
         result = run_flash_campaign(
             scenario,
@@ -757,7 +757,7 @@ _SWEEP_ATTACK = FlashAttackPlan(victims=1, flash_limit=3,
 
 
 def _sweep_chaos_plan():
-    return FleetFaultPlan(
+    return FaultPlan(
         seed=3,
         wipe=WipeFaultSpec(fail_probability=0.3, partial_probability=0.3),
         outages=(OutageWindow(start_hours=40.0, duration_hours=6.0),),

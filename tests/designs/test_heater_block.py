@@ -86,7 +86,8 @@ class TestHeaterBlock:
         ),
     )
     # A CLB the first DSP tile's registers overflow; a part-full DSP
-    # tile; a DSP tile too full for its share of units.
+    # tile; a DSP tile too full for its share of units, which the
+    # heater tops up before moving on.
     @example(part=ZYNQ_ULTRASCALE_PLUS, count=30, avoid=frozenset(),
              pre_placed=[(2, 0, CellType.FLIP_FLOP)] * 3)
     @example(part=ZYNQ_ULTRASCALE_PLUS, count=20, avoid=frozenset(),
@@ -105,6 +106,20 @@ class TestHeaterBlock:
             else:
                 assert got is not None
                 _assert_same(got, want)
+
+    def test_second_heater_skips_full_tiles(self):
+        """Two 30-unit heaters on one placer, no keep-out: the second
+        tops up the first's part-full DSP tile and skips its full ones."""
+        def two_heaters(builder):
+            netlist, placer = _design(ZYNQ_ULTRASCALE_PLUS, [])
+            placed = builder(netlist, placer, dsp_count=30, prefix="a")
+            placed += builder(netlist, placer, dsp_count=30, prefix="b")
+            return placed, netlist, placer
+
+        clear_heater_cache()
+        got = two_heaters(build_fma_array)
+        assert got[0] == 60
+        _assert_same(got, two_heaters(oracle.build_fma_array))
 
     def test_key_holds_the_site_counters(self):
         """Two designs with equal net counts whose route cells take

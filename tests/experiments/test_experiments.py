@@ -1,5 +1,11 @@
 """Integration tests: the three experiment drivers (quick configs)."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -140,6 +146,38 @@ class TestVictimIdentification:
     def test_true_victim_chosen(self, seed):
         result = run_experiment3(Experiment3Config.quick(seed=seed))
         assert result.identification.chosen == result.victim_board
+
+    def test_board_labels_match_fresh_processes(self):
+        """Board labels follow probe order: seeds 1-3 run back to back
+        in one process name the boards as a fresh process per seed
+        does, though the provider's instance ids keep counting."""
+        def labels(result):
+            ident = result.identification
+            return [list(ident.scores), ident.chosen, result.victim_board]
+
+        code = (
+            "import json, sys\n"
+            "from repro.experiments import Experiment3Config, "
+            "run_experiment3\n"
+            "r = run_experiment3(Experiment3Config.quick("
+            "seed=int(sys.argv[1])))\n"
+            "i = r.identification\n"
+            "print(json.dumps([list(i.scores), i.chosen, r.victim_board]))\n"
+        )
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        fresh = [
+            subprocess.Popen([sys.executable, "-c", code, str(seed)],
+                             stdout=subprocess.PIPE, text=True, env=env)
+            for seed in (1, 2, 3)
+        ]
+        in_process = [
+            labels(run_experiment3(Experiment3Config.quick(seed=seed)))
+            for seed in (1, 2, 3)
+        ]
+        outputs = [proc.communicate(timeout=300)[0] for proc in fresh]
+        assert [json.loads(out) for out in outputs] == in_process
+        assert in_process[0][0] == ["tm2-board-0", "tm2-board-1"]
 
     @pytest.mark.xfail(
         strict=True,

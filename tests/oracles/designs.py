@@ -41,7 +41,8 @@ def build_fma_array(
     avoid_columns: frozenset[int] = frozenset(),
     prefix: str = "fma",
 ) -> int:
-    """Add ``dsp_count`` FMA units one at a time (column-major DSPs)."""
+    """Add ``dsp_count`` FMA units one at a time (column-major DSPs,
+    each tile's free sites only)."""
     if dsp_count < 0:
         raise PlacementError(f"dsp_count must be >= 0, got {dsp_count}")
     placed = 0
@@ -51,7 +52,8 @@ def build_fma_array(
             break
         if coord.x in avoid_columns:
             continue
-        for _ in range(SITES_PER_TILE[CellType.DSP48]):
+        used = placer._next_index.get((coord, CellType.DSP48), 0)
+        for _ in range(SITES_PER_TILE[CellType.DSP48] - used):
             if placed >= dsp_count:
                 break
             _add_fma_unit(netlist, placer, coord, f"{prefix}{placed}")

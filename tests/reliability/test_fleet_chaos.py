@@ -1,10 +1,12 @@
-"""Fleet fault plans: spec validation, keyed draws, churn transforms.
+"""A fault plan's fleet sections: validation, keyed draws, churn
+transforms.
 
 The engine-invariance contract lives in
 ``tests/cloud/test_campaigns.py`` (whole campaigns bit-identical across
-engines under a plan); these tests pin the plan object itself --
+engines under a plan); these tests pin the fleet half of the plan --
 validation errors that name the offending key, draws keyed to event
 identity rather than call order, and the pure-array churn transforms.
+The plan document's own properties live in ``test_faults.py``.
 """
 
 from __future__ import annotations
@@ -15,20 +17,16 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, PersistenceError
-from repro.observability.metrics import registry
-from repro.reliability.fleet_chaos import (
-    FLEET_FAULT_SITES,
+from repro.reliability.chaos import default_chaos_plan
+from repro.reliability.faults import (
     ExcursionAmbient,
-    FleetFaultPlan,
+    FaultPlan,
     OutageWindow,
     PreemptionStorm,
     RetirementWave,
     ThermalExcursion,
     WipeFaultSpec,
-    default_fleet_chaos_plan,
-    derive_fleet_plan_seed,
-    load_fleet_fault_plan,
-    note_fleet_fault,
+    load_fault_plan,
 )
 
 
@@ -134,8 +132,8 @@ class TestKeyedDraws:
     def test_wipe_decision_keyed_to_identity_not_order(self):
         spec = WipeFaultSpec(fail_probability=0.3,
                              partial_probability=0.3)
-        a = FleetFaultPlan(seed=5, wipe=spec)
-        b = FleetFaultPlan(seed=5, wipe=spec)
+        a = FaultPlan(seed=5, wipe=spec)
+        b = FaultPlan(seed=5, wipe=spec)
         keys = [f"victim{i}" for i in range(12)]
         first = {k: a.decide_wipe(k, 4) for k in keys}
         # Same keys visited in reverse order: identical outcomes.
@@ -144,7 +142,7 @@ class TestKeyedDraws:
         assert a.fires == b.fires
 
     def test_wipe_modes_and_scrub_mask(self):
-        plan = FleetFaultPlan(
+        plan = FaultPlan(
             seed=1, wipe=WipeFaultSpec(fail_probability=0.4,
                                        partial_probability=0.4,
                                        scrub_fraction=0.5),
@@ -163,30 +161,30 @@ class TestKeyedDraws:
         assert plan.fires["fleet.wipe_partial"] == modes["partial"]
 
     def test_wipe_max_fires_caps(self):
-        plan = FleetFaultPlan(
+        plan = FaultPlan(
             seed=1, wipe=WipeFaultSpec(fail_probability=1.0, max_fires=2),
         )
         modes = [plan.decide_wipe(f"v{i}", 2)[0] for i in range(5)]
         assert modes == ["failed", "failed", "ok", "ok", "ok"]
 
     def test_no_wipe_spec_is_always_ok(self):
-        plan = FleetFaultPlan(seed=1)
+        plan = FaultPlan(seed=1)
         assert plan.decide_wipe("v0", 4) == ("ok", None)
         assert plan.total_fires == 0
 
     def test_storm_preempt_keyed_and_certain_at_one(self):
         storm = PreemptionStorm(start_hours=10.0, probability=0.5)
-        a = FleetFaultPlan(seed=9, storms=(storm,))
-        b = FleetFaultPlan(seed=9, storms=(storm,))
+        a = FaultPlan(seed=9, storms=(storm,))
+        b = FaultPlan(seed=9, storms=(storm,))
         keys = [f"victim{i}" for i in range(16)]
         assert ([a.storm_preempts(0, k) for k in keys]
                 == [b.storm_preempts(0, k) for k in reversed(keys)][::-1])
-        certain = FleetFaultPlan(seed=9, storms=(
+        certain = FaultPlan(seed=9, storms=(
             PreemptionStorm(start_hours=10.0, probability=1.0),))
         assert all(certain.storm_preempts(0, k) for k in keys)
 
     def test_retire_positions_descending_unique_clamped(self):
-        plan = FleetFaultPlan(
+        plan = FaultPlan(
             seed=3, retirements=(RetirementWave(time_hours=1.0, boards=5),)
         )
         picks = plan.retire_positions(0, available=20, count=5)
@@ -199,7 +197,7 @@ class TestKeyedDraws:
 
 class TestChurnTransforms:
     def test_outage_drops_arrivals_in_window(self):
-        plan = FleetFaultPlan(seed=0, outages=(
+        plan = FaultPlan(seed=0, outages=(
             OutageWindow(start_hours=10.0, duration_hours=10.0),))
         arrivals = np.array([5.0, 10.0, 15.0, 19.999, 20.0, 30.0])
         durations = np.full(6, 2.0)
@@ -211,7 +209,7 @@ class TestChurnTransforms:
         assert plan.ledger()["churn.dropped_by_outage"] == 3
 
     def test_storm_truncates_spanning_rentals(self):
-        plan = FleetFaultPlan(seed=0, storms=(
+        plan = FaultPlan(seed=0, storms=(
             PreemptionStorm(start_hours=10.0),))
         arrivals = np.array([4.0, 8.0, 10.0, 12.0])
         durations = np.array([3.0, 5.0, 5.0, 5.0])
@@ -222,7 +220,7 @@ class TestChurnTransforms:
         assert out_d.tolist() == [3.0, 2.0, 5.0, 5.0]
 
     def test_cut_churn_false_leaves_trace_alone(self):
-        plan = FleetFaultPlan(seed=0, storms=(
+        plan = FaultPlan(seed=0, storms=(
             PreemptionStorm(start_hours=10.0, cut_churn=False),))
         arrivals = np.array([8.0])
         durations = np.array([5.0])
@@ -230,7 +228,7 @@ class TestChurnTransforms:
         assert truncated == 0 and out_d.tolist() == [5.0]
 
     def test_outage_geometry(self):
-        plan = FleetFaultPlan(seed=0, outages=(
+        plan = FaultPlan(seed=0, outages=(
             OutageWindow(start_hours=10.0, duration_hours=5.0),))
         assert plan.in_outage(10.0) and not plan.in_outage(15.0)
         assert plan.outage_end(12.0) == 15.0
@@ -241,57 +239,52 @@ class TestChurnTransforms:
 
 class TestPlanLifecycle:
     def test_round_trip_and_fresh(self):
-        plan = default_fleet_chaos_plan(7)
-        clone = FleetFaultPlan.from_dict(plan.to_dict())
+        plan = default_chaos_plan(7)
+        clone = FaultPlan.from_dict(plan.to_dict())
         assert clone.to_dict() == plan.to_dict()
         plan.decide_wipe("v0", 4)  # consume state
-        pristine = plan.fresh()
+        pristine = plan.reseeded(plan.seed)
         assert pristine.total_fires == 0
         assert pristine.to_dict() == plan.to_dict()
 
     def test_reseeded_changes_only_seed(self):
-        plan = default_fleet_chaos_plan(7)
+        plan = default_chaos_plan(7)
         other = plan.reseeded(99)
         assert other.seed == 99
         expected = dict(plan.to_dict(), seed=99)
         assert other.to_dict() == expected
 
-    def test_derive_fleet_plan_seed_decorrelates(self):
-        seeds = {derive_fleet_plan_seed(0, s) for s in range(100)}
-        assert len(seeds) == 100
-        assert derive_fleet_plan_seed(1, 2) != derive_fleet_plan_seed(2, 1)
-
     def test_unknown_top_level_key_named(self):
         with pytest.raises(ConfigurationError, match="storm"):
-            FleetFaultPlan.from_dict({"schema": 1, "storm": []})
+            FaultPlan.from_dict({"schema": 1, "storm": []})
 
     def test_schema_mismatch(self):
         with pytest.raises(ConfigurationError, match="schema"):
-            FleetFaultPlan.from_dict({"schema": 99})
+            FaultPlan.from_dict({"schema": 99})
 
     def test_non_spec_members_rejected(self):
         with pytest.raises(ConfigurationError):
-            FleetFaultPlan(seed=0, outages=({"start_hours": 1.0},))
+            FaultPlan(seed=0, outages=({"start_hours": 1.0},))
         with pytest.raises(ConfigurationError):
-            FleetFaultPlan(seed=0, wipe={"fail_probability": 0.1})
+            FaultPlan(seed=0, wipe={"fail_probability": 0.1})
 
 
 class TestLoader:
     def test_save_load_round_trip(self, tmp_path):
-        plan = default_fleet_chaos_plan(3)
+        plan = default_chaos_plan(3)
         path = plan.save(tmp_path / "plan.json")
-        loaded = load_fleet_fault_plan(path)
+        loaded = load_fault_plan(path)
         assert loaded.to_dict() == plan.to_dict()
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(PersistenceError, match="no fleet fault plan"):
-            load_fleet_fault_plan(tmp_path / "absent.json")
+        with pytest.raises(PersistenceError, match="no fault plan"):
+            load_fault_plan(tmp_path / "absent.json")
 
     def test_corrupt_json_names_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         with pytest.raises(PersistenceError, match="bad.json"):
-            load_fleet_fault_plan(bad)
+            load_fault_plan(bad)
 
     def test_malformed_spec_names_key_and_file(self, tmp_path):
         bad = tmp_path / "typo.json"
@@ -300,7 +293,7 @@ class TestLoader:
             "outages": [{"start_hours": 1.0, "durration_hours": 2.0}],
         }))
         with pytest.raises(PersistenceError) as excinfo:
-            load_fleet_fault_plan(bad)
+            load_fault_plan(bad)
         message = str(excinfo.value)
         assert "typo.json" in message and "durration_hours" in message
 
@@ -308,9 +301,7 @@ class TestLoader:
         from pathlib import Path
 
         root = Path(__file__).resolve().parents[2]
-        plan = load_fleet_fault_plan(
-            root / "plans" / "fleet-chaos-default.json"
-        )
+        plan = load_fault_plan(root / "plans" / "chaos-default.json")
         # The robustness gate: >= 1% failed wipes, one outage window,
         # a preemption storm.
         assert plan.wipe is not None
@@ -319,23 +310,3 @@ class TestLoader:
         assert len(plan.outages) >= 1
         assert len(plan.storms) >= 1
 
-
-class TestNoteFleetFault:
-    def test_counters_decompose_per_site(self):
-        registry.reset()
-        try:
-            note_fleet_fault("fleet.wipe_fail", victim=0)
-            note_fleet_fault("fleet.wipe_fail", victim=1)
-            note_fleet_fault("fleet.outage", victim=2)
-            snap = registry.snapshot()["counters"]
-            assert snap["fleet_faults_injected_total"] == 3
-            assert snap["fleet_faults_injected_fleet_wipe_fail_total"] == 2
-            assert snap["fleet_faults_injected_fleet_outage_total"] == 1
-        finally:
-            registry.reset()
-
-    def test_sites_are_stable(self):
-        assert FLEET_FAULT_SITES == (
-            "fleet.wipe_fail", "fleet.wipe_partial", "fleet.outage",
-            "fleet.preempt", "fleet.retire", "fleet.thermal",
-        )

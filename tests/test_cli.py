@@ -8,10 +8,9 @@ import pytest
 from repro.cli import build_parser, main
 from tests.oracles.churn import reference_churn
 
-#: The committed fleet fault plan.
-_FLEET_PLAN = str(
-    Path(__file__).resolve().parent.parent / "plans"
-    / "fleet-chaos-default.json"
+#: The committed fault plan (raise-site specs and fleet sections).
+_FAULT_PLAN = str(
+    Path(__file__).resolve().parent.parent / "plans" / "chaos-default.json"
 )
 
 
@@ -150,10 +149,10 @@ class TestParser:
 
     def test_chaos_flags(self):
         args = build_parser().parse_args(
-            ["chaos", "exp2", "--seed", "3", "--plan", "storm.json"]
+            ["chaos", "exp2", "--seed", "3", "--fault-plan", "storm.json"]
         )
         assert args.target == "exp2"
-        assert args.seed == 3 and args.plan == "storm.json"
+        assert args.seed == 3 and args.fault_plan == "storm.json"
         assert not args.paper
 
     def test_chaos_sweep_flags(self):
@@ -337,7 +336,7 @@ class TestMain:
         ])
         assert bulk == reference
 
-    @pytest.mark.parametrize("plan", [None, _FLEET_PLAN],
+    @pytest.mark.parametrize("plan", [None, _FAULT_PLAN],
                              ids=["plain", "default-plan"])
     def test_fleet_quick_engine_invariant(self, tmp_path, plan):
         """``fleet --quick --seed 3``, plain and under the committed
@@ -357,13 +356,9 @@ class TestMain:
     def test_fleet_with_committed_fault_plan(self, tmp_path, capsys):
         """The committed chaos plan drives a quick campaign end to end
         and its hash lands in the run store."""
-        from pathlib import Path
-
-        plan = Path(__file__).resolve().parent.parent / "plans" \
-            / "fleet-chaos-default.json"
         store_path = tmp_path / "runs.db"
         assert main(["fleet", "--quick", "--seed", "3",
-                     "--fault-plan", str(plan),
+                     "--fault-plan", _FAULT_PLAN,
                      "--runstore", str(store_path)]) == 0
         out = capsys.readouterr().out
         assert "recovery yield" in out
@@ -433,12 +428,8 @@ class TestChaosCommand:
         assert "retries=" in out
 
     def test_chaos_with_committed_plan(self, capsys):
-        from pathlib import Path
-
-        plan = Path(__file__).resolve().parent.parent / "plans" \
-            / "chaos-default.json"
         assert main(["chaos", "exp1", "--quick", "--seed", "1",
-                     "--plan", str(plan)]) == 0
+                     "--fault-plan", _FAULT_PLAN]) == 0
         assert "within bound" in capsys.readouterr().out
 
     def test_chaos_sweep_reports_bound(self, capsys):
@@ -450,7 +441,7 @@ class TestChaosCommand:
 
     def test_chaos_missing_plan_fails_cleanly(self, tmp_path, capsys):
         assert main(["chaos", "exp1",
-                     "--plan", str(tmp_path / "ghost.json")]) == 2
+                     "--fault-plan", str(tmp_path / "ghost.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "ghost.json" in err
