@@ -795,11 +795,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    from repro.reliability.chaos import (
-        CHAOS_ACCURACY_BOUNDS,
-        run_chaos,
-        run_chaos_sweep,
-    )
+    from repro.montecarlo import experiment_sweep
+    from repro.reliability.chaos import CHAOS_ACCURACY_BOUNDS, run_chaos
 
     if args.fault_plan:
         from repro.reliability.faults import load_fault_plan
@@ -822,9 +819,9 @@ def _cmd_chaos(args) -> int:
             "seeds": [int(s) for s in seeds],
         }
         args._jobs = jobs if isinstance(jobs, int) else None
-        result = run_chaos_sweep(
-            args.experiment, seeds, quick=quick, jobs=jobs, plan=plan,
-            journal_path=args.resume,
+        result = experiment_sweep(
+            args.experiment, seeds, quick=quick, jobs=jobs,
+            journal_path=args.resume, fault_plan=plan,
         )
         args._accuracy = result.mean
         print(result)
@@ -832,6 +829,8 @@ def _cmd_chaos(args) -> int:
         verdict = "within bound" if result.minimum >= bound else "BELOW BOUND"
         print(f"min={result.minimum:.3f} bound={bound:.2f} ({verdict}) "
               f"seeds={len(seeds)} jobs={args.jobs}")
+        if args.resume:
+            print(f"journal: {args.resume}")
         if result.minimum < bound:
             print(f"repro: chaos sweep of {args.experiment} fell below "
                   f"the documented bound", file=sys.stderr)
@@ -856,19 +855,13 @@ def _cmd_table1(args) -> int:
     return 0
 
 
-_EXPERIMENT_RUNNERS = {
-    "exp1": (Experiment1Config, run_experiment1),
-    "exp2": (Experiment2Config, run_experiment2),
-    "exp3": (Experiment3Config, run_experiment3),
-}
-
-
 def _cmd_profile(args) -> int:
     from time import perf_counter
 
+    from repro.montecarlo import _resolve_experiment
     from repro.observability.profile import build_report, render_report
 
-    config_cls, runner = _EXPERIMENT_RUNNERS[args.experiment]
+    config_cls, runner = _resolve_experiment(args.experiment)
     config = config_cls.quick() if args.quick else config_cls.paper()
     if args.seed is not None:
         config = replace(config, seed=args.seed)

@@ -67,11 +67,7 @@ from repro.fabric.parts import PartDescriptor, VIRTEX_ULTRASCALE_PLUS
 from repro.fabric.thermal import DataCenterAmbient
 from repro.observability import trace
 from repro.observability.metrics import registry
-from repro.observability.progress import (
-    note_event,
-    note_phase,
-    note_seed_done,
-)
+from repro.observability.progress import note_event, note_phase
 from repro.observability.timeseries import (
     SERIES_AGING_DEBT,
     SERIES_BOARDS_PROBED,
@@ -644,7 +640,7 @@ class LazyFleet:
     Per-board seeds are pre-drawn in one vectorised pass, so board ``k``
     gets the same silicon no matter how many (or in what order) boards
     materialise -- a campaign's physics is independent of how churn is
-    batched.  By default every board shares one
+    batched.  Every board shares one
     :class:`~repro.physics.pool_array.SegmentBtiArray` so cross-device
     bulk catch-up stays available.
     """
@@ -655,7 +651,6 @@ class LazyFleet:
         size: int = 1024,
         wear: WearProfile = CLOUD_PART,
         seed: SeedLike = None,
-        shared_store: bool = True,
     ) -> None:
         if size <= 0:
             raise ConfigurationError("fleet size must be positive")
@@ -663,7 +658,7 @@ class LazyFleet:
         self.size = size
         self.wear = wear
         self._seeds = make_rng(seed).integers(0, 2**63, size=size)
-        self._store = SegmentBtiArray() if shared_store else None
+        self._store = SegmentBtiArray()
         self._devices: dict[int, FpgaDevice] = {}
 
     def __len__(self) -> int:
@@ -680,17 +675,11 @@ class LazyFleet:
             raise CloudError(f"board {board} outside fleet of {self.size}")
         dev = self._devices.get(board)
         if dev is None:
-            if self._store is not None:
-                dev = FpgaDevice(
-                    self.part, wear=self.wear,
-                    seed=int(self._seeds[board]),
-                    bti_store=self._store,
-                )
-            else:
-                dev = FpgaDevice(
-                    self.part, wear=self.wear,
-                    seed=int(self._seeds[board]),
-                )
+            dev = FpgaDevice(
+                self.part, wear=self.wear,
+                seed=int(self._seeds[board]),
+                bti_store=self._store,
+            )
             self._devices[board] = dev
         return dev
 
@@ -1577,21 +1566,25 @@ def run_fleet_sweep(
 ) -> FleetSweepResult:
     """Run one campaign per seed, optionally journaled for resume.
 
-    With a :class:`~repro.reliability.checkpoint.SweepJournal`, every
-    completed seed is flushed atomically -- the full campaign result,
-    the seed's metrics delta, and (when recording) the seed's
-    FlightRecorder dump all land in the journal entry.  A killed run
-    relaunched with the same journal replays completed seeds from disk
-    and recomputes only the remainder; because per-seed recorder dumps
-    carry their original ``dump_id``s, merging is idempotent and the
-    resumed run's result, counters and series match an uninterrupted
-    run bit-for-bit.
+    Each seed is one evaluation of the shared seed loop,
+    :func:`repro.montecarlo.run_monte_carlo`: its value is the
+    campaign's recovery yield and its payload ``{"result": ...,
+    "series_state": ...}`` the full campaign result plus (when
+    recording) the seed's FlightRecorder dump.  With a
+    :class:`~repro.reliability.checkpoint.SweepJournal` that payload is
+    journaled with the seed's metrics delta, and a killed run relaunched
+    with the same journal replays completed seeds from disk.  The series
+    merge into ``recorder`` in seed order after the loop; because
+    per-seed dumps carry their original ``dump_id``s, the resumed run's
+    result, counters and series match an uninterrupted run bit-for-bit.
 
     Per-seed fault plans derive from ``fault_plan.seed`` and the
     campaign seed (:func:`~repro.reliability.faults.derive_plan_seed`),
     so fault streams decorrelate across seeds yet the whole sweep stays
     reproducible from the pair.
     """
+    from repro.montecarlo import run_monte_carlo
+
     try:
         runner = _CAMPAIGN_RUNNERS[campaign]
     except KeyError:
@@ -1600,90 +1593,47 @@ def run_fleet_sweep(
             f"{', '.join(sorted(_CAMPAIGN_RUNNERS))})"
         ) from None
     seeds = [int(seed) for seed in seeds]
-    if not seeds:
-        raise ConfigurationError("a fleet sweep needs at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ConfigurationError(
             f"sweep seeds must be unique, got {seeds}"
         )
-    results: dict[int, dict] = {}
-    yields: dict[int, float] = {}
+
+    def campaign_yield(seed: int) -> tuple[float, dict]:
+        seed_plan = None
+        if fault_plan is not None:
+            seed_plan = fault_plan.reseeded(
+                derive_plan_seed(fault_plan.seed, seed)
+            )
+        seed_recorder = None
+        if recorder is not None:
+            seed_recorder = FlightRecorder(
+                cadence_hours=recorder.cadence_hours,
+                max_points=recorder.max_points,
+            )
+        result = runner(replace(scenario, seed=seed), attack_plan,
+                        recorder=seed_recorder, fault_plan=seed_plan)
+        payload = {"result": result.to_dict()}
+        if seed_recorder is not None:
+            payload["series_state"] = seed_recorder.dump_state()
+        return result.recovery_yield, payload
+
     resumed = 0
-    note_phase("fleet.sweep", total=len(seeds), campaign=campaign,
-               devices=scenario.devices)
-    with trace.span("fleet.sweep", campaign=campaign,
-                    seeds=len(seeds)):
-        for seed in seeds:
-            if journal is not None and seed in journal:
-                entry = journal.get(seed)
-                state = entry.get("metrics_state")
-                if state:
-                    registry.merge_state(state)
-                extra = entry.get("extra") or {}
-                if recorder is not None and extra.get("series_state"):
-                    recorder.merge_state(extra["series_state"])
-                results[seed] = extra.get("result") or {}
-                yields[seed] = float(entry["value"])
-                resumed += 1
-                registry.counter(
-                    "fleet_sweep_seeds_resumed_total",
-                    "fleet sweep seeds replayed from a journal",
-                ).inc()
-                note_seed_done(seed, yields[seed], resumed=True)
-                continue
-            seed_scenario = replace(scenario, seed=seed)
-            seed_plan = None
-            if fault_plan is not None:
-                seed_plan = fault_plan.reseeded(
-                    derive_plan_seed(fault_plan.seed, seed)
-                )
-            seed_recorder = None
-            if recorder is not None:
-                seed_recorder = FlightRecorder(
-                    cadence_hours=recorder.cadence_hours,
-                    max_points=recorder.max_points,
-                )
-            if journal is None:
-                result = runner(seed_scenario, attack_plan,
-                                recorder=seed_recorder,
-                                fault_plan=seed_plan)
-                if seed_recorder is not None:
-                    recorder.merge_state(seed_recorder.dump_state())
-                results[seed] = result.to_dict()
-                yields[seed] = result.recovery_yield
-                note_seed_done(seed, result.recovery_yield)
-                continue
-            # Journaled: isolate this seed's counter deltas so the
-            # journal entry carries exactly this seed's work -- the
-            # same discipline as the Monte Carlo sweep, which is what
-            # makes resumed telemetry match an uninterrupted run.
-            parent_state = registry.dump_state()
-            registry.reset()
-            try:
-                result = runner(seed_scenario, attack_plan,
-                                recorder=seed_recorder,
-                                fault_plan=seed_plan)
-            finally:
-                seed_state = registry.dump_state()
-                registry.reset()
-                registry.merge_state(parent_state)
-                registry.merge_state(seed_state)
-            extra: dict = {"result": result.to_dict()}
-            if seed_recorder is not None:
-                series_state = seed_recorder.dump_state()
-                extra["series_state"] = series_state
-                recorder.merge_state(series_state)
-            journal.record(seed, result.recovery_yield,
-                           metrics_state=seed_state, extra=extra)
-            results[seed] = extra["result"]
-            yields[seed] = result.recovery_yield
-            note_seed_done(seed, result.recovery_yield)
-    mean_yield = sum(yields[seed] for seed in seeds) / len(seeds)
+    if journal is not None:
+        resumed = sum(seed in journal for seed in seeds)
+    sweep = run_monte_carlo(
+        campaign_yield, seeds, metric_name=f"{campaign} recovery yield",
+        journal=journal,
+    )
+    if recorder is not None:
+        # A journal written without a recorder holds no series.
+        for payload in sweep.payloads:
+            if "series_state" in payload:
+                recorder.merge_state(payload["series_state"])
     return FleetSweepResult(
         campaign=campaign,
         seeds=seeds,
-        results=[results[seed] for seed in seeds],
-        mean_yield=mean_yield,
+        results=[payload["result"] for payload in sweep.payloads],
+        mean_yield=sum(sweep.values) / len(seeds),
         resumed_seeds=resumed,
     )
 

@@ -1,11 +1,17 @@
-"""Monte Carlo robustness sweeps.
+"""Monte Carlo robustness sweeps: the one seed loop.
 
 Single-seed results can flatter or slander an attack; the paper's
 claims are statistical.  :func:`run_monte_carlo` repeats any
 seed-parameterised metric over a seed set and summarises the
 distribution, and :func:`experiment_sweep` wraps the three experiment
 drivers so robustness numbers (mean recovery accuracy with a
-percentile interval) are one call away.
+percentile interval) are one call away -- under a fault plan too
+(``repro chaos sweep``).  Fleet campaign sweeps
+(:func:`repro.cloud.campaigns.run_fleet_sweep`) are metrics over the
+same loop, so every sweep shares one checkpoint/resume path
+(:class:`~repro.reliability.checkpoint.SweepJournal`).  A metric
+returns its value, or ``(value, payload)`` with a JSON-ready dict the
+loop journals, replays and returns per seed.
 
 Both accept ``jobs``: with ``jobs > 1`` the seed set shards across a
 :class:`~concurrent.futures.ProcessPoolExecutor`.  Seeds are fully
@@ -42,7 +48,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from time import perf_counter
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -54,6 +60,8 @@ from repro.observability.progress import note_phase, note_seed_done
 
 _log = get_logger("montecarlo")
 
+T = TypeVar("T")
+
 
 @dataclass(frozen=True)
 class MonteCarloResult:
@@ -62,6 +70,8 @@ class MonteCarloResult:
     metric_name: str
     seeds: tuple[int, ...]
     values: tuple[float, ...]
+    #: Per seed, the payload dict the metric returned (else ``None``).
+    payloads: tuple[Optional[dict], ...] = ()
 
     @property
     def mean(self) -> float:
@@ -159,6 +169,7 @@ class _SeedOutcome:
     ``value`` is ``None`` exactly when the metric raised; the partial
     ``metrics_state``/``trace_state`` are shipped either way, so a
     failed shard still contributes its telemetry to the merged view.
+    ``payload`` is the metric's JSON-ready dict, when it returned one.
     ``error`` carries the original exception when it pickles (the
     common case) and its formatted traceback text always.
     """
@@ -169,8 +180,37 @@ class _SeedOutcome:
     metrics_state: dict = field(default_factory=dict)
     trace_state: dict = field(default_factory=dict)
     value: Optional[float] = None
+    payload: Optional[dict] = None
     error: Optional[BaseException] = None
     error_text: Optional[str] = None
+
+
+def _split(output) -> tuple[float, Optional[dict]]:
+    """A metric returns its value, or ``(value, payload)``."""
+    if isinstance(output, tuple):
+        value, payload = output
+        return float(value), payload
+    return float(output), None
+
+
+def _isolated(work: Callable[[], T]) -> tuple[T, dict]:
+    """Run ``work()`` against an empty metrics registry.
+
+    Returns ``work``'s result and exactly the metric state it produced,
+    which is what a journal entry stores and a resume replays.  On exit
+    -- a crash or Ctrl-C included -- the parent state is restored with
+    that state merged on top, as if ``work`` had run in place.
+    """
+    parent_state = registry.dump_state()
+    registry.reset()
+    try:
+        result = work()
+    finally:
+        seed_state = registry.dump_state()
+        registry.reset()
+        registry.merge_state(parent_state)
+        registry.merge_state(seed_state)
+    return result, seed_state
 
 
 def _evaluate_seed(
@@ -192,10 +232,10 @@ def _evaluate_seed(
     else:
         trace.disable()
     start = perf_counter()
-    value = error = error_text = None
+    value = payload = error = error_text = None
     try:
         with trace.span("montecarlo.seed", seed=int(seed)):
-            value = float(metric(int(seed)))
+            value, payload = _split(metric(int(seed)))
     except Exception as exc:
         error = exc
         error_text = _traceback.format_exc()
@@ -206,6 +246,7 @@ def _evaluate_seed(
         metrics_state=registry.dump_state(),
         trace_state=trace.dump_state() if collect_spans else {},
         value=value,
+        payload=payload,
         error=error,
         error_text=error_text,
     )
@@ -219,16 +260,23 @@ def _evaluate_seed(
     return outcome
 
 
-def _resume_from_journal(journal, seeds: Sequence[int]) -> dict[int, float]:
-    """Replay journaled seeds: values plus their metric/span state.
+#: One evaluated seed: its value and the metric's payload (or ``None``).
+_Evaluated = tuple[float, Optional[dict]]
+
+
+def _resume_from_journal(
+    journal, seeds: Sequence[int]
+) -> dict[int, _Evaluated]:
+    """Replay journaled seeds: values, payloads and metric/span state.
 
     The journal entries carry their original ``dump_id``s, so merging
     is idempotent; the counters and (for parallel-journaled runs) span
     forests of skipped seeds land in the parent exactly as a live run
-    of those seeds would have left them.
+    of those seeds would have left them.  A payload comes back from the
+    entry's ``extra`` field.
     """
     collect_spans = trace.is_enabled()
-    resumed: dict[int, float] = {}
+    resumed: dict[int, _Evaluated] = {}
     for index, seed in enumerate(seeds):
         if seed not in journal:
             continue
@@ -239,8 +287,8 @@ def _resume_from_journal(journal, seeds: Sequence[int]) -> dict[int, float]:
         trace_state = entry.get("trace_state")
         if collect_spans and trace_state:
             trace.merge_state(trace_state, shard=index, resumed=True)
-        resumed[seed] = float(entry["value"])
-        note_seed_done(seed, resumed[seed], resumed=True)
+        resumed[seed] = (float(entry["value"]), entry.get("extra"))
+        note_seed_done(seed, resumed[seed][0], resumed=True)
         registry.counter(
             "sweep_seeds_resumed_total",
             "sweep seeds skipped via a resume journal",
@@ -252,69 +300,64 @@ def _resume_from_journal(journal, seeds: Sequence[int]) -> dict[int, float]:
 
 
 def _run_sequential(
-    metric: Callable[[int], float], seeds: Sequence[int], journal=None
-) -> list[float]:
-    values = []
-    for seed in seeds:
+    metric: Callable[[int], float], pending: Sequence[tuple[int, int]],
+    journal=None,
+) -> list[_Evaluated]:
+    """Evaluate the ``(position, seed)`` pairs in this process."""
+    evaluated = []
+    for _, seed in pending:
         start = perf_counter()
-        if journal is None:
-            with trace.span("montecarlo.seed", seed=int(seed)):
-                values.append(float(metric(int(seed))))
-            elapsed = perf_counter() - start
-            _record_seed_run(elapsed)
-            note_seed_done(int(seed), values[-1], elapsed_s=elapsed)
-            continue
-        # Journaled: isolate this seed's metric deltas so the journal
-        # entry replays exactly them on resume.  The finally block
-        # restores the parent state even on a crash or Ctrl-C, and the
-        # journal gains an entry only for a *completed* seed.
-        parent_state = registry.dump_state()
-        registry.reset()
-        try:
-            with trace.span("montecarlo.seed", seed=int(seed)):
-                value = float(metric(int(seed)))
+
+        def evaluate() -> _Evaluated:
+            with trace.span("montecarlo.seed", seed=seed):
+                result = _split(metric(seed))
             _record_seed_run(perf_counter() - start)
-        finally:
-            seed_state = registry.dump_state()
-            registry.reset()
-            registry.merge_state(parent_state)
-            registry.merge_state(seed_state)
-        journal.record(int(seed), value, metrics_state=seed_state)
-        values.append(value)
-        note_seed_done(int(seed), value, elapsed_s=perf_counter() - start)
-    return values
+            return result
+
+        if journal is None:
+            value, payload = evaluate()
+        else:
+            # Journaled: the entry (written only for a *completed*
+            # seed) carries exactly this seed's metric deltas.
+            (value, payload), seed_state = _isolated(evaluate)
+            journal.record(seed, value, metrics_state=seed_state,
+                           extra=payload)
+        evaluated.append((value, payload))
+        note_seed_done(seed, value, elapsed_s=perf_counter() - start)
+    return evaluated
 
 
 def _run_parallel(
-    metric: Callable[[int], float], seeds: Sequence[int], jobs: int,
-    journal=None,
-) -> list[float]:
-    """Shard the seeds over worker processes.
+    metric: Callable[[int], float], pending: Sequence[tuple[int, int]],
+    jobs: int, journal=None,
+) -> list[_Evaluated]:
+    """Shard the ``(position, seed)`` pairs over worker processes.
 
-    Each worker returns its pickled :class:`_SeedOutcome` (value, wall
-    time, pid and the metrics/span blobs); outcomes merge in submission
-    order, keeping the sharded sweep bit-identical to the sequential
-    one.
+    Each worker returns its pickled :class:`_SeedOutcome` (value,
+    payload, wall time, pid and the metrics/span blobs); outcomes merge
+    in submission order, keeping the sharded sweep bit-identical to the
+    sequential one.  A seed's spans are tagged with its ``shard``: its
+    position in the full seed list, also after a resume.
     """
     _require_picklable(metric)
     collect_spans = trace.is_enabled()
-    values = []
+    evaluated = []
     first_failure = None
-    with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
         futures = [
-            pool.submit(_evaluate_seed, metric, int(seed), collect_spans)
-            for seed in seeds
+            pool.submit(_evaluate_seed, metric, seed, collect_spans)
+            for _, seed in pending
         ]
         # Collect in submission order: result ordering (and hence the
         # MonteCarloResult) is deterministic regardless of which worker
         # finishes first.
         try:
-            for shard, (seed, future) in enumerate(zip(seeds, futures)):
+            for (shard, seed), future in zip(pending, futures):
                 outcome = future.result()
+                if collect_spans and outcome.trace_state:
+                    trace.merge_state(outcome.trace_state, shard=shard)
                 if outcome.value is None:
                     registry.merge_state(outcome.metrics_state)
-                    if collect_spans and outcome.trace_state:
-                        trace.merge_state(outcome.trace_state, shard=shard)
                     registry.counter(
                         "montecarlo_worker_failures_total",
                         "seeded evaluations that raised in a worker",
@@ -324,37 +367,31 @@ def _run_parallel(
                     if first_failure is None:
                         first_failure = outcome
                     continue
-                value = outcome.value
-                if journal is None:
+
+                def absorb() -> None:
                     registry.merge_state(outcome.metrics_state)
-                    if collect_spans and outcome.trace_state:
-                        trace.merge_state(outcome.trace_state, shard=shard)
                     _record_seed_run(outcome.elapsed_s)
+
+                if journal is None:
+                    absorb()
                 else:
                     # Journaled: fold the parent-side per-seed accounting
-                    # into the same state the journal stores, so a
-                    # resume replays it all in one merge.
-                    parent_state = registry.dump_state()
-                    registry.reset()
-                    registry.merge_state(outcome.metrics_state)
-                    _record_seed_run(outcome.elapsed_s)
-                    entry_state = registry.dump_state()
-                    registry.reset()
-                    registry.merge_state(parent_state)
-                    registry.merge_state(entry_state)
-                    if collect_spans and outcome.trace_state:
-                        trace.merge_state(outcome.trace_state, shard=shard)
+                    # into the state the journal stores, so a resume
+                    # replays it all in one merge.
+                    _, seed_state = _isolated(absorb)
                     journal.record(
-                        int(seed), value,
-                        metrics_state=entry_state,
+                        seed, outcome.value,
+                        metrics_state=seed_state,
                         trace_state=(
                             outcome.trace_state
                             if collect_spans and outcome.trace_state
                             else None
                         ),
+                        extra=outcome.payload,
                     )
-                values.append(value)
-                note_seed_done(int(seed), value, elapsed_s=outcome.elapsed_s,
+                evaluated.append((outcome.value, outcome.payload))
+                note_seed_done(seed, outcome.value,
+                               elapsed_s=outcome.elapsed_s,
                                shard=shard, worker_pid=outcome.pid)
         except BaseException:
             # Ctrl-C (or any other non-metric failure) while collecting:
@@ -362,8 +399,8 @@ def _run_parallel(
             # current seed, and leave the journal consistent -- a
             # --resume of the same sweep picks up from here.
             pool.shutdown(wait=True, cancel_futures=True)
-            _log.warning("sweep_interrupted", completed=len(values),
-                         total=len(seeds))
+            _log.warning("sweep_interrupted", completed=len(evaluated),
+                         total=len(pending))
             raise
     if first_failure is not None:
         # Every shard's partial metrics/spans are merged by now; only
@@ -375,7 +412,7 @@ def _run_parallel(
             f"seed {first_failure.seed} failed in worker "
             f"{first_failure.pid}:\n{first_failure.error_text}"
         )
-    return values
+    return evaluated
 
 
 def run_monte_carlo(
@@ -387,6 +424,13 @@ def run_monte_carlo(
 ) -> MonteCarloResult:
     """Evaluate ``metric(seed)`` for every seed and summarise.
 
+    This is the one seed loop behind every multi-seed sweep
+    (:func:`experiment_sweep`, its chaos form, and
+    :func:`repro.cloud.campaigns.run_fleet_sweep`).  A metric returns
+    its value, or ``(value, payload)`` with a JSON-ready ``payload``
+    dict; payloads come back per seed on
+    :attr:`MonteCarloResult.payloads`, from workers and journals alike.
+
     ``jobs > 1`` shards the seeds over that many worker processes; the
     metric must then be picklable.  ``jobs="auto"`` uses one worker per
     available CPU, and explicit requests are clamped to the machine (see
@@ -395,11 +439,11 @@ def run_monte_carlo(
 
     ``journal`` (a :class:`~repro.reliability.checkpoint.SweepJournal`)
     turns on checkpoint/resume: every completed seed is journaled
-    atomically with its per-seed metric state, seeds already journaled
-    are skipped (their value and telemetry replayed,
-    ``sweep_seeds_resumed_total`` counts them), and a sweep killed
-    partway resumes to the same :class:`MonteCarloResult` an
-    uninterrupted run produces.
+    atomically with its per-seed metric state (and payload, in the
+    entry's ``extra`` field), seeds already journaled are skipped (their
+    value, payload and telemetry replayed, ``sweep_seeds_resumed_total``
+    counts them), and a sweep killed partway resumes to the same
+    :class:`MonteCarloResult` an uninterrupted run produces.
     """
     if not seeds:
         raise ConfigurationError("need at least one seed")
@@ -428,22 +472,26 @@ def run_monte_carlo(
             _resume_from_journal(journal, seeds)
             if journal is not None else {}
         )
-        pending = [s for s in seeds if s not in resumed]
+        pending = [
+            (position, seed) for position, seed in enumerate(seeds)
+            if seed not in resumed
+        ]
         if not pending:
-            run_values: list[float] = []
+            run: list[_Evaluated] = []
         elif effective == 1:
-            run_values = _run_sequential(metric, pending, journal)
+            run = _run_sequential(metric, pending, journal)
         else:
-            run_values = _run_parallel(metric, pending, effective, journal)
-        fresh = iter(run_values)
-        values = [
+            run = _run_parallel(metric, pending, effective, journal)
+        fresh = iter(run)
+        evaluated = [
             resumed[s] if s in resumed else next(fresh) for s in seeds
         ]
     _log.info("monte_carlo_done", metric=metric_name, n=len(seeds),
               jobs=effective, resumed=len(resumed))
     return MonteCarloResult(
-        metric_name=metric_name, seeds=tuple(int(s) for s in seeds),
-        values=tuple(values),
+        metric_name=metric_name, seeds=tuple(seeds),
+        values=tuple(value for value, _ in evaluated),
+        payloads=tuple(payload for _, payload in evaluated),
     )
 
 
@@ -477,15 +525,32 @@ def _resolve_experiment(experiment: str) -> tuple:
 
 
 def _experiment_metric(
-    experiment: str, quick: bool, overrides: tuple, seed: int
+    experiment: str, quick: bool, overrides: tuple, seed: int,
+    plan_payload: Optional[dict] = None,
 ) -> float:
-    """Recovery accuracy of one seeded run (module-level: picklable)."""
+    """Recovery accuracy of one seeded run (module-level: picklable).
+
+    With ``plan_payload`` (a serialised
+    :class:`~repro.reliability.faults.FaultPlan`) the run executes under
+    that plan re-seeded for ``seed``, so every experiment seed sees its
+    own -- but always the same -- fault sequence regardless of ``jobs``.
+    """
     config_cls, runner = _resolve_experiment(experiment)
     config = (config_cls.quick(seed=seed) if quick
               else config_cls.paper(seed=seed))
     if overrides:
         config = dataclasses.replace(config, **dict(overrides))
-    return runner(config).recovery_score.accuracy
+    if plan_payload is None:
+        return runner(config).recovery_score.accuracy
+    from repro.reliability.faults import (
+        FaultPlan,
+        derive_plan_seed,
+        fault_plan,
+    )
+
+    plan = FaultPlan.from_dict(plan_payload)
+    with fault_plan(plan.reseeded(derive_plan_seed(plan.seed, seed))):
+        return runner(config).recovery_score.accuracy
 
 
 def experiment_sweep(
@@ -495,6 +560,7 @@ def experiment_sweep(
     config_overrides: Optional[dict] = None,
     jobs: Union[int, str] = 1,
     journal_path=None,
+    fault_plan=None,
 ) -> MonteCarloResult:
     """Recovery-accuracy distribution of one experiment over seeds.
 
@@ -504,29 +570,43 @@ def experiment_sweep(
     shards the seeds over worker processes (``repro sweep --jobs`` on
     the command line).
 
+    ``fault_plan`` (a :class:`~repro.reliability.faults.FaultPlan`)
+    makes it a chaos sweep (``repro chaos sweep``): every seed runs
+    under the plan re-seeded with
+    :func:`~repro.reliability.faults.derive_plan_seed`, and the metric
+    is named "chaos recovery accuracy".
+
     ``journal_path`` enables checkpoint/resume (``repro sweep
     --resume PATH``): completed seeds are journaled there and skipped
     on the next invocation.  The journal refuses to resume a sweep run
-    with different parameters (experiment, quick flag, overrides or
-    seed set).
+    with different parameters (experiment, quick flag, overrides, seed
+    set or fault plan).
     """
     _resolve_experiment(experiment)  # fail fast, before any worker spawns
     overrides = (
         tuple(sorted(config_overrides.items())) if config_overrides else ()
     )
+    if fault_plan is None:
+        plan_payload, label = None, "recovery accuracy"
+    else:
+        plan_payload, label = fault_plan.to_dict(), "chaos recovery accuracy"
     journal = None
     if journal_path is not None:
         from repro.reliability.checkpoint import SweepJournal
 
-        journal = SweepJournal.load(journal_path, context={
+        context = {
             "experiment": experiment,
             "quick": bool(quick),
             "overrides": [list(pair) for pair in overrides],
             "seeds": [int(s) for s in seeds],
-            "metric": "recovery_accuracy",
-        })
-    metric = partial(_experiment_metric, experiment, quick, overrides)
+            "metric": label.replace(" ", "_"),
+        }
+        if plan_payload is not None:
+            context["chaos_plan"] = plan_payload
+        journal = SweepJournal.load(journal_path, context=context)
+    metric = partial(_experiment_metric, experiment, quick, overrides,
+                     plan_payload=plan_payload)
     return run_monte_carlo(
-        metric, seeds, metric_name=f"{experiment} recovery accuracy",
+        metric, seeds, metric_name=f"{experiment} {label}",
         jobs=jobs, journal=journal,
     )

@@ -15,10 +15,15 @@ Three layers, threaded through the whole attack pipeline:
   and *simulated* (recorded, never slept) waits for anything carrying
   the :class:`~repro.errors.TransientError` mixin.
 * :mod:`repro.reliability.checkpoint` -- :class:`SweepJournal`:
-  atomic per-seed completion journal behind ``repro sweep --resume``.
+  atomic per-seed completion journal behind the ``--resume`` of every
+  multi-seed sweep (``repro sweep``, ``repro chaos sweep``, ``repro
+  fleet --seeds``), all of which run through
+  :func:`repro.montecarlo.run_monte_carlo`.
 
 :mod:`repro.reliability.chaos` composes them: whole experiments under
-a documented fault storm, gated on recovery-accuracy bounds.
+a documented fault storm, gated on recovery-accuracy bounds.  Its
+multi-seed form is :func:`repro.montecarlo.experiment_sweep` with a
+``fault_plan``.
 """
 
 from repro.reliability.chaos import (
@@ -26,7 +31,6 @@ from repro.reliability.chaos import (
     ChaosReport,
     default_chaos_plan,
     run_chaos,
-    run_chaos_sweep,
 )
 from repro.reliability.checkpoint import SweepJournal
 from repro.reliability.faults import (
@@ -62,7 +66,6 @@ __all__ = [
     "default_chaos_plan",
     "derive_plan_seed",
     "run_chaos",
-    "run_chaos_sweep",
     "SweepJournal",
     "FAULT_SITES",
     "ExcursionAmbient",

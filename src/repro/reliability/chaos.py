@@ -11,19 +11,17 @@ and reports the injection ledger, the retries spent recovering, and
 whether the recovery accuracy stayed within the documented degradation
 bound (:data:`CHAOS_ACCURACY_BOUNDS`).
 
-:func:`run_chaos_sweep` does the same across a Monte Carlo seed set,
+The multi-seed form is :func:`repro.montecarlo.experiment_sweep` with
+a ``fault_plan`` (``repro chaos sweep``): the one journaled seed loop,
 re-seeding the plan per experiment seed so sharded (``--jobs N``) and
-sequential chaos sweeps agree bit for bit, and composing with the
-checkpoint/resume journal.
+sequential chaos sweeps agree bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Optional, Sequence, Union
+from typing import Optional
 
-from repro.errors import ConfigurationError
 from repro.observability.log import get_logger
 from repro.observability.metrics import registry
 from repro.reliability.faults import (
@@ -34,8 +32,6 @@ from repro.reliability.faults import (
     RetirementWave,
     ThermalExcursion,
     WipeFaultSpec,
-    derive_plan_seed,
-    fault_plan,
 )
 
 __all__ = [
@@ -44,7 +40,6 @@ __all__ = [
     "default_chaos_plan",
     "ChaosReport",
     "run_chaos",
-    "run_chaos_sweep",
 ]
 
 _log = get_logger("reliability.chaos")
@@ -94,23 +89,6 @@ def default_chaos_plan(seed: int = 0) -> FaultPlan:
     )
 
 
-def _chaos_metric(
-    experiment: str, quick: bool, overrides: tuple, plan_payload: dict,
-    seed: int,
-) -> float:
-    """Seeded chaos evaluation (module-level: picklable for workers).
-
-    Rebuilds the plan from its serialised form with a per-seed derived
-    plan seed, so every experiment seed sees its own -- but always the
-    same -- fault sequence regardless of ``jobs``.
-    """
-    from repro.montecarlo import _experiment_metric
-
-    plan = FaultPlan.from_dict(plan_payload)
-    with fault_plan(plan.reseeded(derive_plan_seed(plan.seed, seed))):
-        return _experiment_metric(experiment, quick, overrides, seed)
-
-
 @dataclass(frozen=True)
 class ChaosReport:
     """What one chaos run did and whether it stayed within bounds."""
@@ -143,7 +121,6 @@ def run_chaos(
     quick: bool = True,
     seed: int = 0,
     plan: Optional[FaultPlan] = None,
-    config_overrides: Optional[dict] = None,
 ) -> ChaosReport:
     """One experiment under a fault storm, with a pass/fail verdict.
 
@@ -153,14 +130,12 @@ def run_chaos(
     :data:`CHAOS_ACCURACY_BOUNDS` entry.  ``plan=None`` uses the
     default storm re-seeded per ``seed``.
     """
-    from repro.montecarlo import _resolve_experiment
+    from repro.montecarlo import _experiment_metric, _resolve_experiment
 
     _resolve_experiment(experiment)
     if plan is None:
         plan = default_chaos_plan()
-    overrides = (
-        tuple(sorted(config_overrides.items())) if config_overrides else ()
-    )
+
     def _site_counter(site: str):
         return registry.counter(
             "faults_injected_" + site.replace(".", "_") + "_total",
@@ -171,8 +146,8 @@ def run_chaos(
         "retries_total", "transient-error retries performed"
     ).value
     faults_before = {site: _site_counter(site).value for site in plan.specs}
-    accuracy = _chaos_metric(
-        experiment, quick, overrides, plan.to_dict(), seed
+    accuracy = _experiment_metric(
+        experiment, quick, (), seed, plan_payload=plan.to_dict()
     )
     retries = int(registry.counter(
         "retries_total", "transient-error retries performed"
@@ -198,52 +173,3 @@ def run_chaos(
               accuracy=round(report.accuracy, 4), faults=report.total_faults,
               retries=report.retries, passed=report.passed)
     return report
-
-
-def run_chaos_sweep(
-    experiment: str,
-    seeds: Sequence[int],
-    quick: bool = True,
-    jobs: Union[int, str] = 1,
-    plan: Optional[FaultPlan] = None,
-    config_overrides: Optional[dict] = None,
-    journal_path=None,
-):
-    """A Monte Carlo sweep with the fault storm active in every seed.
-
-    Returns the :class:`~repro.montecarlo.MonteCarloResult` of recovery
-    accuracy under chaos.  Composes with checkpoint/resume exactly like
-    a plain sweep (``journal_path``); the plan travels to workers in
-    serialised form and is re-seeded per experiment seed, so the result
-    is independent of ``jobs`` and of where a resume picked up.
-    """
-    from repro.montecarlo import _resolve_experiment, run_monte_carlo
-
-    _resolve_experiment(experiment)
-    if not seeds:
-        raise ConfigurationError("need at least one seed")
-    if plan is None:
-        plan = default_chaos_plan()
-    overrides = (
-        tuple(sorted(config_overrides.items())) if config_overrides else ()
-    )
-    journal = None
-    if journal_path is not None:
-        from repro.reliability.checkpoint import SweepJournal
-
-        journal = SweepJournal.load(journal_path, context={
-            "experiment": experiment,
-            "quick": bool(quick),
-            "overrides": [list(pair) for pair in overrides],
-            "seeds": [int(s) for s in seeds],
-            "metric": "chaos_recovery_accuracy",
-            "chaos_plan": plan.to_dict(),
-        })
-    metric = partial(
-        _chaos_metric, experiment, quick, overrides, plan.to_dict()
-    )
-    return run_monte_carlo(
-        metric, seeds,
-        metric_name=f"{experiment} chaos recovery accuracy",
-        jobs=jobs, journal=journal,
-    )

@@ -1,7 +1,12 @@
-"""Checkpoint/resume journal for Monte Carlo sweeps.
+"""Checkpoint/resume journal for multi-seed sweeps.
 
-A :class:`SweepJournal` records one entry per *completed* seed of a
-sweep -- the metric value plus the observability state
+Every sweep -- ``repro sweep``, ``repro chaos sweep`` and ``repro fleet
+--seeds`` -- runs through the one seed loop,
+:func:`repro.montecarlo.run_monte_carlo`, and journals here.  A
+:class:`SweepJournal` records one entry per *completed* seed of a
+sweep -- the metric value, the metric's payload if it returned one
+(in ``extra``; a fleet sweep stores each seed's campaign result and
+FlightRecorder dump there), and the observability state
 (:meth:`~repro.observability.metrics.MetricsRegistry.dump_state`, and
 for parallel runs the worker's span forest) captured for exactly that
 seed.  Every :meth:`record` rewrites the whole journal atomically
@@ -11,8 +16,8 @@ sweep leaves at worst the previous consistent journal, never a
 truncated one.
 
 On resume, :func:`repro.montecarlo.run_monte_carlo` skips every seed
-the journal already holds and merges the recorded metric/span state
-back in; because the recorded states carry their original ``dump_id``s,
+the journal already holds, returns its value and payload, and merges
+the recorded metric/span state back in; because the recorded states carry their original ``dump_id``s,
 merging is idempotent and the resumed run's final telemetry matches an
 uninterrupted run bit-for-bit (timing histograms aside -- those measure
 the host, not the experiment).
@@ -140,10 +145,10 @@ class SweepJournal:
         ``metrics_state``/``trace_state`` are the observability dumps
         for exactly this seed's work; they are replayed on resume so a
         resumed sweep's telemetry matches an uninterrupted one.
-        ``extra`` carries arbitrary JSON-ready payload a caller wants
-        back verbatim on resume -- the fleet sweep stores each seed's
-        full campaign result and FlightRecorder dump there, which is
-        what makes a killed ``repro fleet`` run resume bit-identically.
+        ``extra`` is the metric's JSON-ready payload, handed back
+        verbatim on resume -- the fleet sweep stores each seed's full
+        campaign result and FlightRecorder dump there, which is what
+        makes a killed ``repro fleet`` run resume bit-identically.
         """
         entry: dict = {"seed": int(seed), "value": float(value)}
         if metrics_state is not None:

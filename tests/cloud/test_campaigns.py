@@ -861,7 +861,7 @@ class TestFleetSweep:
         assert sweep.resumed_seeds == 2
         assert sweep.to_dict() == expected_dict
         assert rec.to_json() == expected_series
-        counters.pop("fleet_sweep_seeds_resumed_total")
+        counters.pop("sweep_seeds_resumed_total")
         assert counters == expected_counters
 
     def test_journaled_equals_unjournaled(self, tmp_path):

@@ -5,13 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import Experiment1Config, run_experiment1
+from repro.montecarlo import experiment_sweep
 from repro.persistence import bundle_to_dict
 from repro.reliability.chaos import (
     CHAOS_ACCURACY_BOUNDS,
     DEFAULT_CHAOS_SPECS,
     default_chaos_plan,
     run_chaos,
-    run_chaos_sweep,
 )
 from repro.reliability.faults import FAULT_SITES, FaultPlan, fault_plan
 
@@ -75,27 +75,29 @@ class TestEmptyPlanBitIdentity:
         )
 
 
+def _chaos_sweep(seeds, **kwargs):
+    """``repro chaos sweep``: an experiment sweep under the default plan."""
+    return experiment_sweep("exp1", seeds, quick=True,
+                            fault_plan=default_chaos_plan(), **kwargs)
+
+
 class TestChaosSweep:
     def test_sweep_is_jobs_independent(self):
         seeds = [1, 2]
-        sequential = run_chaos_sweep("exp1", seeds, quick=True, jobs=1)
-        sharded = run_chaos_sweep("exp1", seeds, quick=True, jobs=2)
+        sequential = _chaos_sweep(seeds, jobs=1)
+        sharded = _chaos_sweep(seeds, jobs=2)
         assert sequential.values == sharded.values
         assert sequential.seeds == sharded.seeds
 
     def test_sweep_resumes_from_journal(self, tmp_path):
         journal_path = tmp_path / "chaos.journal"
         seeds = [1, 2]
-        full = run_chaos_sweep(
-            "exp1", seeds, quick=True, journal_path=journal_path
-        )
-        resumed = run_chaos_sweep(
-            "exp1", seeds, quick=True, journal_path=journal_path
-        )
+        full = _chaos_sweep(seeds, journal_path=journal_path)
+        resumed = _chaos_sweep(seeds, journal_path=journal_path)
         assert resumed.values == full.values
 
     def test_sweep_needs_seeds(self):
         from repro.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError):
-            run_chaos_sweep("exp1", [])
+            _chaos_sweep([])

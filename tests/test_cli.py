@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.observability.metrics import registry
 from tests.oracles.churn import reference_churn
 
 #: The committed fault plan (raise-site specs and fleet sections).
@@ -438,6 +439,22 @@ class TestChaosCommand:
         out = capsys.readouterr().out
         assert "chaos recovery accuracy" in out
         assert "bound=0.85" in out
+
+    def test_chaos_sweep_resume_round_trip(self, tmp_path, capsys):
+        """A journalled chaos sweep rerun from its journal reports the
+        identical distribution and names the journal both times."""
+        journal = tmp_path / "chaos.journal"
+        argv = ["chaos", "sweep", "--experiment", "exp1", "--seeds", "1,2",
+                "--resume", str(journal)]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert journal.exists()
+        assert "exp1 chaos recovery accuracy" in first
+        assert f"journal: {journal}" in first
+        assert main(argv) == 0
+        second = capsys.readouterr().out
+        assert first == second
+        assert registry.counter("sweep_seeds_resumed_total").value == 2
 
     def test_chaos_missing_plan_fails_cleanly(self, tmp_path, capsys):
         assert main(["chaos", "exp1",

@@ -1,10 +1,15 @@
-"""``pyproject.toml`` declares exactly the third-party packages in use.
+"""Import-graph checks: declared dependencies and reachable modules.
 
 CI installs from ``pyproject.toml`` (``pip install -e .[dev]``), so a
 package the code imports but the file omits fails here instead of in a
 CI job, and a declared package nothing uses fails here too.  The
 library (``src/``) may use only ``dependencies``; tests, benchmarks,
 examples and the perf harness may also use the ``dev`` extra.
+
+The same walk checks the supported surface: every module under
+``src/repro`` must be reached by something that runs it -- the CLI,
+an example, a benchmark or the perf harness.  Code that only checks
+other code belongs in ``tests/oracles/``.
 """
 
 import ast
@@ -16,6 +21,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = ("src",)
 TOOLING = ("tests", "benchmarks", "examples", "perfbench")
+#: What runs the library besides its command line.
+RUNNERS = ("benchmarks", "examples", "perfbench")
 
 
 def _requirement_names(requirements):
@@ -38,24 +45,42 @@ def _local_modules():
     return names
 
 
+def _imported_modules(path):
+    """Absolute module names one file imports, lazy imports included.
+
+    ``from a import b`` yields both ``a`` and ``a.b``: ``b`` may be a
+    submodule.
+    """
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
 def _third_party_imports(directories):
     """Top-level third-party modules imported anywhere under them."""
     local = _local_modules()
     found = set()
     for directory in directories:
         for path in (ROOT / directory).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Import):
-                    modules = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                    modules = [node.module]
-                else:
-                    continue
-                for module in modules:
-                    top = module.split(".")[0]
-                    if top not in sys.stdlib_module_names and top not in local:
-                        found.add(top.lower())
+            for module in _imported_modules(path):
+                top = module.split(".")[0]
+                if top not in sys.stdlib_module_names and top not in local:
+                    found.add(top.lower())
     return found
+
+
+def _library_modules():
+    """Every module under ``src/``: dotted name -> file."""
+    modules = {}
+    for path in (ROOT / "src").rglob("*.py"):
+        parts = path.relative_to(ROOT / "src").with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        modules[".".join(parts)] = path
+    return modules
 
 
 def _uses_benchmark_fixture():
@@ -82,3 +107,23 @@ def test_tooling_imports_match_dev_extra():
     if _uses_benchmark_fixture():
         used.add("pytest-benchmark")
     assert used == dev
+
+
+def test_every_library_module_is_reached():
+    """``python -m repro``, the examples, the benchmarks and perfbench
+    import, directly or not, every module under ``src/repro``."""
+    modules = _library_modules()
+    pending = ["repro.__main__", "repro.cli"]
+    for directory in RUNNERS:
+        for path in (ROOT / directory).rglob("*.py"):
+            pending.extend(_imported_modules(path))
+    reached = set()
+    while pending:
+        parts = pending.pop().split(".")
+        # Importing ``a.b.c`` runs the ``a`` and ``a.b`` packages too.
+        for depth in range(1, len(parts) + 1):
+            name = ".".join(parts[:depth])
+            if name in modules and name not in reached:
+                reached.add(name)
+                pending.extend(_imported_modules(modules[name]))
+    assert sorted(set(modules) - reached) == []

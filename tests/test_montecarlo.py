@@ -336,6 +336,28 @@ class TestCheckpointResume:
         assert journal.completed_seeds() == [1, 2, 3]
         assert registry.counter("montecarlo_runs_total").value == 6
 
+    def test_resumed_parallel_shards_keep_full_list_positions(
+        self, four_cpus, tmp_path, monkeypatch
+    ):
+        """After a resume, a pending seed's ``shard`` is its position in
+        the full seed list, in its spans and its progress event alike,
+        never its position among the pending seeds."""
+        trace.enable()
+        journal = self._journal(tmp_path)
+        run_monte_carlo(_tenth, [1, 2], jobs=2, journal=journal)
+        trace.clear()
+        done = []
+        monkeypatch.setattr(
+            montecarlo, "note_seed_done",
+            lambda seed, value, **kw: done.append((seed, kw.get("shard"))),
+        )
+        run_monte_carlo(_tenth, [1, 2, 3, 4], jobs=2, journal=journal)
+        (root,) = trace.roots()
+        shards = {sp.attrs["seed"]: sp.attrs["shard"]
+                  for sp in root.children if sp.name == "montecarlo.seed"}
+        assert shards == {1: 0, 2: 1, 3: 2, 4: 3}
+        assert [entry for entry in done if entry[0] > 2] == [(3, 2), (4, 3)]
+
     def test_journaled_sweep_rejects_duplicate_seeds(self, tmp_path):
         journal = self._journal(tmp_path)
         with pytest.raises(ConfigurationError, match="unique seeds"):
