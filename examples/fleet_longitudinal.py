@@ -73,9 +73,7 @@ def main() -> None:
                   f"${meter.total_for(tenant):.0f})")
 
         for previous in history:
-            residuals = [
-                device.route_delta_ps(route) for route in banks[previous]
-            ]
+            residuals = device.route_deltas_ps(banks[previous])
             signs = "".join(
                 "1" if r > 0.05 else ("0" if r < -0.05 else "?")
                 for r in residuals

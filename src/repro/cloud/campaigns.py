@@ -879,12 +879,14 @@ class FleetSimulator:
     def probe(self, board: int, now_hours: float) -> dict:
         """Read every route's remanent delta on a board.
 
-        A route is *readable* when the delta clears the probe
-        resolution; the inferred bit is the delta's sign (a burned-in
-        ``1`` slows the route, see the integration suite).
+        The whole bank is one read (:meth:`FpgaDevice.route_deltas_ps`),
+        so a board's new segments materialise in one request.  A route
+        is *readable* when the delta clears the probe resolution; the
+        inferred bit is the delta's sign (a burned-in ``1`` slows the
+        route, see the integration suite).
         """
         dev = self.sync_board(board, now_hours)
-        deltas = [dev.route_delta_ps(route) for route in self.routes]
+        deltas = dev.route_deltas_ps(self.routes)
         resolution = self.scenario.probe_resolution_ps
         return {
             "board": board,

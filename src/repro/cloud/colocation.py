@@ -8,18 +8,17 @@ resources, they are guaranteed to obtain the relinquished victim board"
 -- noting that regional F1 stock is small enough that this takes only a
 few devices.
 
-:class:`FlashAttack` implements it: exhaust the region, optionally
-identify the victim's board by fingerprint (or by probing each board for
-the pentimento itself), and release the rest.
+:class:`FlashAttack` implements it: exhaust the region, find the
+victim's board among the holdings (by probing each board for the
+pentimento itself), and release the rest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.errors import AttackError, CapacityError
-from repro.cloud.fingerprint import RouteFingerprint, match_score
 from repro.cloud.instance import F1Instance
 from repro.cloud.provider import CloudProvider
 from repro.reliability.retry import get_retry_policy, note_retry
@@ -75,26 +74,6 @@ class FlashAttack:
                 f"flash attack acquired nothing in {self.region_name!r}"
             )
         return list(self.holdings)
-
-    def identify_by_fingerprint(
-        self,
-        reference: RouteFingerprint,
-        probe: Callable[[F1Instance], RouteFingerprint],
-    ) -> F1Instance:
-        """Find the held instance whose fingerprint matches a reference.
-
-        ``probe`` runs the attacker's measurement flow on one instance
-        and returns its fingerprint.  The best-scoring board is kept;
-        the rest can be released with :meth:`release_except`.
-        """
-        if not self.holdings:
-            raise AttackError("no holdings; run acquire_all() first")
-        scored = [
-            (match_score(reference, probe(instance)), instance)
-            for instance in self.holdings
-        ]
-        scored.sort(key=lambda pair: -pair[0])
-        return scored[0][1]
 
     def release_except(self, keep: Optional[F1Instance] = None) -> None:
         """Return all held instances (except ``keep``) to the pool."""

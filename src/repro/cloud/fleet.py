@@ -40,27 +40,6 @@ def preemption_check(instance_id: int, tenant: str) -> None:
     )
 
 
-def apply_thermal_excursions(region, excursions) -> None:
-    """Replay thermal excursions through a region's ambient profile.
-
-    Wraps the region's ambient in an
-    :class:`~repro.reliability.faults.ExcursionAmbient` so every
-    *subsequent* clock interval recorded on the region's
-    :class:`~repro.cloud.provider.RegionTimeline` samples the spiked
-    temperature.  The wrapper is a pure function of time, so lazy aging
-    and the eager oracle integrate identical ambient sequences.  No-op
-    for an empty excursion list.
-    """
-    from repro.reliability.faults import ExcursionAmbient
-
-    excursions = tuple(excursions)
-    if not excursions:
-        return
-    region.ambient = ExcursionAmbient(region.ambient, excursions)
-    _log.info("thermal_excursions_applied", region=region.name,
-              excursions=len(excursions))
-
-
 def cloud_wear_profile(age_mean_hours: float) -> WearProfile:
     """The standard cloud wear profile at a configurable mean age.
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -561,9 +561,28 @@ class FpgaDevice:
 
     def route_delta_ps(self, route: Route) -> float:
         """True BTI delta-ps of a route (oracle; for tests/analysis only)."""
+        return self.route_deltas_ps((route,))[0]
+
+    def route_deltas_ps(self, routes: Sequence[Route]) -> list[float]:
+        """True BTI delta-ps of each route, in order (oracle; for
+        tests/analysis only).
+
+        The routes' segments, concatenated in route order, are one
+        materialisation request: the block draw takes each stream's
+        variates in request order, so this draws and registers exactly
+        what reading the routes one by one would.
+        """
         self.sync()
-        indices = self._route_indices(route)
-        return float(sum(self._bti_array.delta_ps(indices).tolist()))
+        flat = self._materialise_many(itertools.chain.from_iterable(routes))
+        deltas = self._bti_array.delta_ps(flat).tolist()
+        sums = []
+        end = 0
+        for route in routes:
+            start, end = end, end + len(route)
+            # Sequential left-to-right sum per route: bit-identical to
+            # the aging oracle's segment-by-segment accumulation.
+            sums.append(float(sum(deltas[start:end])))
+        return sums
 
     def info(self) -> DeviceInfo:
         """Provider-side identity record."""

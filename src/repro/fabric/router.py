@@ -12,7 +12,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.errors import RoutingError
 from repro.fabric.geometry import Coordinate, FabricGrid
@@ -186,27 +186,3 @@ def total_nominal_delay(routes: Sequence[Route]) -> float:
     """Sum of nominal delays over several routes."""
     return float(sum(route.nominal_delay_ps for route in routes))
 
-
-def anchor_grid(
-    grid: FabricGrid,
-    count: int,
-    start: Optional[Coordinate] = None,
-    column_stride: int = 2,
-) -> list[Coordinate]:
-    """Evenly-spaced anchor tiles for a bank of routes.
-
-    Routes built by :class:`DelayTargetRouter` snake upward from their
-    anchors; spacing anchors ``column_stride`` columns apart keeps large
-    route banks from exhausting track capacity.
-    """
-    if count <= 0:
-        raise RoutingError(f"count must be positive, got {count}")
-    base = start or Coordinate(0, grid.shell_rows)
-    anchors = []
-    x = base.x
-    for _ in range(count):
-        if x >= grid.columns:
-            raise RoutingError("anchor bank exceeds die width")
-        anchors.append(Coordinate(x, base.y))
-        x += column_stride
-    return anchors

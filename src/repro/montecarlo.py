@@ -199,15 +199,17 @@ def _isolated(work: Callable[[], T]) -> tuple[T, dict]:
     Returns ``work``'s result and exactly the metric state it produced,
     which is what a journal entry stores and a resume replays.  On exit
     -- a crash or Ctrl-C included -- the parent state is restored with
-    that state merged on top, as if ``work`` had run in place.
+    that state merged on top, as if ``work`` had run in place.  The
+    registry keeps its merged dump ids throughout, so a dump merged
+    before (or inside) ``work`` still counts once afterwards.
     """
     parent_state = registry.dump_state()
-    registry.reset()
+    registry.clear_instruments()
     try:
         result = work()
     finally:
         seed_state = registry.dump_state()
-        registry.reset()
+        registry.clear_instruments()
         registry.merge_state(parent_state)
         registry.merge_state(seed_state)
     return result, seed_state

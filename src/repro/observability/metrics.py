@@ -303,11 +303,21 @@ class MetricsRegistry:
             self._merged_dump_ids.add(dump_id)
         return True
 
-    def reset(self) -> None:
-        """Drop every instrument (tests run with a clean registry)."""
+    def clear_instruments(self) -> None:
+        """Drop every instrument but remember the dumps merged so far.
+
+        For isolating a piece of work whose state is merged back on top
+        of the parent's: the parent's dumps are still folded in once
+        that happens, so re-merging one of them must stay a no-op.
+        """
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
+
+    def reset(self) -> None:
+        """Drop every instrument and forget every merged dump (tests
+        run with a clean registry)."""
+        self.clear_instruments()
         self._merged_dump_ids.clear()
 
 

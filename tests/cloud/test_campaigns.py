@@ -31,6 +31,7 @@ from repro.cloud.campaigns import (
     run_scan_campaign,
 )
 from repro.errors import CloudError, ConfigurationError
+from repro.fabric.device import FpgaDevice
 from repro.observability.metrics import registry
 from repro.observability.timeseries import FlightRecorder
 from repro.reliability.checkpoint import SweepJournal
@@ -424,6 +425,35 @@ class TestCampaigns:
             again = run_scan_campaign(_scenario(), plan)
         assert again.recovery_yield == result.recovery_yield
         assert again.details == result.details
+
+    def test_probe_reads_a_board_in_one_request(self, monkeypatch):
+        """A probe materialises all its routes' new segments in one
+        ``_materialise_many`` request, not one request per route."""
+        requests = []
+        probing = []
+        materialise = FpgaDevice._materialise_many
+        probe = campaigns_module.FleetSimulator.probe
+
+        def counting_materialise(device, segment_ids):
+            if probing:
+                probing[-1] += 1
+            return materialise(device, segment_ids)
+
+        def counting_probe(sim, board, now_hours):
+            probing.append(0)
+            try:
+                return probe(sim, board, now_hours)
+            finally:
+                requests.append(probing.pop())
+
+        monkeypatch.setattr(FpgaDevice, "_materialise_many",
+                            counting_materialise)
+        monkeypatch.setattr(campaigns_module.FleetSimulator, "probe",
+                            counting_probe)
+        plan = ScanPlan(victims=1, scan_width=4, scan_every_hours=16.0)
+        result = run_scan_campaign(_scenario(), plan)
+        assert len(requests) == result.boards_probed > 0
+        assert requests == [1] * len(requests)
 
 
 class TestChurnBenchmark:

@@ -260,6 +260,14 @@ def _assert_matches_oracle(batched, oracle, traits):
         assert store.traits(index) == traits[segment_id], segment_id
 
 
+_SEGMENT_IDS = st.builds(
+    SegmentId,
+    kind=st.sampled_from(list(SegmentKind)),
+    origin=st.builds(Coordinate, x=st.integers(0, 3), y=st.integers(0, 3)),
+    track=st.integers(0, 2),
+)
+
+
 _WEARS = pytest.mark.parametrize(
     "wear", [NEW_PART, CLOUD_PART], ids=["new", "cloud"]
 )
@@ -360,6 +368,53 @@ class TestBatchedMaterialisation:
         device.route_delta_ps(repeated)  # nothing new to materialise
         assert len(calls) == 2 * preloads
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        wear=st.sampled_from([NEW_PART, CLOUD_PART]),
+        shared=st.booleans(),
+        pool=st.lists(_SEGMENT_IDS, min_size=1, max_size=12, unique=True),
+        warm=st.lists(st.integers(0, 11), max_size=8),
+        neighbour=st.lists(_SEGMENT_IDS, max_size=8),
+        picks=st.lists(
+            st.lists(st.integers(0, 11), min_size=1, max_size=10),
+            min_size=1, max_size=5,
+        ),
+    )
+    def test_batch_read_equals_per_route_reads(
+        self, wear, shared, pool, warm, neighbour, picks
+    ):
+        """One ``route_deltas_ps`` over routes that share and repeat
+        segments equals reading them one by one on the one-at-a-time
+        oracle -- also after part of the pool is materialised, and with
+        a neighbour's slots interleaved in a shared store."""
+
+        def pair():
+            store = SegmentBtiArray()
+            return [
+                FpgaDevice(ZYNQ_ULTRASCALE_PLUS, wear=wear, seed=seed,
+                           bti_store=store if shared else SegmentBtiArray())
+                for seed in (71, 72)
+            ]
+
+        (batched, other_b), (reference, other_o) = pair(), pair()
+        drawn = _one_at_a_time(reference, [pool[i % len(pool)] for i in warm])
+        batched._materialise_many(pool[i % len(pool)] for i in warm)
+        _one_at_a_time(other_o, neighbour)
+        other_b._materialise_many(neighbour)
+        routes = [
+            Route(f"r{n}", tuple(pool[i % len(pool)] for i in route))
+            for n, route in enumerate(picks)
+        ]
+        deltas = batched.route_deltas_ps(routes)
+        want = []
+        for route in routes:
+            drawn.update(_one_at_a_time(reference, route))
+            want.append(reference.route_delta_ps(route))
+        assert deltas == want
+        assert [batched.route_delta_ps(r) for r in routes] == deltas
+        _assert_matches_oracle(batched, reference, drawn)
+        _assert_same_device(other_b, other_o)
+
     @_WEARS
     def test_scalar_kernel_matches(self, wear):
         def history():
@@ -382,12 +437,6 @@ class TestBatchedMaterialisation:
         assert array.materialised_segments == scalar_segments
 
 
-_SEGMENT_IDS = st.builds(
-    SegmentId,
-    kind=st.sampled_from(list(SegmentKind)),
-    origin=st.builds(Coordinate, x=st.integers(0, 3), y=st.integers(0, 3)),
-    track=st.integers(0, 2),
-)
 _SIGMAS = st.builds(
     VariationParams,
     delay_sigma=st.sampled_from([0.0, 0.008, 0.2]),

@@ -385,6 +385,32 @@ class TestNestedMergeAndIdempotence:
         assert parent.merge_state(state) is True
         assert parent.counter("captures_total").value == 3
 
+    def test_isolated_seed_keeps_merged_dump_ids(self):
+        """An isolated seed restores the parent's state by re-merging
+        it; a dump the parent merged before must still count once."""
+        from repro.montecarlo import _isolated
+
+        worker = MetricsRegistry()
+        worker.counter("captures_total").inc(1)
+        state = worker.dump_state()
+        registry.merge_state(state)
+        assert registry.merge_state(state) is False
+        assert registry.counter("captures_total").value == 1.0
+        _isolated(lambda: None)
+        assert registry.merge_state(state) is False
+        assert registry.counter("captures_total").value == 1.0
+
+    def test_dump_merged_inside_isolated_seed_counts_once(self):
+        from repro.montecarlo import _isolated
+
+        worker = MetricsRegistry()
+        worker.counter("captures_total").inc(2)
+        state = worker.dump_state()
+        _, seed_state = _isolated(lambda: registry.merge_state(state))
+        assert seed_state["counters"]["captures_total"]["value"] == 2.0
+        assert registry.merge_state(state) is False
+        assert registry.counter("captures_total").value == 2.0
+
     def test_negative_merged_counter_rejected(self):
         parent = MetricsRegistry()
         state = {"counters": {"captures_total": {"help": "", "value": -1.0}}}

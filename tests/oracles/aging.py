@@ -108,10 +108,13 @@ def transition_delays(device: FpgaDevice, route: Route) -> TransitionDelays:
     )
 
 
-def route_delta_ps(device: FpgaDevice, route: Route) -> float:
-    """Route BTI delta summed segment by segment."""
+def route_deltas_ps(device: FpgaDevice, routes) -> list[float]:
+    """Each route's BTI delta, summed segment by segment."""
     device.sync()
-    return float(sum(segment_state(device, seg).delta_ps for seg in route))
+    return [
+        float(sum(segment_state(device, seg).delta_ps for seg in route))
+        for route in routes
+    ]
 
 
 def sync_devices(region: Region, devices=None) -> None:
@@ -144,7 +147,7 @@ def reference_aging() -> Iterator[None]:
          property(lambda self: len(self._segments))),
         (FpgaDevice, "_advance_array", advance),
         (FpgaDevice, "transition_delays", transition_delays),
-        (FpgaDevice, "route_delta_ps", route_delta_ps),
+        (FpgaDevice, "route_deltas_ps", route_deltas_ps),
         (Region, "sync_devices", sync_devices),
     ]
     originals = [(owner, name, owner.__dict__[name])
