@@ -182,17 +182,3 @@ def _normal_sf(z: float) -> float:
     from math import erfc, sqrt
 
     return 0.5 * erfc(z / sqrt(2.0))
-
-
-def welch_t_statistic(a, b) -> float:
-    """Welch's t statistic between two samples (unequal variances)."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.size < 2 or b.size < 2:
-        raise AnalysisError("Welch's t needs >= 2 points per sample")
-    var_a = float(np.var(a, ddof=1))
-    var_b = float(np.var(b, ddof=1))
-    denominator = (var_a / a.size + var_b / b.size) ** 0.5
-    if denominator == 0.0:
-        raise AnalysisError("both samples are constant")
-    return float((a.mean() - b.mean()) / denominator)

@@ -287,27 +287,6 @@ class NullReferencedSlopeClassifier:
         return bits
 
 
-def cluster_separation(features: Sequence[float]) -> float:
-    """Bimodality score: inter-cluster gap over pooled in-cluster spread.
-
-    Used to pick the victim's board out of a flash-attack haul: the
-    board that carried data shows a bimodal recovery-feature split,
-    while pristine boards show one noise cluster.
-    """
-    data = np.asarray(features, dtype=float).ravel()
-    if data.size < 2:
-        raise AnalysisError("separation needs >= 2 features")
-    threshold = two_means_split(data)
-    lower = data[data <= threshold]
-    upper = data[data > threshold]
-    if lower.size == 0 or upper.size == 0:
-        return 0.0
-    pooled = float(np.sqrt((lower.var() * lower.size + upper.var() * upper.size)
-                           / data.size))
-    gap = float(upper.mean() - lower.mean())
-    return gap / max(pooled, 1e-9)
-
-
 @dataclass(frozen=True)
 class MatchedFilterClassifier:
     """Threat Model 2 alternative: correlate with the expected transient.

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import AttackError
@@ -212,17 +211,30 @@ def cluster_imprints(
 
     Segments whose origins are within ``adjacency_tiles`` Manhattan
     distance are assumed to belong to one serpentine route; connected
-    components reconstruct the victim skeleton's 1-routes.
+    components reconstruct the victim skeleton's 1-routes.  Components
+    come in the order of their first flagged segment, each sorted by
+    origin, segments sharing an origin in flagged order.
     """
     segments = list(flagged)
-    graph = nx.Graph()
-    graph.add_nodes_from(range(len(segments)))
+    # Union-find whose root is always a component's smallest index.
+    root = list(range(len(segments)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
     for i, a in enumerate(segments):
         for j in range(i + 1, len(segments)):
             b = segments[j]
             if a.origin.manhattan_distance(b.origin) <= adjacency_tiles:
-                graph.add_edge(i, j)
+                ri, rj = find(i), find(j)
+                root[max(ri, rj)] = min(ri, rj)
+    components: dict[int, list[SegmentId]] = {}
+    for i, segment in enumerate(segments):
+        components.setdefault(find(i), []).append(segment)
     return [
-        sorted((segments[i] for i in component), key=lambda s: s.origin)
-        for component in nx.connected_components(graph)
+        sorted(component, key=lambda s: s.origin)
+        for component in components.values()
     ]

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import Mapping, Sequence
 
 from repro.errors import DesignRuleViolation
 from repro.fabric.bitstream import Bitstream
@@ -42,6 +41,7 @@ class DrcReport:
     """Outcome of a design rule check run."""
 
     design_name: str
+    #: Every combinational loop, in :func:`combinational_loops`' order.
     combinational_loops: tuple[tuple[str, ...], ...]
     power_watts: float
     power_cap_watts: float
@@ -89,6 +89,123 @@ def clear_drc_cache() -> None:
     _drc_cache.clear()
 
 
+def combinational_loops(
+    successors: Mapping[str, Sequence[str]],
+) -> tuple[tuple[str, ...], ...]:
+    """Every elementary cycle of a graph, in a canonical order.
+
+    ``successors`` maps each node to its successors; its key order is
+    the cell order.  Each loop starts at its earliest node in that
+    order, and the loops are sorted by their nodes' positions, so the
+    report never depends on set iteration (and the string-hash salt).
+    Tarjan's pass finds the strongly connected components; Johnson's
+    search then enumerates the cycles inside each nontrivial one.
+    """
+    position = {node: i for i, node in enumerate(successors)}
+    loops = []
+    for component in _strong_components(successors):
+        if len(component) == 1:
+            node = component[0]
+            if node in successors[node]:
+                loops.append((node,))
+            continue
+        allowed = set(component)
+        for start in sorted(component, key=position.__getitem__):
+            allowed.discard(start)
+            loops.extend(_cycles_through(start, successors, allowed))
+    loops.sort(key=lambda loop: [position[node] for node in loop])
+    return tuple(loops)
+
+
+def _strong_components(
+    successors: Mapping[str, Sequence[str]],
+) -> list[list[str]]:
+    """Tarjan's strongly connected components, iteratively."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    components = []
+    for root in successors:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(successors[root]))]
+        while work:
+            node, pending = work[-1]
+            for nxt in pending:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(successors[nxt])))
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
+    return components
+
+
+def _cycles_through(
+    start: str,
+    successors: Mapping[str, Sequence[str]],
+    allowed: set[str],
+) -> list[tuple[str, ...]]:
+    """Johnson's circuit search: every cycle from ``start`` back to it
+    whose other nodes lie in ``allowed``, each starting at ``start``."""
+    cycles = []
+    path = [start]
+    blocked = {start}
+    blocking: dict[str, set[str]] = {}
+    work = [(start, iter(successors[start]))]
+    closed = [False]  # per frame: a cycle was found through this node
+    while work:
+        node, pending = work[-1]
+        for nxt in pending:
+            if nxt == start:
+                cycles.append(tuple(path))
+                closed[-1] = True
+            elif nxt in allowed and nxt not in blocked:
+                path.append(nxt)
+                blocked.add(nxt)
+                work.append((nxt, iter(successors[nxt])))
+                closed.append(False)
+                break
+        else:
+            work.pop()
+            path.pop()
+            found = closed.pop()
+            if found:
+                unblock = [node]
+                while unblock:
+                    member = unblock.pop()
+                    if member in blocked:
+                        blocked.discard(member)
+                        unblock.extend(blocking.pop(member, ()))
+            else:
+                for nxt in successors[node]:
+                    if nxt in allowed:
+                        blocking.setdefault(nxt, set()).add(node)
+            if closed:
+                closed[-1] = closed[-1] or found
+    return cycles
+
+
 def check_design(
     bitstream: Bitstream, grid: FabricGrid, power_cap_watts: float
 ) -> DrcReport:
@@ -113,10 +230,7 @@ def check_design(
             "drc_cache_hits_total", "DRC reports served from the cache"
         ).inc()
         return cached
-    graph = bitstream.netlist.combinational_graph()
-    loops = tuple(
-        tuple(cycle) for cycle in nx.simple_cycles(graph)
-    )
+    loops = combinational_loops(bitstream.netlist.combinational_graph())
     shell = tuple(
         name
         for name, site in bitstream.placement.sites.items()

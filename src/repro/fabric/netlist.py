@@ -13,8 +13,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-import networkx as nx
-
 from repro.errors import ConfigurationError, FabricError
 from repro.fabric.routing import Route
 
@@ -163,29 +161,29 @@ class Netlist:
         """All cells of one resource class."""
         return [c for c in self.cells.values() if c.cell_type is cell_type]
 
-    def combinational_graph(self) -> nx.DiGraph:
-        """Directed graph of combinational cell-to-cell dependencies.
+    def combinational_graph(self) -> dict[str, list[str]]:
+        """Combinational cell-to-cell dependencies: cell -> successors.
 
         Edges run driver -> sink, restricted to combinational cell
         types; flip-flops break the path.  Used by the DRC's
         ring-oscillator scan.  Only cells that touch an edge become
-        nodes (a cell without one is on no cycle), added in cell
-        order, so a design's sequential logic -- the heater's
-        FF -> DSP -> FF units -- never enters the cycle search.
+        keys (a cell without one is on no cycle), in cell order, so a
+        design's sequential logic -- the heater's FF -> DSP -> FF
+        units -- never enters the cycle search.  Each cell's successors
+        come in net order, each once.
         """
         cells = self.cells
-        edges = []
+        successors: dict[str, dict[str, None]] = {}
         for net in self.nets.values():
             if cells[net.driver].cell_type not in COMBINATIONAL_TYPES:
                 continue
             for sink in net.sinks:
                 if cells[sink].cell_type in COMBINATIONAL_TYPES:
-                    edges.append((net.driver, sink))
-        touched = {name for edge in edges for name in edge}
-        graph = nx.DiGraph()
-        graph.add_nodes_from(name for name in cells if name in touched)
-        graph.add_edges_from(edges)
-        return graph
+                    successors.setdefault(net.driver, {})[sink] = None
+                    successors.setdefault(sink, {})
+        return {
+            name: list(successors[name]) for name in cells if name in successors
+        }
 
     def static_nets(self) -> list[Net]:
         """Nets held at a constant value while the design runs."""

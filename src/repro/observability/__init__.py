@@ -39,28 +39,16 @@ Conventions (see ``docs/observability.md``): span names are
 ``layer.stage`` (``experiment``, ``phase.measurement``,
 ``sensor.capture``); counters end in ``_total``; histograms name their
 unit (``capture_latency_seconds``, ``readout_skew_ps``).
+
+Importing the package loads only what every run uses: log, trace,
+metrics, manifest and progress.  The exporters, the run store and its
+analytics load when a caller imports them by name, so a library import
+never pays for sqlite, HTML rendering or benchmark diffing.
 """
 
 from __future__ import annotations
 
-from repro.observability import (
-    analytics,
-    benchdiff,
-    history,
-    profile,
-    progress,
-    runstore,
-    timeline,
-    timeseries,
-    trace,
-)
-from repro.observability.export import (
-    metrics_to_dict,
-    to_prometheus_text,
-    write_metrics_json,
-    write_prometheus_text,
-    write_spans_jsonl,
-)
+from repro.observability import progress, trace
 from repro.observability.log import StructuredLogger, get_logger
 from repro.observability.manifest import (
     RunManifest,
@@ -79,14 +67,7 @@ from repro.observability.trace import Span, render_tree, span
 
 __all__ = [
     "trace",
-    "profile",
-    "timeline",
-    "timeseries",
-    "benchdiff",
     "progress",
-    "runstore",
-    "analytics",
-    "history",
     "span",
     "Span",
     "render_tree",
@@ -101,9 +82,4 @@ __all__ = [
     "RunManifest",
     "build_manifest",
     "diff_manifests",
-    "metrics_to_dict",
-    "write_metrics_json",
-    "write_spans_jsonl",
-    "to_prometheus_text",
-    "write_prometheus_text",
 ]

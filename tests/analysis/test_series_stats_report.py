@@ -11,9 +11,22 @@ from repro.analysis.stats import (
     ols_slope,
     route_length_stats,
     theil_sen_slope,
-    welch_t_statistic,
 )
 from repro.analysis.timeseries import DeltaPsSeries, SeriesBundle, length_class
+
+
+def welch_t_statistic(a, b) -> float:
+    """Welch's t statistic between two samples (unequal variances)."""
+    a = np.asarray(a, dtype=float).ravel()
+    b = np.asarray(b, dtype=float).ravel()
+    if a.size < 2 or b.size < 2:
+        raise AnalysisError("Welch's t needs >= 2 points per sample")
+    var_a = float(np.var(a, ddof=1))
+    var_b = float(np.var(b, ddof=1))
+    denominator = (var_a / a.size + var_b / b.size) ** 0.5
+    if denominator == 0.0:
+        raise AnalysisError("both samples are constant")
+    return float((a.mean() - b.mean()) / denominator)
 
 
 def make_series(name="r", length=1000.0, values=(0.0, 0.5, 1.0), burn=1):

@@ -12,10 +12,26 @@ from repro.core.classify import (
     MatchedFilterClassifier,
     NullReferencedSlopeClassifier,
     RecoverySlopeClassifier,
-    cluster_separation,
     two_means_split,
 )
 from repro.core.metrics import grouped_accuracy, score_recovery
+
+
+def cluster_separation(features) -> float:
+    """Bimodality score: inter-cluster gap over pooled in-cluster spread
+    around :func:`two_means_split`'s threshold."""
+    data = np.asarray(features, dtype=float).ravel()
+    if data.size < 2:
+        raise AnalysisError("separation needs >= 2 features")
+    threshold = two_means_split(data)
+    lower = data[data <= threshold]
+    upper = data[data > threshold]
+    if lower.size == 0 or upper.size == 0:
+        return 0.0
+    pooled = float(np.sqrt((lower.var() * lower.size + upper.var() * upper.size)
+                           / data.size))
+    gap = float(upper.mean() - lower.mean())
+    return gap / max(pooled, 1e-9)
 
 
 def synthetic_series(name, drift, length=5000.0, points=40, noise=0.05,

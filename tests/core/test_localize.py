@@ -1,6 +1,9 @@
 """Tests for skeleton-free imprint localisation (the future-work module)."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import AttackError
 from repro.core.bench import LabBench
@@ -53,6 +56,36 @@ class TestClustering:
 
     def test_empty_input(self):
         assert cluster_imprints([]) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        points=st.lists(
+            st.tuples(st.integers(0, 12), st.integers(0, 12),
+                      st.integers(0, 3)),
+            max_size=40,
+        ),
+        adjacency=st.integers(0, 20),
+    )
+    def test_matches_connected_components(self, points, adjacency):
+        """Union-find gives networkx's components, ordered by their
+        first segment; inside one, by origin, then by input order
+        (networkx's set order, which ties used to follow, is not
+        part of the contract)."""
+        flagged = [self._segment(x, y, track) for x, y, track in points]
+        graph = nx.Graph()
+        graph.add_nodes_from(range(len(flagged)))
+        graph.add_edges_from(
+            (i, j)
+            for i, a in enumerate(flagged)
+            for j in range(i + 1, len(flagged))
+            if a.origin.manhattan_distance(flagged[j].origin) <= adjacency
+        )
+        want = [
+            sorted((flagged[i] for i in sorted(component)),
+                   key=lambda s: s.origin)
+            for component in nx.connected_components(graph)
+        ]
+        assert cluster_imprints(flagged, adjacency) == want
 
 
 class TestScanner:

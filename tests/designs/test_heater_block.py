@@ -4,11 +4,14 @@
 in ``tests/oracles/designs.py`` adds the same units one at a time.  The
 two must leave equal netlists and placers, in insertion order, and
 refuse the same requests.  The DRC's combinational graph keeps only the
-cells on a combinational edge; its loops must match the full graph's.
+cells on a combinational edge; its loops must match networkx's cycles
+of the full graph, in the same canonical order under any hash seed.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -20,7 +23,7 @@ from repro.designs import arithmetic
 from repro.designs.arithmetic import build_fma_array, clear_heater_cache
 from repro.errors import FabricError, PlacementError
 from repro.fabric.bitstream import Bitstream
-from repro.fabric.drc import check_design
+from repro.fabric.drc import check_design, combinational_loops
 from repro.fabric.geometry import Coordinate
 from repro.fabric.netlist import Cell, CellType, Net, NetActivity, Netlist
 from repro.fabric.parts import VIRTEX_ULTRASCALE_PLUS, ZYNQ_ULTRASCALE_PLUS
@@ -28,6 +31,7 @@ from repro.fabric.placement import FixedPlacer, Placement
 from repro.sensor.ro import build_ro_netlist
 from tests.oracles import designs as oracle
 
+ROOT = Path(__file__).resolve().parents[2]
 PARTS = (ZYNQ_ULTRASCALE_PLUS, VIRTEX_ULTRASCALE_PLUS)
 # Route endpoints and the cell each places there; DSP48 pre-placements
 # make some heater tiles start part-full.
@@ -238,23 +242,73 @@ def _ring_designs():
     return designs
 
 
+def _report_loops(netlist):
+    report = check_design(Bitstream.compile(netlist, Placement()),
+                          ZYNQ_ULTRASCALE_PLUS.make_grid(), 1000.0)
+    return report.combinational_loops
+
+
 class TestTrimmedDrcGraph:
     @pytest.mark.parametrize("index", range(5))
     def test_loops_match_full_graph(self, index):
         netlist = _ring_designs()[index]
-        want = tuple(
-            tuple(cycle)
-            for cycle in nx.simple_cycles(oracle.combinational_graph(netlist))
+        want = oracle.combinational_loops(netlist)
+        assert repr(_report_loops(netlist)) == repr(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        nodes=st.integers(1, 9),
+        edges=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                       max_size=30),
+    )
+    def test_search_matches_networkx(self, nodes, edges):
+        graph = nx.DiGraph()
+        # Names against the node order catch a search that sorts by name.
+        graph.add_nodes_from(f"n{nodes - i}" for i in range(nodes))
+        names = list(graph)
+        graph.add_edges_from((names[a % nodes], names[b % nodes])
+                             for a, b in edges)
+        successors = {name: list(graph.successors(name)) for name in graph}
+        assert combinational_loops(successors) == oracle.canonical_cycles(
+            graph)
+
+    def test_loops_ignore_the_hash_seed(self):
+        """Set iteration order follows the string-hash salt; the loops
+        of the ring designs and of an RO netlist must not.  (networkx's
+        search gave the mixed design three different orders under
+        these four seeds.)"""
+        code = (
+            "from repro.designs import build_route_bank\n"
+            "from repro.fabric.parts import ZYNQ_ULTRASCALE_PLUS\n"
+            "from repro.sensor.ro import build_ro_netlist\n"
+            "from tests.designs.test_heater_block import (\n"
+            "    _report_loops, _ring_designs)\n"
+            "route = build_route_bank(ZYNQ_ULTRASCALE_PLUS.make_grid(),\n"
+            "                         [2000.0])[0]\n"
+            "designs = _ring_designs() + [build_ro_netlist('ro', route)]\n"
+            "for netlist in designs:\n"
+            "    print(_report_loops(netlist))\n"
         )
-        report = check_design(Bitstream.compile(netlist, Placement()),
-                              ZYNQ_ULTRASCALE_PLUS.make_grid(), 1000.0)
-        assert repr(report.combinational_loops) == repr(want)
+        outputs = []
+        for seed in ("0", "1", "2", "12345"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(
+                       [str(ROOT / "src"), str(ROOT),
+                        os.environ.get("PYTHONPATH", "")])}
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", code], cwd=ROOT, env=env,
+                capture_output=True, text=True, check=True,
+            ).stdout)
+        assert len(set(outputs)) == 1
+        assert len(outputs[0].splitlines()) == 6
+        assert "('z', 'y', 'x', 'w', 'v')" in outputs[0]
 
     def test_sequential_cells_leave_the_graph(self):
         mixed = _ring_designs()[4]
         graph = mixed.combinational_graph()
         assert not any(name.startswith(("pre", "post")) for name in graph)
-        full = list(oracle.combinational_graph(mixed))
-        assert list(graph) == [name for name in full if name in graph]
-        assert list(graph.edges) == list(
-            oracle.combinational_graph(mixed).edges)
+        full = oracle.combinational_graph(mixed)
+        touched = {name for edge in full.edges for name in edge}
+        assert list(graph) == [name for name in full if name in touched]
+        assert [(driver, sink) for driver, sinks in graph.items()
+                for sink in sinks] == list(full.edges)

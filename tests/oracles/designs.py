@@ -12,7 +12,10 @@ replaced, so tests can compare against them with ``==``:
   nearest free flip-flop site per unit, and take the operand net's
   local track from the running net count.
 * :func:`combinational_graph` -- every cell a node, edges driver ->
-  sink between combinational cells.
+  sink between combinational cells, as a networkx graph;
+* :func:`canonical_cycles` -- ``networkx.simple_cycles`` put in the
+  DRC's canonical order, and :func:`combinational_loops`, the loops a
+  DRC report must list for a netlist.
 """
 
 from __future__ import annotations
@@ -111,3 +114,21 @@ def combinational_graph(netlist: Netlist) -> nx.DiGraph:
             if netlist.cells[sink].cell_type in COMBINATIONAL_TYPES:
                 graph.add_edge(net.driver, sink)
     return graph
+
+
+def canonical_cycles(graph: nx.DiGraph) -> tuple[tuple[str, ...], ...]:
+    """networkx's simple cycles in the DRC's order: each rotated to
+    start at its earliest node (graph node order), then sorted by the
+    nodes' positions."""
+    position = {node: i for i, node in enumerate(graph)}
+    loops = []
+    for cycle in nx.simple_cycles(graph):
+        first = min(range(len(cycle)), key=lambda i: position[cycle[i]])
+        loops.append(tuple(cycle[first:] + cycle[:first]))
+    loops.sort(key=lambda loop: [position[node] for node in loop])
+    return tuple(loops)
+
+
+def combinational_loops(netlist: Netlist) -> tuple[tuple[str, ...], ...]:
+    """The full graph's cycles, in cell order."""
+    return canonical_cycles(combinational_graph(netlist))

@@ -61,12 +61,12 @@ class TestRoSensor:
         assert burn0_shift > 0.0  # same sign as burn-1: indistinguishable
 
     def test_netlist_contains_combinational_loop(self, ro_setup):
-        import networkx as nx
+        from repro.fabric.drc import combinational_loops
 
         _, route = ro_setup
         netlist = build_ro_netlist("probe", route)
-        cycles = list(nx.simple_cycles(netlist.combinational_graph()))
-        assert cycles
+        loops = combinational_loops(netlist.combinational_graph())
+        assert loops == (("loop_inv",),)
 
     def test_invalid_gate_time_rejected(self, ro_setup):
         device, route = ro_setup

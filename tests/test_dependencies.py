@@ -10,10 +10,16 @@ The same walk checks the supported surface: every module under
 ``src/repro`` must be reached by something that runs it -- the CLI,
 an example, a benchmark or the perf harness.  Code that only checks
 other code belongs in ``tests/oracles/``.
+
+Fresh interpreters check the cold start: importing the library's
+workloads loads neither networkx (a test-only oracle) nor the run
+store and its analytics.
 """
 
 import ast
+import os
 import re
+import subprocess
 import sys
 import tomllib
 from pathlib import Path
@@ -127,3 +133,34 @@ def test_every_library_module_is_reached():
                 reached.add(name)
                 pending.extend(_imported_modules(modules[name]))
     assert sorted(set(modules) - reached) == []
+
+
+def _modules_loaded_by(statement):
+    """``sys.modules`` of a fresh interpreter after ``statement``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    code = f"import sys\n{statement}\nprint(*sorted(sys.modules))"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    return set(result.stdout.split())
+
+
+def test_workload_imports_stay_lean():
+    loaded = _modules_loaded_by(
+        "import repro.cloud.campaigns, repro.experiments.experiment3"
+    )
+    heavy = {
+        "networkx",
+        "repro.observability.analytics",
+        "repro.observability.runstore",
+        "repro.observability.history",
+        "repro.observability.benchdiff",
+    }
+    assert loaded & heavy == set()
+    assert "repro.cloud.campaigns" in loaded
+
+
+def test_cli_import_leaves_out_networkx():
+    loaded = _modules_loaded_by("import repro.cli")
+    assert "repro.cli" in loaded
+    assert "networkx" not in loaded
