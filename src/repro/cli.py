@@ -20,44 +20,67 @@ Examples::
     python -m repro runs compare latest~1 latest --gate
     python -m repro report --history --output history.html
 
-Every sub-command accepts the observability flags: ``--trace`` prints
-the run's span tree (experiment -> phase -> capture; give it a FILE to
-also write the forest as JSON Lines), ``--metrics-out FILE`` writes
-the metrics registry, span tree and run manifest as one JSON document,
-and ``--chrome-trace FILE`` exports the spans in the Chrome Trace
-Event Format for Perfetto / ``chrome://tracing``.
+Every sub-command except ``bench`` and ``runs`` accepts the
+observability flags: ``--trace`` prints the run's span tree (experiment
+-> phase -> capture; give it a FILE to also write the forest as JSON
+Lines), ``--metrics-out FILE`` writes the metrics registry, span tree
+and run manifest as one JSON document, and ``--chrome-trace FILE``
+exports the spans in the Chrome Trace Event Format for Perfetto /
+``chrome://tracing``.
 
-Additionally every experiment/sweep/chaos/profile/bench invocation is
+Every experiment/sweep/chaos/fleet/profile/bench invocation is also
 recorded into the run store (``.repro/runs.db`` by default;
 ``--runstore PATH`` / ``REPRO_RUNSTORE`` override, value ``off``
 disables, as does ``--no-record``), and ``--progress auto|tty|jsonl|
 off`` streams live progress to stderr while long runs execute.  The
 recorded history is queried with ``repro runs list|show|compare|
 export|gc`` and rendered with ``repro report --history``.
+
+Each sub-command is declared once, in :func:`build_parser`, together
+with its handler and the run-store kind it records as.  A handler
+``handler(args, run)`` prints its output, fills ``run`` (a
+:class:`RunFields`: config, accuracy, extra fields and the like) with
+what the run store and the exporters need, and returns the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import traceback
-from dataclasses import asdict, replace
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
+from typing import Any, Optional, Sequence
 
 from repro import __version__
 from repro.errors import ReproError
-from repro.experiments import (
-    Experiment1Config,
-    Experiment2Config,
-    Experiment3Config,
-    render_experiment_panels,
-    run_experiment1,
-    run_experiment2,
-    run_experiment3,
-)
+from repro.experiments import render_experiment_panels
 from repro.observability import trace
 from repro.opentitan import build_table1, render_table1
+
+
+@dataclass
+class RunFields:
+    """What a handler reports about its run, beyond printing it.
+
+    ``main`` passes a fresh one to the handler, records it in the run
+    store and hands it to the exporters.  The handler fills it as it
+    goes, so a run that fails part-way still records what it had set.
+    """
+
+    experiment: Optional[str] = None
+    config: Any = None
+    accuracy: Optional[float] = None
+    jobs: Optional[int] = None
+    fault_plan: Optional[dict] = None
+    route_status: Optional[dict] = None
+    extra: dict = field(default_factory=dict)
+    #: the fleet's sim-time series, as a document and as the recorder
+    #: the Chrome trace draws its counter tracks from
+    series: Optional[dict] = None
+    sim_recorder: Any = None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,6 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name: str, handler, kind: Optional[str] = None,
+                **kwargs) -> argparse.ArgumentParser:
+        """Declare sub-command ``name``: its parser, its handler and the
+        run-store kind it records as (None: not recorded)."""
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(handler=handler, run_kind=kind)
+        return p
 
     def observability(p: argparse.ArgumentParser) -> None:
         """The flag set every sub-command carries."""
@@ -115,40 +146,35 @@ def build_parser() -> argparse.ArgumentParser:
                             "campaigns; see plans/chaos-default.json "
                             f"(default: {default})")
 
-    def common(p: argparse.ArgumentParser) -> None:
-        """Flags shared by every experiment sub-command."""
-        p.add_argument("--quick", action="store_true",
-                       help="shrunken config for smoke runs")
-        p.add_argument("--seed", type=int, default=None,
-                       help="experiment seed (default: the config's)")
-        p.add_argument("--no-figure", action="store_true",
-                       help="suppress the ASCII figure panels")
-        p.add_argument("--output", type=str, default=None, metavar="FILE",
-                       help="archive the full result (series + "
-                            "provenance) as JSON")
-        observability(p)
+    for name, help_text, hours in (
+        ("exp1", "Experiment 1 / Figure 6 (lab)",
+         ("--burn-hours", "--recovery-hours")),
+        ("exp2", "Experiment 2 / Figure 7 (cloud TM1)", ("--burn-hours",)),
+        ("exp3", "Experiment 3 / Figure 8 (cloud TM2)",
+         ("--recovery-hours",)),
+    ):
+        pe = command(name, _cmd_experiment, "experiment", help=help_text)
+        pe.add_argument("--quick", action="store_true",
+                        help="shrunken config for smoke runs")
+        pe.add_argument("--seed", type=int, default=None,
+                        help="experiment seed (default: the config's)")
+        pe.add_argument("--no-figure", action="store_true",
+                        help="suppress the ASCII figure panels")
+        pe.add_argument("--output", type=str, default=None, metavar="FILE",
+                        help="archive the full result (series + "
+                             "provenance) as JSON")
+        observability(pe)
+        for flag in hours:
+            pe.add_argument(flag, type=int, default=None)
 
-    p1 = sub.add_parser("exp1", help="Experiment 1 / Figure 6 (lab)")
-    common(p1)
-    p1.add_argument("--burn-hours", type=int, default=None)
-    p1.add_argument("--recovery-hours", type=int, default=None)
-
-    p2 = sub.add_parser("exp2", help="Experiment 2 / Figure 7 (cloud TM1)")
-    common(p2)
-    p2.add_argument("--burn-hours", type=int, default=None)
-
-    p3 = sub.add_parser("exp3", help="Experiment 3 / Figure 8 (cloud TM2)")
-    common(p3)
-    p3.add_argument("--recovery-hours", type=int, default=None)
-
-    pt = sub.add_parser("table1", help="Table 1 (OpenTitan study)")
+    pt = command("table1", _cmd_table1, help="Table 1 (OpenTitan study)")
     pt.add_argument("--seed", type=int, default=1)
     pt.add_argument("--compare", action="store_true",
                     help="interleave the paper's published rows")
     observability(pt)
 
-    ps = sub.add_parser(
-        "sweep",
+    ps = command(
+        "sweep", _cmd_sweep, "sweep",
         help="Monte Carlo seed sweep of an experiment (robustness)",
     )
     ps.add_argument("experiment", choices=("exp1", "exp2", "exp3"))
@@ -168,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "to an uninterrupted run)")
     observability(ps)
 
-    pc = sub.add_parser(
-        "chaos",
+    pc = command(
+        "chaos", _cmd_chaos, "chaos",
         help="run an experiment under a fault storm and gate on the "
              "documented recovery-accuracy bound",
     )
@@ -196,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="checkpoint journal for 'chaos sweep'")
     observability(pc)
 
-    pr = sub.add_parser(
-        "report",
+    pr = command(
+        "report", _cmd_report,
         help="run every evaluation artefact and emit a markdown report",
     )
     pr.add_argument("--scale", choices=("quick", "paper"), default="quick")
@@ -217,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default: 50)")
     observability(pr)
 
-    pp = sub.add_parser(
-        "profile",
+    pp = command(
+        "profile", _cmd_profile, "profile",
         help="run one experiment under tracing and print wall-time "
              "attribution (per-phase self vs children)",
     )
@@ -232,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also write the attribution report as JSON")
     observability(pp)
 
-    pf = sub.add_parser(
-        "fleet",
+    pf = command(
+        "fleet", _cmd_fleet, "fleet",
         help="fleet-scale event-driven cloud simulation: attacker "
              "campaigns over a churning board pool, or a pure-churn "
              "throughput run",
@@ -287,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "PATH and resume a killed sweep bit-identically")
     observability(pf)
 
-    pb = sub.add_parser("bench", help="benchmark-suite utilities")
+    pb = command("bench", _cmd_bench, "bench",
+                 help="benchmark-suite utilities")
     bench_sub = pb.add_subparsers(dest="bench_command", required=True)
     pbd = bench_sub.add_parser(
         "diff",
@@ -305,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also write the comparison (per-key deltas and "
                           "gate verdicts) as one JSON document")
 
-    pu = sub.add_parser(
-        "runs",
+    pu = command(
+        "runs", _cmd_runs,
         help="query the run store: list, inspect, statistically compare "
              "and prune recorded runs",
     )
@@ -386,26 +413,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _archive(result, args) -> None:
-    if getattr(args, "output", None):
-        from repro.persistence import save_experiment
-
-        path = save_experiment(result, args.output)
-        print(f"archived to {path}")
-
-
-def _override(config, args, fields: Sequence[str]):
-    updates = {}
-    for field in fields:
-        value = getattr(args, field, None)
-        if value is not None:
-            updates[field] = value
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    return replace(config, **updates) if updates else config
+def _emit(text: str, path: Optional[str], label: str = "written") -> None:
+    """Write ``text`` to ``path`` and say so, or print it without one."""
+    if path:
+        Path(path).write_text(text)
+        print(f"{label} to {path}")
+    else:
+        print(text)
 
 
-def _finish_observability(args) -> int:
+def _experiment_config(args, experiment: str):
+    """The config an experiment runs with, and its runner: the quick or
+    paper preset, with ``--seed`` and any ``--burn-hours`` /
+    ``--recovery-hours`` the sub-command has applied."""
+    from repro.montecarlo import _resolve_experiment
+
+    config_cls, runner = _resolve_experiment(experiment)
+    config = config_cls.quick() if args.quick else config_cls.paper()
+    updates = {
+        name: getattr(args, name)
+        for name in ("seed", "burn_hours", "recovery_hours")
+        if getattr(args, name, None) is not None
+    }
+    return (replace(config, **updates) if updates else config), runner
+
+
+def _finish_observability(args, run: RunFields) -> int:
     """Print the span tree / write the export files after a command.
 
     Returns 0, or 1 if an export file could not be written (the run
@@ -432,10 +465,8 @@ def _finish_observability(args) -> int:
         from repro.observability.timeline import write_trace_events
 
         try:
-            path = write_trace_events(
-                chrome_trace,
-                sim_series=getattr(args, "_sim_recorder", None),
-            )
+            path = write_trace_events(chrome_trace,
+                                      sim_series=run.sim_recorder)
         except OSError as exc:
             print(f"repro: cannot write Chrome trace to {chrome_trace}: "
                   f"{exc}", file=sys.stderr)
@@ -448,7 +479,7 @@ def _finish_observability(args) -> int:
         from repro.observability.manifest import build_manifest
 
         manifest = build_manifest(
-            config=getattr(args, "_config", None),
+            config=run.config,
             argv=list(sys.argv),
             include_spans=False,
         )
@@ -462,10 +493,8 @@ def _finish_observability(args) -> int:
     return 0
 
 
-def _cmd_fleet(args) -> int:
-    import json as _json
+def _cmd_fleet(args, run: RunFields) -> int:
     import math as _math
-    from pathlib import Path
 
     from repro.cloud.campaigns import (
         ChurnModel,
@@ -477,6 +506,7 @@ def _cmd_fleet(args) -> int:
         run_scan_campaign,
     )
 
+    run.experiment = "fleet"
     if args.campaign == "churn":
         for flag, value in (("--fault-plan", args.fault_plan),
                             ("--seeds", args.seeds),
@@ -494,7 +524,7 @@ def _cmd_fleet(args) -> int:
         from repro.reliability.faults import load_fault_plan
 
         fault_plan = load_fault_plan(args.fault_plan)
-        args._fault_plan = fault_plan.to_dict()
+        run.fault_plan = fault_plan.to_dict()
 
     recorder = None
     if args.series:
@@ -508,8 +538,8 @@ def _cmd_fleet(args) -> int:
         recorder.save(args.series)
         print(f"sim-time series written to {args.series} "
               f"({len(recorder.names())} series)")
-        args._series = recorder.to_dict()
-        args._sim_recorder = recorder
+        run.series = recorder.to_dict()
+        run.sim_recorder = recorder
 
     if args.campaign == "churn":
         devices = args.devices or (10_000 if args.quick else 100_000)
@@ -523,19 +553,18 @@ def _cmd_fleet(args) -> int:
             recorder=recorder,
         )
         _save_series()
-        args._config = {
+        run.config = {
             "campaign": "churn", "devices": devices,
             "arrivals": arrivals, "seed": args.seed,
         }
-        args._extra = {"fleet": stats}
+        run.extra["fleet"] = stats
         print(f"churn: {stats['events']} lifecycle "
               f"events over {devices} boards in "
               f"{stats['seconds']:.3f}s "
               f"({stats['events_per_second']:,.0f} events/sec, "
               f"{stats['dropped_arrivals']} capacity misses)")
         if args.output:
-            Path(args.output).write_text(_json.dumps(stats, indent=1))
-            print(f"written to {args.output}")
+            _emit(json.dumps(stats, indent=1), args.output)
         return 0
 
     devices = args.devices or (256 if args.quick else 1024)
@@ -558,7 +587,7 @@ def _cmd_fleet(args) -> int:
     attack_plan = (FlashAttackPlan(victims=victims)
                    if args.campaign == "flash"
                    else ScanPlan(victims=victims))
-    args._config = {
+    run.config = {
         "campaign": args.campaign, "devices": devices,
         "horizon_hours": horizon, "victims": victims,
         "arrival_rate_per_hour": rate,
@@ -571,11 +600,8 @@ def _cmd_fleet(args) -> int:
             run_fleet_sweep,
         )
 
-        try:
-            seeds = parse_seed_spec(args.seeds)
-        except ValueError as exc:
-            print(f"repro: invalid --seeds spec {args.seeds!r}: {exc}",
-                  file=sys.stderr)
+        seeds = _parse_seeds(args)
+        if seeds is None:
             return 2
         journal = None
         if args.resume:
@@ -587,15 +613,15 @@ def _cmd_fleet(args) -> int:
                     fault_plan=fault_plan,
                 )
             ))
-        args._config["seeds"] = [int(s) for s in seeds]
+        run.config["seeds"] = seeds
         sweep = run_fleet_sweep(
             scenario, seeds, campaign=args.campaign,
             attack_plan=attack_plan, fault_plan=fault_plan,
             journal=journal, recorder=recorder,
         )
         _save_series()
-        args._accuracy = sweep.mean_yield
-        args._extra = {"fleet_sweep": sweep.to_dict()}
+        run.accuracy = sweep.mean_yield
+        run.extra["fleet_sweep"] = sweep.to_dict()
         print(f"{args.campaign} sweep over {devices} "
               f"boards, {horizon:.0f}h horizon, {len(seeds)} seeds:")
         for seed, payload in zip(sweep.seeds, sweep.results):
@@ -611,25 +637,16 @@ def _cmd_fleet(args) -> int:
             print(f"resumed {sweep.resumed_seeds} seed(s) from the "
                   f"journal")
         if args.output:
-            Path(args.output).write_text(
-                _json.dumps(sweep.to_dict(), indent=1)
-            )
-            print(f"written to {args.output}")
+            _emit(json.dumps(sweep.to_dict(), indent=1), args.output)
         return 0
 
-    if args.campaign == "flash":
-        result = run_flash_campaign(
-            scenario, attack_plan, recorder=recorder,
-            fault_plan=fault_plan,
-        )
-    else:
-        result = run_scan_campaign(
-            scenario, attack_plan, recorder=recorder,
-            fault_plan=fault_plan,
-        )
+    campaign = (run_flash_campaign if args.campaign == "flash"
+                else run_scan_campaign)
+    result = campaign(scenario, attack_plan, recorder=recorder,
+                      fault_plan=fault_plan)
     _save_series()
-    args._accuracy = result.recovery_yield
-    args._extra = {"fleet": result.to_dict()}
+    run.accuracy = result.recovery_yield
+    run.extra["fleet"] = result.to_dict()
     print(f"{args.campaign} campaign over {devices} "
           f"boards, {horizon:.0f}h horizon:")
     print(f"  victims attempted   {result.victims_attempted} "
@@ -656,71 +673,46 @@ def _cmd_fleet(args) -> int:
                   f"{status['retired']} retired, "
                   f"{status['outage_hours']:.0f}h dark)")
     if args.output:
-        Path(args.output).write_text(
-            _json.dumps(result.to_dict(), indent=1)
-        )
-        print(f"written to {args.output}")
+        _emit(json.dumps(result.to_dict(), indent=1), args.output)
     return 0
 
 
-def _cmd_exp1(args) -> int:
-    base = (Experiment1Config.quick() if args.quick
-            else Experiment1Config.paper())
-    config = _override(base, args, ("burn_hours", "recovery_hours"))
-    args._config = config
-    result = run_experiment1(config)
-    args._accuracy = result.recovery_score.accuracy
-    args._route_status = result.route_status
-    if not args.no_figure:
-        print(render_experiment_panels(
-            result.bundle, "Figure 6 (Experiment 1, lab)",
-            stress_change_hour=result.stress_change_hour,
-        ))
-    print(f"\n{result.recovery_score}")
-    _archive(result, args)
-    return 0
+#: The figure each experiment sub-command draws.
+_FIGURES = {
+    "exp1": "Figure 6 (Experiment 1, lab)",
+    "exp2": "Figure 7 (Experiment 2, cloud TM1)",
+    "exp3": "Figure 8 (Experiment 3, cloud TM2)",
+}
 
 
-def _cmd_exp2(args) -> int:
-    base = (Experiment2Config.quick() if args.quick
-            else Experiment2Config.paper())
-    config = _override(base, args, ("burn_hours",))
-    args._config = config
-    result = run_experiment2(config)
-    args._accuracy = result.recovery_score.accuracy
-    args._route_status = result.route_status
-    if not args.no_figure:
-        print(render_experiment_panels(
-            result.bundle, "Figure 7 (Experiment 2, cloud TM1)"
-        ))
-    print(f"\n{result.recovery_score}")
-    accuracy = {k: round(v, 2) for k, v in result.accuracy_by_length().items()}
-    print(f"accuracy by length: {accuracy}")
-    _archive(result, args)
-    return 0
-
-
-def _cmd_exp3(args) -> int:
-    base = (Experiment3Config.quick() if args.quick
-            else Experiment3Config.paper())
-    config = _override(base, args, ("recovery_hours",))
-    args._config = config
-    result = run_experiment3(config)
-    args._accuracy = result.recovery_score.accuracy
-    args._route_status = result.route_status
-    if result.identification is not None:
-        args._extra = {"identification": dict(
+def _cmd_experiment(args, run: RunFields) -> int:
+    """``exp1``, ``exp2`` and ``exp3``: one run of the experiment."""
+    name = run.experiment = args.command
+    config, runner = _experiment_config(args, name)
+    run.config = config
+    result = runner(config)
+    run.accuracy = result.recovery_score.accuracy
+    run.route_status = result.route_status
+    if getattr(result, "identification", None) is not None:
+        run.extra["identification"] = dict(
             asdict(result.identification), victim_board=result.victim_board,
-        )}
+        )
     if not args.no_figure:
         print(render_experiment_panels(
-            result.bundle, "Figure 8 (Experiment 3, cloud TM2)"
+            result.bundle, _FIGURES[name],
+            stress_change_hour=getattr(result, "stress_change_hour", None),
         ))
     print(f"\n{result.recovery_score}")
-    accuracy = {k: round(v, 2) for k, v in result.accuracy_by_length().items()}
-    print(f"accuracy by length: {accuracy}")
-    print(f"boards probed: {result.devices_probed}")
-    _archive(result, args)
+    if name != "exp1":
+        accuracy = {k: round(v, 2)
+                    for k, v in result.accuracy_by_length().items()}
+        print(f"accuracy by length: {accuracy}")
+    if name == "exp3":
+        print(f"boards probed: {result.devices_probed}")
+    if args.output:
+        from repro.persistence import save_experiment
+
+        print(f"archived to {save_experiment(result, args.output)}")
     return 0
 
 
@@ -744,17 +736,22 @@ def parse_seed_spec(spec: str) -> list[int]:
     return seeds
 
 
-def _parse_sweep_spec(args):
-    """Parse ``--seeds``/``--jobs``; returns (seeds, jobs) or None after
-    printing a diagnostic (the caller then exits 2)."""
+def _parse_seeds(args) -> Optional[list[int]]:
+    """``--seeds`` expanded, or None after printing a diagnostic (the
+    caller then exits 2)."""
     try:
-        seeds = parse_seed_spec(args.seeds)
+        return parse_seed_spec(args.seeds)
     except ValueError as exc:
         print(f"repro: invalid --seeds spec {args.seeds!r}: {exc}",
               file=sys.stderr)
         return None
+
+
+def _parse_jobs(args):
+    """``--jobs`` as an int or ``"auto"``, or None after printing a
+    diagnostic (the caller then exits 2)."""
     if args.jobs == "auto":
-        return seeds, "auto"
+        return "auto"
     try:
         jobs = int(args.jobs)
     except ValueError:
@@ -765,39 +762,58 @@ def _parse_sweep_spec(args):
         print(f"repro: --jobs must be >= 1, got {jobs}",
               file=sys.stderr)
         return None
-    return seeds, jobs
+    return jobs
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args, run: RunFields, plan=None) -> int:
+    """``sweep``, and ``chaos sweep`` with its fault ``plan``, which
+    also gates the sweep's worst seed on the documented bound."""
     from repro.montecarlo import experiment_sweep
 
-    parsed = _parse_sweep_spec(args)
-    if parsed is None:
+    run.experiment = args.experiment
+    seeds = _parse_seeds(args)
+    if seeds is None:
         return 2
-    seeds, jobs = parsed
-    args._config = {
-        "experiment": args.experiment,
-        "quick": not args.paper,
-        "seeds": [int(s) for s in seeds],
-    }
-    args._jobs = jobs if isinstance(jobs, int) else None
+    jobs = _parse_jobs(args)
+    if jobs is None:
+        return 2
+    quick = not args.paper
+    run.config = {"experiment": args.experiment, "quick": quick,
+                  "seeds": seeds}
+    run.jobs = jobs if isinstance(jobs, int) else None
     result = experiment_sweep(
-        args.experiment, seeds, quick=not args.paper, jobs=jobs,
-        journal_path=args.resume,
+        args.experiment, seeds, quick=quick, jobs=jobs,
+        journal_path=args.resume, fault_plan=plan,
     )
-    args._accuracy = result.mean
+    run.accuracy = result.mean
     print(result)
-    print(f"min={result.minimum:.3f} max={result.maximum:.3f} "
-          f"seeds={len(seeds)} jobs={args.jobs}")
+    counts = f"seeds={len(seeds)} jobs={args.jobs}"
+    below = False
+    if plan is None:
+        print(f"min={result.minimum:.3f} max={result.maximum:.3f} "
+              f"{counts}")
+    else:
+        from repro.reliability.chaos import CHAOS_ACCURACY_BOUNDS
+
+        bound = CHAOS_ACCURACY_BOUNDS.get(args.experiment, 0.5)
+        below = result.minimum < bound
+        verdict = "BELOW BOUND" if below else "within bound"
+        print(f"min={result.minimum:.3f} bound={bound:.2f} ({verdict}) "
+              f"{counts}")
     if args.resume:
         print(f"journal: {args.resume}")
+    if below:
+        print(f"repro: chaos sweep of {args.experiment} fell below "
+              f"the documented bound", file=sys.stderr)
+        return 1
     return 0
 
 
-def _cmd_chaos(args) -> int:
-    from repro.montecarlo import experiment_sweep
-    from repro.reliability.chaos import CHAOS_ACCURACY_BOUNDS, run_chaos
+def _cmd_chaos(args, run: RunFields) -> int:
+    from repro.reliability.chaos import run_chaos
 
+    run.experiment = (args.experiment if args.target == "sweep"
+                      else args.target)
     if args.fault_plan:
         from repro.reliability.faults import load_fault_plan
 
@@ -806,41 +822,15 @@ def _cmd_chaos(args) -> int:
         from repro.reliability.chaos import default_chaos_plan
 
         plan = default_chaos_plan()
-    quick = not args.paper
-    args._fault_plan = plan.to_dict()
+    run.fault_plan = plan.to_dict()
     if args.target == "sweep":
-        parsed = _parse_sweep_spec(args)
-        if parsed is None:
-            return 2
-        seeds, jobs = parsed
-        args._config = {
-            "experiment": args.experiment,
-            "quick": quick,
-            "seeds": [int(s) for s in seeds],
-        }
-        args._jobs = jobs if isinstance(jobs, int) else None
-        result = experiment_sweep(
-            args.experiment, seeds, quick=quick, jobs=jobs,
-            journal_path=args.resume, fault_plan=plan,
-        )
-        args._accuracy = result.mean
-        print(result)
-        bound = CHAOS_ACCURACY_BOUNDS.get(args.experiment, 0.5)
-        verdict = "within bound" if result.minimum >= bound else "BELOW BOUND"
-        print(f"min={result.minimum:.3f} bound={bound:.2f} ({verdict}) "
-              f"seeds={len(seeds)} jobs={args.jobs}")
-        if args.resume:
-            print(f"journal: {args.resume}")
-        if result.minimum < bound:
-            print(f"repro: chaos sweep of {args.experiment} fell below "
-                  f"the documented bound", file=sys.stderr)
-            return 1
-        return 0
-    args._config = {
+        return _cmd_sweep(args, run, plan=plan)
+    quick = not args.paper
+    run.config = {
         "experiment": args.target, "quick": quick, "seed": args.seed,
     }
     report = run_chaos(args.target, quick=quick, seed=args.seed, plan=plan)
-    args._accuracy = report.accuracy
+    run.accuracy = report.accuracy
     print(report)
     if not report.passed:
         print(f"repro: chaos {args.target} fell below the documented "
@@ -849,42 +839,36 @@ def _cmd_chaos(args) -> int:
     return 0
 
 
-def _cmd_table1(args) -> int:
+def _cmd_table1(args, run: RunFields) -> int:
     rows = build_table1(seed=args.seed)
     print(render_table1(rows, compare=args.compare))
     return 0
 
 
-def _cmd_profile(args) -> int:
+def _cmd_profile(args, run: RunFields) -> int:
     from time import perf_counter
 
-    from repro.montecarlo import _resolve_experiment
     from repro.observability.profile import build_report, render_report
 
-    config_cls, runner = _resolve_experiment(args.experiment)
-    config = config_cls.quick() if args.quick else config_cls.paper()
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    args._config = config
+    run.experiment = args.experiment
+    config, runner = _experiment_config(args, args.experiment)
+    run.config = config
     trace.enable()
     start = perf_counter()
     result = runner(config)
     wall = perf_counter() - start
     report = build_report(wall_s=wall)
     report["experiment"] = args.experiment
-    args._accuracy = result.recovery_score.accuracy
+    run.accuracy = result.recovery_score.accuracy
     print(render_report(report))
     print(f"\n{result.recovery_score}")
     if args.profile_json:
-        import json as _json
-        from pathlib import Path
-
-        Path(args.profile_json).write_text(_json.dumps(report, indent=1))
-        print(f"profile written to {args.profile_json}")
+        _emit(json.dumps(report, indent=1), args.profile_json,
+              "profile written")
     return 0
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args, run: RunFields) -> int:
     from repro.errors import ConfigurationError
     from repro.observability.benchdiff import (
         deltas_to_dict,
@@ -902,14 +886,11 @@ def _cmd_bench(args) -> int:
         print(f"repro: {exc}", file=sys.stderr)
         return 2
     summary = deltas_to_dict(deltas, gate_pct=args.gate)
-    args._config = {"old": args.old, "new": args.new, "gate": args.gate}
-    args._extra = {"bench_diff": summary}
+    run.config = {"old": args.old, "new": args.new, "gate": args.gate}
+    run.extra["bench_diff"] = summary
     if args.bench_json:
-        import json as _json
-        from pathlib import Path
-
-        Path(args.bench_json).write_text(_json.dumps(summary, indent=1))
-        print(f"bench diff written to {args.bench_json}")
+        _emit(json.dumps(summary, indent=1), args.bench_json,
+              "bench diff written")
     print(render_deltas(deltas, gate_pct=args.gate))
     if failures:
         print(f"\nbench diff: {len(failures)} benchmark(s) regressed past "
@@ -923,19 +904,13 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args, run: RunFields) -> int:
     if args.history:
         return _cmd_report_history(args)
     from repro.reporting import generate_reproduction_report
 
     report = generate_reproduction_report(scale=args.scale, seed=args.seed)
-    if args.output:
-        from pathlib import Path
-
-        Path(args.output).write_text(report)
-        print(f"report written to {args.output}")
-    else:
-        print(report)
+    _emit(report, args.output, "report written")
     return 0
 
 
@@ -968,19 +943,11 @@ def _cmd_report_history(args) -> int:
     html = render_history_html(
         store, experiment=args.experiment, limit=args.limit
     )
-    if args.output:
-        from pathlib import Path
-
-        Path(args.output).write_text(html)
-        print(f"history written to {args.output}")
-    else:
-        print(html)
+    _emit(html, args.output, "history written")
     return 0
 
 
-def _cmd_runs(args) -> int:
-    import json as _json
-
+def _cmd_runs(args, run: RunFields) -> int:
     from repro.observability import analytics
 
     store = _open_runstore(args)
@@ -991,7 +958,7 @@ def _cmd_runs(args) -> int:
         runs = store.list_runs(kind=args.kind, experiment=args.experiment,
                                limit=args.limit)
         if args.runs_json:
-            print(_json.dumps(runs, indent=1))
+            print(json.dumps(runs, indent=1))
             return 0
         if not runs:
             print("(no runs)")
@@ -1016,7 +983,7 @@ def _cmd_runs(args) -> int:
     if args.runs_command == "show":
         run = store.get_run(store.resolve(args.ref))
         if args.runs_json:
-            print(_json.dumps(run, indent=1, default=str))
+            print(json.dumps(run, indent=1, default=str))
             return 0
         print(f"run       {run['run_id']}")
         print(f"kind      {run['kind']}"
@@ -1032,7 +999,7 @@ def _cmd_runs(args) -> int:
         if run.get("git_dirty"):
             print("git_dirty yes (uncommitted changes at record time)")
         if run.get("config"):
-            print(f"config    {_json.dumps(run['config'], sort_keys=True)}")
+            print(f"config    {json.dumps(run['config'], sort_keys=True)}")
         if run.get("kernels"):
             print(f"kernels   {run['kernels']}")
         if run.get("route_status"):
@@ -1055,14 +1022,9 @@ def _cmd_runs(args) -> int:
         )
         print(analytics.render_comparison(comparison))
         if args.runs_json:
-            document = _json.dumps(comparison.to_dict(), indent=1)
-            if args.runs_json == "-":
-                print(document)
-            else:
-                from pathlib import Path
-
-                Path(args.runs_json).write_text(document)
-                print(f"comparison written to {args.runs_json}")
+            _emit(json.dumps(comparison.to_dict(), indent=1),
+                  None if args.runs_json == "-" else args.runs_json,
+                  "comparison written")
         if args.gate and comparison.regressions:
             print(f"repro: runs compare: {len(comparison.regressions)} "
                   f"CONFIRMED regression(s)", file=sys.stderr)
@@ -1070,18 +1032,11 @@ def _cmd_runs(args) -> int:
         return 0
 
     if args.runs_command == "export":
-        document = _json.dumps(
+        _emit(json.dumps(
             store.export_runs(kind=args.kind, experiment=args.experiment,
                               limit=args.limit),
             indent=1, default=str,
-        )
-        if args.output:
-            from pathlib import Path
-
-            Path(args.output).write_text(document)
-            print(f"exported to {args.output}")
-        else:
-            print(document)
+        ), args.output, "exported")
         return 0
 
     if args.runs_command == "gc":
@@ -1100,50 +1055,8 @@ def _cmd_runs(args) -> int:
     return 2
 
 
-_HANDLERS = {
-    "exp1": _cmd_exp1,
-    "exp2": _cmd_exp2,
-    "exp3": _cmd_exp3,
-    "sweep": _cmd_sweep,
-    "chaos": _cmd_chaos,
-    "fleet": _cmd_fleet,
-    "table1": _cmd_table1,
-    "report": _cmd_report,
-    "profile": _cmd_profile,
-    "bench": _cmd_bench,
-    "runs": _cmd_runs,
-}
-
-#: Commands whose invocations land in the run store (query/meta verbs
-#: like ``table1``, ``report`` and ``runs`` itself do not).
-_RECORDED_KINDS = {
-    "exp1": "experiment",
-    "exp2": "experiment",
-    "exp3": "experiment",
-    "sweep": "sweep",
-    "chaos": "chaos",
-    "fleet": "fleet",
-    "profile": "profile",
-    "bench": "bench",
-}
-
-
-def _run_experiment_name(args) -> Optional[str]:
-    """Which experiment a recorded invocation belongs to, if any."""
-    if args.command in ("exp1", "exp2", "exp3"):
-        return args.command
-    if args.command in ("sweep", "profile"):
-        return args.experiment
-    if args.command == "chaos":
-        return (args.experiment if args.target == "sweep"
-                else args.target)
-    if args.command == "fleet":
-        return "fleet"
-    return None
-
-
-def _record_run(args, store_path, collector, outcome, exit_code,
-                started_unix, wall_seconds) -> None:
+def _record_run(args, run: RunFields, store_path, collector, outcome,
+                exit_code, started_unix, wall_seconds) -> None:
     """Persist one invocation; a recording failure warns, never fails
     the run it describes."""
     from repro.errors import PersistenceError
@@ -1152,36 +1065,36 @@ def _record_run(args, store_path, collector, outcome, exit_code,
     from repro.observability.runstore import RunRecord, RunStore
 
     manifest = build_manifest(
-        config=getattr(args, "_config", None),
+        config=run.config,
         argv=list(sys.argv),
         include_spans=False,
         include_metrics=False,  # metrics travel losslessly below
     )
-    extra = dict(getattr(args, "_extra", None) or {})
+    extra = dict(run.extra)
     if collector is not None:
         if collector.event_counts:
             extra["events"] = dict(collector.event_counts)
         if collector.phases:
             extra["phases"] = [p["name"] for p in collector.phases]
     record = RunRecord(
-        kind=_RECORDED_KINDS[args.command],
-        experiment=_run_experiment_name(args),
+        kind=args.run_kind,
+        experiment=run.experiment,
         started_unix=started_unix,
         wall_seconds=wall_seconds,
         outcome=outcome,
         exit_code=exit_code,
-        accuracy=getattr(args, "_accuracy", None),
+        accuracy=run.accuracy,
         seed=manifest.seed,
-        jobs=getattr(args, "_jobs", None),
+        jobs=run.jobs,
         config=manifest.config,
-        fault_plan=getattr(args, "_fault_plan", None),
+        fault_plan=run.fault_plan,
         manifest=manifest.to_dict(),
         metrics_state=registry.dump_state(),
-        route_status=getattr(args, "_route_status", None),
+        route_status=run.route_status,
         argv=list(sys.argv[1:]),
         seed_rows=collector.seed_rows if collector is not None else (),
         extra=extra,
-        series=getattr(args, "_series", None),
+        series=run.series,
     )
     try:
         with RunStore(store_path) as store:
@@ -1196,15 +1109,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     from time import perf_counter
 
     args = build_parser().parse_args(argv)
-
-    handler = _HANDLERS.get(args.command)
-    if handler is None:
-        # A sub-parser was registered without a handler: a programming
-        # error here, but the user still gets a diagnostic, not silence.
-        print(f"repro: no handler for command {args.command!r}",
-              file=sys.stderr)
-        return 2
-
     if getattr(args, "trace", False) or getattr(args, "chrome_trace", None):
         trace.enable()
 
@@ -1213,7 +1117,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     store_path = None
     collector = None
     view = None
-    if args.command in _RECORDED_KINDS:
+    if args.run_kind is not None:
         if not getattr(args, "no_record", False):
             from repro.observability.runstore import resolve_runstore_path
 
@@ -1226,11 +1130,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     emitter = _progress.compose(view, collector)
     previous = _progress.set_emitter(emitter) if emitter is not None else None
 
+    run = RunFields()
     started_unix = _time.time()
     t0 = perf_counter()
     outcome = "ok"
     try:
-        code = handler(args)
+        code = args.handler(args, run)
         outcome = "ok" if not code else "failed"
     except ReproError as exc:
         # One actionable line for the operator; the stack only under
@@ -1244,11 +1149,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             emitter.close()
             _progress.set_emitter(previous)
     if store_path is not None:
-        _record_run(args, store_path, collector, outcome, code,
+        _record_run(args, run, store_path, collector, outcome, code,
                     started_unix, perf_counter() - t0)
     if outcome == "error":
         return 2
-    finish_code = _finish_observability(args)
+    finish_code = _finish_observability(args, run)
     return code or finish_code
 
 

@@ -20,24 +20,12 @@ Models the platform semantics Threat Models 1 and 2 depend on:
 * fleet-scale discrete-event simulation: a deterministic event loop
   (:mod:`repro.cloud.events`), lazy aging over region timelines
   (:mod:`repro.cloud.provider`), and attacker campaigns over a
-  churning 100k-board fleet (:mod:`repro.cloud.campaigns`).
+  churning 100k-board fleet (:mod:`repro.cloud.campaigns`, imported
+  by name: the package leaves it out so that importing the CLI or the
+  provider does not load the campaign engine).
 """
 
 from repro.cloud.allocation import AllocationPolicy
-from repro.cloud.campaigns import (
-    CampaignResult,
-    ChurnModel,
-    ChurnTrace,
-    FleetScenario,
-    FleetSimulator,
-    FlashAttackPlan,
-    LazyFleet,
-    ScanPlan,
-    VirtualRegion,
-    run_churn_benchmark,
-    run_flash_campaign,
-    run_scan_campaign,
-)
 from repro.cloud.colocation import FlashAttack
 from repro.cloud.events import Event, EventKind, EventLoop
 from repro.cloud.fingerprint import RouteFingerprint, fingerprint_session, match_score
@@ -48,30 +36,18 @@ from repro.cloud.provider import CloudProvider, Region, RegionTimeline
 
 __all__ = [
     "AllocationPolicy",
-    "CampaignResult",
-    "ChurnModel",
-    "ChurnTrace",
     "CloudProvider",
     "Event",
     "EventKind",
     "EventLoop",
     "F1Instance",
     "FlashAttack",
-    "FlashAttackPlan",
-    "FleetScenario",
-    "FleetSimulator",
-    "LazyFleet",
     "Marketplace",
     "MarketplaceListing",
     "Region",
     "RegionTimeline",
     "RouteFingerprint",
-    "ScanPlan",
-    "VirtualRegion",
     "build_fleet",
     "fingerprint_session",
     "match_score",
-    "run_churn_benchmark",
-    "run_flash_campaign",
-    "run_scan_campaign",
 ]

@@ -1005,287 +1005,411 @@ class _Victim:
         self.wipe_mode = "ok"
 
 
-def _draw_secrets(sim: FleetSimulator, victims: int) -> list[tuple]:
-    return [
-        tuple(int(b) for b in sim.rng.integers(0, 2, size=sim.scenario.routes))
-        for _ in range(victims)
-    ]
+class _Campaign:
+    """The one campaign driver behind the flash race and the scan.
 
-
-def _victim_rent(sim: FleetSimulator, victim: _Victim, designs: dict,
-                 deadline_hours: Optional[float] = None):
-    """RENT handler: take a board and burn the secret onto it.
-
-    Under a fault plan a refused rent -- the region is inside an
-    outage window, or the pool is empty -- requeues itself with the
-    active :class:`~repro.reliability.retry.RetryPolicy` backoff
-    (denominated in simulated hours) until the attempt budget or the
-    victim's release ``deadline_hours`` runs out; without a plan a
-    miss skips the victim immediately, exactly as before.
+    Both campaigns stage the same victims: secrets drawn from the
+    campaign stream, victim ``i`` renting at ``warmup_hours + i *
+    (burn_hours + spacing_hours)`` and releasing ``burn_hours`` later.
+    Both queue the fault plan's storms and retirements, sample the
+    attacker's series after every attacker action and tally the same
+    :class:`CampaignResult`.  They differ only in the attacker's
+    scheduled action (:meth:`_flash`, :meth:`_scan`); ``released`` maps
+    each board a victim left to that victim, which is how a scan
+    recognises the boards it lands on.
     """
 
-    def handler(loop: EventLoop, event) -> None:
-        now = loop.now_hours
-        plan = sim.faults
-        attempt = int(event.data.get("attempt", 1))
-        blocked = plan is not None and plan.in_outage(now)
-        board = None if blocked else sim.region.rent()
-        if board is None:
-            if blocked:
-                plan.note_fire("fleet.outage")
-                sim.note_fault("fleet.outage", now, victim=victim.index,
-                               attempt=attempt)
-            else:
-                note_event("fleet.capacity_miss", victim=victim.index)
-            if plan is not None:
-                policy = get_retry_policy()
-                label = f"fleet.rent#victim{victim.index}"
-                delay_hours = policy.delay_s(attempt, label)
-                retry_at = now + delay_hours
-                if attempt < policy.max_attempts and (
-                    deadline_hours is None or retry_at < deadline_hours
-                ):
-                    sim.rent_retries += 1
-                    note_retry(
-                        label, attempt, delay_hours,
-                        CapacityError(
-                            "region dark" if blocked else "pool empty"
-                        ),
-                        unit="h",
-                    )
-                    loop.schedule(retry_at, EventKind.RENT, handler,
-                                  attempt=attempt + 1)
-                    return
-            victim.skipped = True
-            victim.skip_reason = "outage" if blocked else "capacity"
-            return
-        victim.board = board
-        dev = sim.sync_board(board, now)
-        if dev.loaded_design is not None:
-            # A failed wipe left the previous tenant's design resident;
-            # loading the new tenant's bitstream overwrites it (the
-            # configuration write is what finally clears the fabric).
-            dev.wipe()
-        target = build_target_design(
-            sim.scenario.part, sim.routes, list(victim.secret),
-            heater_dsps=0, name=f"victim{victim.index}",
-        )
-        designs[victim.index] = target
-        dev.load(target.bitstream)
-
-    return handler
-
-
-def _release_board(sim: FleetSimulator, victim: _Victim,
-                   now_hours: float) -> None:
-    """Integrate the burn, wipe (maybe imperfectly), return the board.
-
-    The wipe outcome comes from the plan's ``fleet.wipe#victim<i>``
-    stream -- keyed to the victim, not the engine's iteration order --
-    so every engine/batch combination resolves the same release the
-    same way: a *failed* wipe leaves the victim design resident, a
-    *partial* wipe clears the fabric but re-imprints the unscrubbed
-    routes as a residue design.
-    """
-    dev = sim.sync_board(victim.board, now_hours)
-    plan = sim.faults
-    mode, scrubbed = "ok", None
-    if plan is not None and plan.wipe is not None:
-        mode, scrubbed = plan.decide_wipe(
-            f"victim{victim.index}", sim.scenario.routes
-        )
-    if mode == "failed":
-        victim.wipe_mode = "failed"
-        sim.failed_wipes += 1
-        sim.note_fault("fleet.wipe_fail", now_hours, victim=victim.index)
-        sim.sample_wipe_faults(now_hours)
-    elif mode == "partial":
-        dev.wipe()
-        residue_routes = [
-            route for route, clean in zip(sim.routes, scrubbed)
-            if not clean
+    def __init__(self, kind: str, scenario: FleetScenario, plan,
+                 recorder: Optional[FlightRecorder],
+                 fault_plan: Optional[FaultPlan]) -> None:
+        self.kind = kind
+        self.plan = plan
+        self.sim = sim = FleetSimulator(scenario, recorder=recorder,
+                                        fault_plan=fault_plan)
+        self.victims = [
+            _Victim(i, tuple(int(b) for b in sim.rng.integers(
+                0, 2, size=scenario.routes
+            )))
+            for i in range(plan.victims)
         ]
-        residue_bits = [
-            bit for bit, clean in zip(victim.secret, scrubbed)
-            if not clean
-        ]
-        if residue_routes:
-            residue = build_target_design(
-                sim.scenario.part, residue_routes, residue_bits,
-                heater_dsps=0, name=f"victim{victim.index}-residue",
-            )
-            dev.load(residue.bitstream)
-        victim.wipe_mode = "partial"
-        sim.partial_wipes += 1
-        sim.note_fault("fleet.wipe_partial", now_hours,
-                       victim=victim.index,
-                       residue_routes=len(residue_routes))
-        sim.sample_wipe_faults(now_hours)
-    else:
-        dev.wipe()
-    sim.region.release(victim.board)
-    victim.released_at = now_hours
+        self.released: dict[int, _Victim] = {}
+        self.details: list = []
+        self.probed = 0
 
+    def run(self) -> CampaignResult:
+        """Schedule every tenancy, attacker action and fault event, run
+        the loop to the horizon and tally the result."""
+        sim, plan = self.sim, self.plan
+        horizon = sim.scenario.horizon_hours
+        note_phase(f"fleet.{self.kind}", total=plan.victims,
+                   devices=sim.scenario.devices, sim_total_hours=horizon)
+        with trace.span("fleet.campaign", kind=self.kind):
+            for victim in self.victims:
+                start = plan.warmup_hours + victim.index * (
+                    plan.burn_hours + plan.spacing_hours
+                )
+                end = start + plan.burn_hours
+                sim.loop.schedule(start, EventKind.RENT,
+                                  self._rent(victim, deadline_hours=end))
+                sim.loop.schedule(end, EventKind.RELEASE,
+                                  self._release(victim))
+                if self.kind == "flash":
+                    sim.loop.schedule(end + plan.reaction_hours,
+                                      EventKind.SCAN, self._flash(victim))
+            if self.kind == "scan":
+                t = plan.warmup_hours
+                while t < horizon:
+                    sim.loop.schedule(t, EventKind.SCAN, self._scan)
+                    t += plan.scan_every_hours
+            self._schedule_faults()
+            sim.loop.run(until_hours=horizon)
+        return self._finish()
 
-def _victim_release(sim: FleetSimulator, victim: _Victim):
-    """RELEASE handler: integrate the burn, wipe, return the board."""
+    # -- victims -----------------------------------------------------------
 
-    def handler(loop: EventLoop, event) -> None:
-        if victim.skipped:
-            return
-        if victim.board is None:
-            # The rent retried past the tenancy window without ever
-            # landing; the victim never ran.
-            victim.skipped = True
-            victim.skip_reason = victim.skip_reason or "outage"
-            return
-        if victim.released_at is not None:
-            return  # already reclaimed by a preemption storm
-        _release_board(sim, victim, loop.now_hours)
-        note_event("fleet.victim_released", victim=victim.index,
-                   board=victim.board)
+    def _rent(self, victim: _Victim, deadline_hours: float):
+        """RENT handler: take a board and burn the secret onto it.
 
-    return handler
+        Under a fault plan a refused rent -- the region is inside an
+        outage window, or the pool is empty -- requeues itself with the
+        active :class:`~repro.reliability.retry.RetryPolicy` backoff
+        (denominated in simulated hours) until the attempt budget or the
+        victim's release ``deadline_hours`` runs out; without a plan a
+        miss skips the victim immediately.
+        """
+        sim = self.sim
 
-
-def _schedule_fault_events(sim: FleetSimulator, victims: list,
-                           on_release=None) -> None:
-    """Queue the plan's storm and retirement events on the loop.
-
-    ``on_release`` lets the scan campaign index preempted boards the
-    same way its ordinary release handler does.
-    """
-    plan = sim.faults
-    if plan is None:
-        return
-    horizon = sim.scenario.horizon_hours
-
-    def storm_handler(storm_index: int):
         def handler(loop: EventLoop, event) -> None:
             now = loop.now_hours
-            for victim in victims:
-                if (victim.skipped or victim.board is None
-                        or victim.released_at is not None):
-                    continue
-                if not plan.storm_preempts(
-                    storm_index, f"victim{victim.index}"
-                ):
-                    continue
-                _release_board(sim, victim, now)
-                victim.preempted = True
-                sim.preempted += 1
-                plan.note_fire("fleet.preempt")
-                sim.note_fault("fleet.preempt", now,
-                               victim=victim.index, storm=storm_index)
-                if on_release is not None:
-                    on_release(victim)
-
-        return handler
-
-    def retire_handler(wave_index: int, boards: int):
-        def handler(loop: EventLoop, event) -> None:
-            now = loop.now_hours
-            available = sim.region.available()
-            positions = plan.retire_positions(
-                wave_index, available, boards
-            )
-            if not positions:
+            plan = sim.faults
+            attempt = int(event.data.get("attempt", 1))
+            blocked = plan is not None and plan.in_outage(now)
+            board = None if blocked else sim.region.rent()
+            if board is None:
+                if blocked:
+                    plan.note_fire("fleet.outage")
+                    sim.note_fault("fleet.outage", now, victim=victim.index,
+                                   attempt=attempt)
+                else:
+                    note_event("fleet.capacity_miss", victim=victim.index)
+                if plan is not None:
+                    policy = get_retry_policy()
+                    label = f"fleet.rent#victim{victim.index}"
+                    delay_hours = policy.delay_s(attempt, label)
+                    retry_at = now + delay_hours
+                    if (attempt < policy.max_attempts
+                            and retry_at < deadline_hours):
+                        sim.rent_retries += 1
+                        note_retry(
+                            label, attempt, delay_hours,
+                            CapacityError(
+                                "region dark" if blocked else "pool empty"
+                            ),
+                            unit="h",
+                        )
+                        loop.schedule(retry_at, EventKind.RENT, handler,
+                                      attempt=attempt + 1)
+                        return
+                victim.skipped = True
+                victim.skip_reason = "outage" if blocked else "capacity"
                 return
-            retired = sim.region.retire_free(positions)
-            for board in retired:
-                # Retired silicon ages no further; forgetting it keeps
-                # the aging-debt series truthful.
-                sim._synced.pop(board, None)
-            sim.retired_boards += len(retired)
-            plan.note_fire("fleet.retire", len(retired))
-            sim.note_fault("fleet.retire", now, wave=wave_index,
-                           boards=len(retired))
+            victim.board = board
+            dev = sim.sync_board(board, now)
+            if dev.loaded_design is not None:
+                # A failed wipe left the previous tenant's design
+                # resident; loading the new tenant's bitstream overwrites
+                # it (the configuration write is what finally clears the
+                # fabric).
+                dev.wipe()
+            target = build_target_design(
+                sim.scenario.part, sim.routes, list(victim.secret),
+                heater_dsps=0, name=f"victim{victim.index}",
+            )
+            dev.load(target.bitstream)
 
         return handler
 
-    for index, storm in enumerate(plan.storms):
-        if storm.start_hours <= horizon:
-            sim.loop.schedule(storm.start_hours, EventKind.PREEMPT,
-                              storm_handler(index), storm=index)
-    for index, wave in enumerate(plan.retirements):
-        if wave.time_hours <= horizon:
-            sim.loop.schedule(wave.time_hours, EventKind.RETIRE,
-                              retire_handler(index, wave.boards),
-                              wave=index)
+    def _release_board(self, victim: _Victim, now_hours: float) -> None:
+        """Integrate the burn, wipe (maybe imperfectly), return the board.
 
+        The wipe outcome comes from the plan's ``fleet.wipe#victim<i>``
+        stream -- keyed to the victim, not the engine's iteration order
+        -- so every engine/batch combination resolves the same release
+        the same way: a *failed* wipe leaves the victim design resident,
+        a *partial* wipe clears the fabric but re-imprints the unscrubbed
+        routes as a residue design.
+        """
+        sim = self.sim
+        dev = sim.sync_board(victim.board, now_hours)
+        plan = sim.faults
+        mode, scrubbed = "ok", None
+        if plan is not None and plan.wipe is not None:
+            mode, scrubbed = plan.decide_wipe(
+                f"victim{victim.index}", sim.scenario.routes
+            )
+        if mode == "failed":
+            victim.wipe_mode = "failed"
+            sim.failed_wipes += 1
+            sim.note_fault("fleet.wipe_fail", now_hours, victim=victim.index)
+            sim.sample_wipe_faults(now_hours)
+        elif mode == "partial":
+            dev.wipe()
+            residue_routes = [
+                route for route, clean in zip(sim.routes, scrubbed)
+                if not clean
+            ]
+            residue_bits = [
+                bit for bit, clean in zip(victim.secret, scrubbed)
+                if not clean
+            ]
+            if residue_routes:
+                residue = build_target_design(
+                    sim.scenario.part, residue_routes, residue_bits,
+                    heater_dsps=0, name=f"victim{victim.index}-residue",
+                )
+                dev.load(residue.bitstream)
+            victim.wipe_mode = "partial"
+            sim.partial_wipes += 1
+            sim.note_fault("fleet.wipe_partial", now_hours,
+                           victim=victim.index,
+                           residue_routes=len(residue_routes))
+            sim.sample_wipe_faults(now_hours)
+        else:
+            dev.wipe()
+        sim.region.release(victim.board)
+        victim.released_at = now_hours
+        self.released[victim.board] = victim
 
-def _region_status(sim: FleetSimulator, victims: list) -> dict:
-    """Per-region health map: the graceful-degradation surface.
+    def _release(self, victim: _Victim):
+        """RELEASE handler: integrate the burn, wipe, return the board."""
 
-    ``ok`` when nothing went wrong, ``degraded`` after any outage,
-    retirement or preemption, ``dark`` when an outage window is still
-    open at the campaign horizon -- the region never came back, and the
-    campaign reports whatever partial yield it achieved instead of
-    dying.
-    """
-    plan = sim.faults
-    horizon = sim.scenario.horizon_hours
-    outage_hours = (
-        plan.outage_hours_within(horizon) if plan is not None else 0.0
-    )
-    dark_at_horizon = plan is not None and plan.in_outage(horizon)
-    degraded = (
-        outage_hours > 0.0
-        or sim.retired_boards > 0
-        or sim.preempted > 0
-    )
-    status = "ok"
-    if dark_at_horizon:
-        status = "dark"
-    elif degraded:
-        status = "degraded"
-    return {
-        "r0": {
-            "boards": sim.scenario.devices - sim.retired_boards,
-            "retired": sim.retired_boards,
-            "outage_hours": outage_hours,
-            "status": status,
-            "victims_skipped": sum(1 for v in victims if v.skipped),
+        def handler(loop: EventLoop, event) -> None:
+            if victim.skipped:
+                return
+            if victim.board is None:
+                # The rent retried past the tenancy window without ever
+                # landing; the victim never ran.
+                victim.skipped = True
+                victim.skip_reason = victim.skip_reason or "outage"
+                return
+            if victim.released_at is not None:
+                return  # already reclaimed by a preemption storm
+            self._release_board(victim, loop.now_hours)
+            note_event("fleet.victim_released", victim=victim.index,
+                       board=victim.board)
+
+        return handler
+
+    # -- the attacker ------------------------------------------------------
+
+    def _rent_boards(self, limit: int) -> list[int]:
+        """Rent up to ``limit`` boards off the free pool."""
+        region = self.sim.region
+        return [region.rent() for _ in range(min(limit, region.available()))]
+
+    def _return_boards(self, boards: list[int], now: float) -> None:
+        """Zero-hour rentals: probed boards go straight back, then the
+        attacker's series are sampled."""
+        for board in boards:
+            self.sim.region.release(board)
+        self.probed += len(boards)
+        recorder = self.sim.recorder
+        if recorder is not None:
+            recorder.sample_rate(
+                SERIES_BOARDS_PROBED, now, self.probed,
+                help="cumulative boards the attacker has probed",
+            )
+            recorder.sample(
+                SERIES_RECOVERY_YIELD, now,
+                sum(1 for v in self.victims if v.recovered)
+                / len(self.victims),
+                help="fraction of victims recovered so far",
+            )
+
+    def _flash(self, victim: _Victim):
+        """SCAN handler of the flash race: grab up to ``flash_limit``
+        boards ``reaction_hours`` after ``victim`` left and probe them
+        all."""
+        sim = self.sim
+
+        def handler(loop: EventLoop, event) -> None:
+            if victim.skipped or victim.board is None:
+                return
+            now = loop.now_hours
+            boards = self._rent_boards(self.plan.flash_limit)
+            probes = [sim.probe(board, now) for board in boards]
+            # The attacker harvests a candidate secret from every
+            # flashed board (stale pentimenti from earlier tenants are
+            # among them); the race is won when the victim's own board
+            # was re-acquired and its imprint decodes.
+            hit = next(
+                (p for p in probes if p["board"] == victim.board), None
+            )
+            if hit is not None:
+                victim.accuracy = sim.accuracy(hit, victim.secret)
+                victim.recovered = (
+                    victim.accuracy >= sim.scenario.accuracy_threshold
+                )
+            self.details.append({
+                "victim": victim.index,
+                "victim_board": victim.board,
+                "reacquired": hit is not None,
+                "accuracy": victim.accuracy,
+                "recovered": victim.recovered,
+                "boards_flashed": len(boards),
+                "preempted": victim.preempted,
+                "wipe_mode": victim.wipe_mode,
+            })
+            self._return_boards(boards, now)
+
+        return handler
+
+    def _scan(self, loop: EventLoop, event) -> None:
+        """SCAN handler of the marketplace scan: probe ``scan_width``
+        pool boards, checking each against the victim that left it."""
+        sim = self.sim
+        now = loop.now_hours
+        boards = self._rent_boards(self.plan.scan_width)
+        for board in boards:
+            probe = sim.probe(board, now)
+            victim = self.released.get(board)
+            if victim is not None and not victim.recovered:
+                accuracy = sim.accuracy(probe, victim.secret)
+                victim.accuracy = max(victim.accuracy, accuracy)
+                if accuracy >= sim.scenario.accuracy_threshold:
+                    victim.recovered = True
+                    self.details.append({
+                        "victim": victim.index,
+                        "board": board,
+                        "scan_hours": now,
+                        "accuracy": accuracy,
+                    })
+                    note_event("fleet.scan_hit", victim=victim.index,
+                               board=board)
+        self._return_boards(boards, now)
+
+    # -- faults and the tally ----------------------------------------------
+
+    def _schedule_faults(self) -> None:
+        """Queue the plan's storm and retirement events on the loop."""
+        sim = self.sim
+        plan = sim.faults
+        if plan is None:
+            return
+        horizon = sim.scenario.horizon_hours
+
+        def storm_handler(storm_index: int):
+            def handler(loop: EventLoop, event) -> None:
+                now = loop.now_hours
+                for victim in self.victims:
+                    if (victim.skipped or victim.board is None
+                            or victim.released_at is not None):
+                        continue
+                    if not plan.storm_preempts(
+                        storm_index, f"victim{victim.index}"
+                    ):
+                        continue
+                    self._release_board(victim, now)
+                    victim.preempted = True
+                    sim.preempted += 1
+                    plan.note_fire("fleet.preempt")
+                    sim.note_fault("fleet.preempt", now,
+                                   victim=victim.index, storm=storm_index)
+
+            return handler
+
+        def retire_handler(wave_index: int, boards: int):
+            def handler(loop: EventLoop, event) -> None:
+                now = loop.now_hours
+                available = sim.region.available()
+                positions = plan.retire_positions(
+                    wave_index, available, boards
+                )
+                if not positions:
+                    return
+                retired = sim.region.retire_free(positions)
+                for board in retired:
+                    # Retired silicon ages no further; forgetting it
+                    # keeps the aging-debt series truthful.
+                    sim._synced.pop(board, None)
+                sim.retired_boards += len(retired)
+                plan.note_fire("fleet.retire", len(retired))
+                sim.note_fault("fleet.retire", now, wave=wave_index,
+                               boards=len(retired))
+
+            return handler
+
+        for index, storm in enumerate(plan.storms):
+            if storm.start_hours <= horizon:
+                sim.loop.schedule(storm.start_hours, EventKind.PREEMPT,
+                                  storm_handler(index), storm=index)
+        for index, wave in enumerate(plan.retirements):
+            if wave.time_hours <= horizon:
+                sim.loop.schedule(wave.time_hours, EventKind.RETIRE,
+                                  retire_handler(index, wave.boards),
+                                  wave=index)
+
+    def _region_status(self) -> dict:
+        """Per-region health map: the graceful-degradation surface.
+
+        ``ok`` when nothing went wrong, ``degraded`` after any outage,
+        retirement or preemption, ``dark`` when an outage window is
+        still open at the campaign horizon -- the region never came
+        back, and the campaign reports whatever partial yield it
+        achieved instead of dying.
+        """
+        sim = self.sim
+        plan = sim.faults
+        horizon = sim.scenario.horizon_hours
+        outage_hours = (
+            plan.outage_hours_within(horizon) if plan is not None else 0.0
+        )
+        status = "ok"
+        if plan is not None and plan.in_outage(horizon):
+            status = "dark"
+        elif outage_hours > 0.0 or sim.retired_boards or sim.preempted:
+            status = "degraded"
+        return {
+            "r0": {
+                "boards": sim.scenario.devices - sim.retired_boards,
+                "retired": sim.retired_boards,
+                "outage_hours": outage_hours,
+                "status": status,
+                "victims_skipped": sum(1 for v in self.victims if v.skipped),
+            }
         }
-    }
 
-
-def _finish(
-    sim: FleetSimulator,
-    kind: str,
-    victims: list[_Victim],
-    boards_probed: int,
-    details: list,
-) -> CampaignResult:
-    attempted = [v for v in victims if not v.skipped]
-    recovered = sum(1 for v in attempted if v.recovered)
-    mean_acc = (
-        sum(v.accuracy for v in attempted) / len(attempted)
-        if attempted else 0.0
-    )
-    result = CampaignResult(
-        kind=kind,
-        victims_attempted=len(attempted),
-        victims_skipped=len(victims) - len(attempted),
-        recovered=recovered,
-        recovery_yield=recovered / len(attempted) if attempted else 0.0,
-        mean_accuracy=mean_acc,
-        boards_probed=boards_probed,
-        lifecycle_events=sim.region.events_processed,
-        tracked_events=sim.loop.events_processed,
-        dropped_arrivals=sim.region.dropped_arrivals,
-        details=details,
-        failed_wipes=sim.failed_wipes,
-        partial_wipes=sim.partial_wipes,
-        preempted=sim.preempted,
-        retired_boards=sim.retired_boards,
-        rent_retries=sim.rent_retries,
-        faults=sim.faults.ledger() if sim.faults is not None else {},
-        region_status=_region_status(sim, victims),
-    )
-    note_event("fleet.campaign_done", campaign=kind,
-               recovery_yield=result.recovery_yield)
-    return result
+    def _finish(self) -> CampaignResult:
+        sim = self.sim
+        attempted = [v for v in self.victims if not v.skipped]
+        recovered = sum(1 for v in attempted if v.recovered)
+        mean_acc = (
+            sum(v.accuracy for v in attempted) / len(attempted)
+            if attempted else 0.0
+        )
+        result = CampaignResult(
+            kind=self.kind,
+            victims_attempted=len(attempted),
+            victims_skipped=len(self.victims) - len(attempted),
+            recovered=recovered,
+            recovery_yield=recovered / len(attempted) if attempted else 0.0,
+            mean_accuracy=mean_acc,
+            boards_probed=self.probed,
+            lifecycle_events=sim.region.events_processed,
+            tracked_events=sim.loop.events_processed,
+            dropped_arrivals=sim.region.dropped_arrivals,
+            details=self.details,
+            failed_wipes=sim.failed_wipes,
+            partial_wipes=sim.partial_wipes,
+            preempted=sim.preempted,
+            retired_boards=sim.retired_boards,
+            rent_retries=sim.rent_retries,
+            faults=sim.faults.ledger() if sim.faults is not None else {},
+            region_status=self._region_status(),
+        )
+        note_event("fleet.campaign_done", campaign=self.kind,
+                   recovery_yield=result.recovery_yield)
+        return result
 
 
 def run_flash_campaign(
@@ -1307,83 +1431,8 @@ def run_flash_campaign(
     outages, storms, retirement, thermal excursions); results stay
     bit-identical across churn engines and batch sizes under any plan.
     """
-    plan = plan or FlashAttackPlan()
-    sim = FleetSimulator(scenario, recorder=recorder,
-                         fault_plan=fault_plan)
-    victims = [
-        _Victim(i, secret)
-        for i, secret in enumerate(_draw_secrets(sim, plan.victims))
-    ]
-    designs: dict = {}
-    details: list = []
-    probed = [0]
-
-    def flash(victim: _Victim):
-        def handler(loop: EventLoop, event) -> None:
-            if victim.skipped or victim.board is None:
-                return
-            now = loop.now_hours
-            count = min(plan.flash_limit, sim.region.available())
-            boards = [sim.region.rent() for _ in range(count)]
-            probes = [sim.probe(board, now) for board in boards]
-            probed[0] += len(boards)
-            # The attacker harvests a candidate secret from every
-            # flashed board (stale pentimenti from earlier tenants are
-            # among them); the race is won when the victim's own board
-            # was re-acquired and its imprint decodes.
-            hit = next(
-                (p for p in probes if p["board"] == victim.board), None
-            )
-            if hit is not None:
-                victim.accuracy = sim.accuracy(hit, victim.secret)
-                victim.recovered = (
-                    victim.accuracy >= scenario.accuracy_threshold
-                )
-            details.append({
-                "victim": victim.index,
-                "victim_board": victim.board,
-                "reacquired": hit is not None,
-                "accuracy": victim.accuracy,
-                "recovered": victim.recovered,
-                "boards_flashed": len(boards),
-                "preempted": victim.preempted,
-                "wipe_mode": victim.wipe_mode,
-            })
-            # Zero-hour rentals: probed boards go straight back.
-            for board in boards:
-                sim.region.release(board)
-            if recorder is not None:
-                recorder.sample_rate(
-                    SERIES_BOARDS_PROBED, now, probed[0],
-                    help="cumulative boards the attacker has probed",
-                )
-                recorder.sample(
-                    SERIES_RECOVERY_YIELD, now,
-                    sum(1 for v in victims if v.recovered) / len(victims),
-                    help="fraction of victims recovered so far",
-                )
-
-        return handler
-
-    note_phase("fleet.flash", total=plan.victims,
-               devices=scenario.devices,
-               sim_total_hours=scenario.horizon_hours)
-    with trace.span("fleet.campaign", kind="flash"):
-        for victim in victims:
-            start = plan.warmup_hours + victim.index * (
-                plan.burn_hours + plan.spacing_hours
-            )
-            end = start + plan.burn_hours
-            sim.loop.schedule(start, EventKind.RENT,
-                              _victim_rent(sim, victim, designs,
-                                           deadline_hours=end))
-            sim.loop.schedule(end, EventKind.RELEASE,
-                              _victim_release(sim, victim))
-            sim.loop.schedule(end + plan.reaction_hours, EventKind.SCAN,
-                              flash(victim))
-        _schedule_fault_events(sim, victims)
-        sim.loop.run(until_hours=scenario.horizon_hours)
-    return _finish(sim, "flash", victims, probed[0], details)
+    return _Campaign("flash", scenario, plan or FlashAttackPlan(),
+                     recorder, fault_plan).run()
 
 
 def run_scan_campaign(
@@ -1402,86 +1451,8 @@ def run_scan_campaign(
     ``fault_plan`` injects deterministic provider chaos exactly as in
     :func:`run_flash_campaign`.
     """
-    plan = plan or ScanPlan()
-    sim = FleetSimulator(scenario, recorder=recorder,
-                         fault_plan=fault_plan)
-    victims = [
-        _Victim(i, secret)
-        for i, secret in enumerate(_draw_secrets(sim, plan.victims))
-    ]
-    designs: dict = {}
-    details: list = []
-    probed = [0]
-    by_board: dict[int, _Victim] = {}
-
-    def index_released(victim: _Victim) -> None:
-        if not victim.skipped and victim.board is not None:
-            by_board[victim.board] = victim
-
-    def release_and_index(victim: _Victim):
-        inner = _victim_release(sim, victim)
-
-        def handler(loop: EventLoop, event) -> None:
-            inner(loop, event)
-            index_released(victim)
-
-        return handler
-
-    def scan(loop: EventLoop, event) -> None:
-        now = loop.now_hours
-        count = min(plan.scan_width, sim.region.available())
-        boards = [sim.region.rent() for _ in range(count)]
-        for board in boards:
-            probe = sim.probe(board, now)
-            probed[0] += 1
-            victim = by_board.get(board)
-            if victim is not None and not victim.recovered:
-                accuracy = sim.accuracy(probe, victim.secret)
-                victim.accuracy = max(victim.accuracy, accuracy)
-                if accuracy >= scenario.accuracy_threshold:
-                    victim.recovered = True
-                    details.append({
-                        "victim": victim.index,
-                        "board": board,
-                        "scan_hours": now,
-                        "accuracy": accuracy,
-                    })
-                    note_event("fleet.scan_hit", victim=victim.index,
-                               board=board)
-        for board in boards:
-            sim.region.release(board)
-        if recorder is not None:
-            recorder.sample_rate(
-                SERIES_BOARDS_PROBED, now, probed[0],
-                help="cumulative boards the attacker has probed",
-            )
-            recorder.sample(
-                SERIES_RECOVERY_YIELD, now,
-                sum(1 for v in victims if v.recovered) / len(victims),
-                help="fraction of victims recovered so far",
-            )
-
-    note_phase("fleet.scan", total=plan.victims,
-               devices=scenario.devices,
-               sim_total_hours=scenario.horizon_hours)
-    with trace.span("fleet.campaign", kind="scan"):
-        for victim in victims:
-            start = plan.warmup_hours + victim.index * (
-                plan.burn_hours + plan.spacing_hours
-            )
-            end = start + plan.burn_hours
-            sim.loop.schedule(start, EventKind.RENT,
-                              _victim_rent(sim, victim, designs,
-                                           deadline_hours=end))
-            sim.loop.schedule(end, EventKind.RELEASE,
-                              release_and_index(victim))
-        t = plan.warmup_hours
-        while t < scenario.horizon_hours:
-            sim.loop.schedule(t, EventKind.SCAN, scan)
-            t += plan.scan_every_hours
-        _schedule_fault_events(sim, victims, on_release=index_released)
-        sim.loop.run(until_hours=scenario.horizon_hours)
-    return _finish(sim, "scan", victims, probed[0], details)
+    return _Campaign("scan", scenario, plan or ScanPlan(),
+                     recorder, fault_plan).run()
 
 
 # ---------------------------------------------------------------------------

@@ -43,12 +43,6 @@ class ThreatModel1Result:
     #: ``"unrecovered"`` (too little data -- the bit is a guess).
     route_status: dict[str, str] = field(default_factory=dict)
 
-    def bit_for(self, net_name: str) -> int:
-        """The recovered bit of one net."""
-        if net_name not in self.recovered_bits:
-            raise AttackError(f"no recovered bit for net {net_name!r}")
-        return self.recovered_bits[net_name]
-
 
 def _note_pass(measurements: dict, route_status: dict) -> dict:
     """Mark routes a measurement pass lost as degraded; pass through."""

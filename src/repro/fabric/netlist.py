@@ -151,16 +151,6 @@ class Netlist:
         self.nets[net.name] = net
         return net
 
-    def replace_net(self, net: Net) -> None:
-        """Replace an existing net (e.g. after routing)."""
-        if net.name not in self.nets:
-            raise FabricError(f"no net named {net.name!r} to replace")
-        self.nets[net.name] = net
-
-    def cells_of_type(self, cell_type: CellType) -> list[Cell]:
-        """All cells of one resource class."""
-        return [c for c in self.cells.values() if c.cell_type is cell_type]
-
     def combinational_graph(self) -> dict[str, list[str]]:
         """Combinational cell-to-cell dependencies: cell -> successors.
 

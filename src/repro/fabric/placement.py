@@ -79,10 +79,6 @@ class Placement:
             raise PlacementError(f"cell {cell_name!r} is not placed")
         return self.sites[cell_name].coord
 
-    def occupied_tiles(self) -> set[Coordinate]:
-        """All tiles hosting at least one placed cell."""
-        return {site.coord for site in self.sites.values()}
-
 
 class FixedPlacer:
     """Places cells at caller-chosen tiles, tracking site occupancy."""

@@ -12,7 +12,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.errors import RoutingError
 from repro.fabric.geometry import Coordinate, FabricGrid
@@ -180,9 +179,4 @@ def displacement_delay_ps(dx: int, dy: int) -> float:
     return float(
         sum(spec_for(kind).delay_ps for kind in compose_displacement(dx, dy))
     )
-
-
-def total_nominal_delay(routes: Sequence[Route]) -> float:
-    """Sum of nominal delays over several routes."""
-    return float(sum(route.nominal_delay_ps for route in routes))
 

@@ -90,10 +90,6 @@ class Route:
         """Origin of the first and of the last segment."""
         return self.segments[0].origin, self.segments[-1].origin
 
-    def overlaps(self, other: "Route") -> bool:
-        """Whether two routes share any physical segment."""
-        return bool(set(self.segments) & set(other.segments))
-
 
 def validate_disjoint(routes: Iterable[Route]) -> None:
     """Raise :class:`RoutingError` if any two routes share a segment.

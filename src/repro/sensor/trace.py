@@ -50,11 +50,6 @@ class Trace:
             raise SensorError(f"trace words must be boolean, got {self.words.dtype}")
 
     @property
-    def sample_count(self) -> int:
-        """Capture words in this trace."""
-        return int(self.words.shape[0])
-
-    @property
     def chain_length(self) -> int:
         """Capture taps per word."""
         return int(self.words.shape[1])

@@ -497,10 +497,10 @@ class TestErrorReporting:
         """Only ReproError is swallowed; genuine bugs keep their stack."""
         import repro.cli as cli
 
-        def explode(args):
+        def explode(args, run):
             raise RuntimeError("a real bug")
 
-        monkeypatch.setitem(cli._HANDLERS, "table1", explode)
+        monkeypatch.setattr(cli, "_cmd_table1", explode)
         with pytest.raises(RuntimeError, match="a real bug"):
             main(["table1"])
 
@@ -760,6 +760,85 @@ class TestRunRecording:
         replay.merge_state(state)  # same dump_id: a no-op
         twice = replay.snapshot()["counters"]["experiments_total"]
         assert once == twice == 1.0
+
+
+_BENCH = str(Path(__file__).resolve().parent.parent / "BENCH_perf.json")
+
+_FLEET = ["fleet", "--devices", "40", "--horizon-hours", "80",
+          "--victims", "1"]
+
+_FLEET_CONFIG = {"arrival_rate_per_hour": 40 / 48.0, "campaign": "flash",
+                 "devices": 40, "horizon_hours": 80.0,
+                 "mean_rental_hours": 12.0, "victims": 1}
+
+#: Every recorded sub-command and the run-store row it writes: kind,
+#: experiment, accuracy, jobs, seed, config (its hash for the experiment
+#: dataclasses), fault-plan hash, whether route status is kept, and the
+#: ``extra`` keys.
+_RECORDED_RUNS = {
+    "exp1": (["exp1", "--quick", "--no-figure", "--burn-hours", "16",
+              "--recovery-hours", "8", "--seed", "5"],
+             ("experiment", "exp1", 1.0, None, 5, "37dfaf240012", None,
+              True, ["phases"])),
+    "exp2": (["exp2", "--quick", "--no-figure"],
+             ("experiment", "exp2", 1.0, None, 2, "082bf50a4690", None,
+              True, ["phases"])),
+    "exp3": (["exp3", "--quick", "--no-figure"],
+             ("experiment", "exp3", 10 / 12, None, 3, "44d2bd863281", None,
+              True, ["identification", "phases"])),
+    "sweep": (["sweep", "exp1", "--seeds", "1:2"],
+              ("sweep", "exp1", 1.0, 1, None,
+               {"experiment": "exp1", "quick": True, "seeds": [1, 2]},
+               None, False, ["phases"])),
+    "chaos": (["chaos", "exp1", "--seed", "1", "--fault-plan", _FAULT_PLAN],
+              ("chaos", "exp1", 1.0, None, 1,
+               {"experiment": "exp1", "quick": True, "seed": 1},
+               "99f37402bc04", False, ["events", "phases"])),
+    "chaos-sweep": (["chaos", "sweep", "--experiment", "exp1",
+                     "--seeds", "1:2"],
+                    ("chaos", "exp1", 1.0, 1, None,
+                     {"experiment": "exp1", "quick": True, "seeds": [1, 2]},
+                     "99f37402bc04", False, ["events", "phases"])),
+    "fleet": ([*_FLEET, "--seed", "3"],
+              ("fleet", "fleet", 1.0, None, 3,
+               {**_FLEET_CONFIG, "seed": 3},
+               None, False, ["events", "fleet", "phases"])),
+    "fleet-seeds": ([*_FLEET, "--seeds", "2:3", "--fault-plan", _FAULT_PLAN],
+                    ("fleet", "fleet", 0.5, None, 1,
+                     {**_FLEET_CONFIG, "seed": 1, "seeds": [2, 3]},
+                     "99f37402bc04", False,
+                     ["events", "fleet_sweep", "phases"])),
+    "profile": (["profile", "exp1", "--quick"],
+                ("profile", "exp1", 1.0, None, 1, "a279fe96147e", None,
+                 False, ["phases"])),
+    "bench": (["bench", "diff", _BENCH, _BENCH, "--gate", "80"],
+              ("bench", None, None, None, None,
+               {"old": _BENCH, "new": _BENCH, "gate": 80.0},
+               None, False, ["bench_diff"])),
+}
+
+
+class TestRunRecordParity:
+    """Each recorded sub-command stores the same row fields it always has."""
+
+    @pytest.mark.parametrize("name", sorted(_RECORDED_RUNS))
+    def test_recorded_row(self, name, tmp_path, monkeypatch, capsys):
+        from repro.observability.runstore import RunStore
+
+        argv, want = _RECORDED_RUNS[name]
+        db = tmp_path / "runs.db"
+        # ``bench`` has no --runstore flag, so every case goes by env.
+        monkeypatch.setenv("REPRO_RUNSTORE", str(db))
+        assert main(argv) == 0
+        capsys.readouterr()
+        store = RunStore(db)
+        run = store.get_run(store.resolve("latest"))
+        config = (run["config"] if isinstance(want[5], dict)
+                  else run["config_hash"])
+        got = (run["kind"], run["experiment"], run["accuracy"],
+               run["jobs"], run["seed"], config, run["fault_plan_hash"],
+               run["route_status"] is not None, sorted(run["extra"]))
+        assert got == want
 
 
 class TestProgressFlag:

@@ -164,3 +164,5 @@ def test_cli_import_leaves_out_networkx():
     loaded = _modules_loaded_by("import repro.cli")
     assert "repro.cli" in loaded
     assert "networkx" not in loaded
+    # The campaign engine loads only when ``repro fleet`` dispatches.
+    assert "repro.cloud.campaigns" not in loaded

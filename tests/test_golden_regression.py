@@ -10,14 +10,23 @@ a performance change must leave them untouched.
 
 import pytest
 
+from pathlib import Path
+
 from repro.cloud.campaigns import (
     ChurnModel,
+    FlashAttackPlan,
     FleetScenario,
     ScanPlan,
+    run_flash_campaign,
     run_scan_campaign,
 )
 from repro.experiments.config import Experiment3Config
 from repro.experiments.experiment3 import run_experiment3
+from repro.reliability.faults import load_fault_plan
+
+_FAULT_PLAN = (
+    Path(__file__).resolve().parent.parent / "plans" / "chaos-default.json"
+)
 
 
 @pytest.mark.parametrize(
@@ -42,6 +51,68 @@ def test_scan_campaign_golden(seed, recovered, boards_probed,
     assert result.lifecycle_events == lifecycle_events
     assert result.recovery_yield == recovery_yield
     assert result.mean_accuracy == mean_accuracy
+
+
+def _flash_detail(victim, board, reacquired, accuracy, recovered):
+    return {"victim": victim, "victim_board": board,
+            "reacquired": reacquired, "accuracy": accuracy,
+            "recovered": recovered, "boards_flashed": 6,
+            "preempted": False, "wipe_mode": "ok"}
+
+
+def _flash_golden(plain):
+    """The full result of a small flash race, plain or under the
+    committed fault plan (whose outage makes victim 1's rent retry past
+    its tenancy and whose retirement wave takes three boards)."""
+    if plain:
+        return {
+            "kind": "flash", "victims_attempted": 4, "victims_skipped": 0,
+            "recovered": 3, "recovery_yield": 0.75, "mean_accuracy": 0.6875,
+            "boards_probed": 24, "lifecycle_events": 983,
+            "tracked_events": 12, "dropped_arrivals": 0,
+            "details": [_flash_detail(0, 102, True, 1.0, True),
+                        _flash_detail(1, 116, True, 1.0, True),
+                        _flash_detail(2, 108, True, 0.75, True),
+                        _flash_detail(3, 93, False, 0.0, False)],
+            "failed_wipes": 0, "partial_wipes": 0, "preempted": 0,
+            "retired_boards": 0, "rent_retries": 0, "faults": {},
+            "region_status": {"r0": {
+                "boards": 120, "retired": 0, "outage_hours": 0.0,
+                "status": "ok", "victims_skipped": 0}},
+        }
+    return {
+        "kind": "flash", "victims_attempted": 3, "victims_skipped": 1,
+        "recovered": 2, "recovery_yield": 2 / 3, "mean_accuracy": 2 / 3,
+        "boards_probed": 18, "lifecycle_events": 943,
+        "tracked_events": 17, "dropped_arrivals": 0,
+        "details": [_flash_detail(0, 102, True, 1.0, True),
+                    _flash_detail(2, 101, True, 1.0, True),
+                    _flash_detail(3, 107, False, 0.0, False)],
+        "failed_wipes": 0, "partial_wipes": 0, "preempted": 0,
+        "retired_boards": 3, "rent_retries": 3,
+        "faults": {"fleet.outage": 4, "fleet.retire": 3, "fleet.thermal": 1,
+                   "churn.dropped_by_outage": 20,
+                   "churn.truncated_by_storm": 19},
+        "region_status": {"r0": {
+            "boards": 117, "retired": 3, "outage_hours": 14.0,
+            "status": "degraded", "victims_skipped": 1}},
+    }
+
+
+@pytest.mark.parametrize("plain", [True, False], ids=["plain", "chaos"])
+def test_flash_campaign_golden(plain):
+    scenario = FleetScenario(
+        devices=120,
+        horizon_hours=260.0,
+        churn=ChurnModel(arrival_rate_per_hour=2.0, mean_rental_hours=10.0),
+        routes=4,
+        seed=2,
+    )
+    plan = FlashAttackPlan(victims=4, flash_limit=6, warmup_hours=30.0,
+                           spacing_hours=12.0)
+    fault_plan = None if plain else load_fault_plan(_FAULT_PLAN)
+    result = run_flash_campaign(scenario, plan, fault_plan=fault_plan)
+    assert result.to_dict() == _flash_golden(plain)
 
 
 def test_experiment3_quick_golden():
