@@ -105,6 +105,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler, run_kind=kind)
         return p
 
+    def record_flags(p: argparse.ArgumentParser) -> None:
+        """Where a recorded invocation lands in the run store."""
+        p.add_argument("--runstore", type=str, default=None,
+                       metavar="PATH",
+                       help="run-store database to record into (default: "
+                            ".repro/runs.db or $REPRO_RUNSTORE; 'off' "
+                            "disables recording)")
+        p.add_argument("--no-record", action="store_true",
+                       help="do not record this invocation in the run "
+                            "store")
+
     def observability(p: argparse.ArgumentParser) -> None:
         """The flag set every sub-command carries."""
         p.add_argument("--trace", nargs="?", const=True, default=False,
@@ -120,14 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="export spans as Chrome Trace Event JSON "
                             "(open in Perfetto or chrome://tracing); "
                             "implies span collection")
-        p.add_argument("--runstore", type=str, default=None,
-                       metavar="PATH",
-                       help="run-store database to record into (default: "
-                            ".repro/runs.db or $REPRO_RUNSTORE; 'off' "
-                            "disables recording)")
-        p.add_argument("--no-record", action="store_true",
-                       help="do not record this invocation in the run "
-                            "store")
+        record_flags(p)
         p.add_argument("--progress", type=str, default="auto",
                        choices=("auto", "tty", "jsonl", "off"),
                        help="live progress on stderr: a rewritten status "
@@ -205,10 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--experiment", choices=("exp1", "exp2", "exp3"),
                     default="exp1",
                     help="experiment for 'chaos sweep' (default: exp1)")
-    pc.add_argument("--quick", action="store_true", default=True,
-                    help="shrunken configs (the default)")
-    pc.add_argument("--paper", action="store_true",
-                    help="paper-scale configs instead of quick")
+    scale = pc.add_mutually_exclusive_group()
+    scale.add_argument("--quick", action="store_true",
+                       help="shrunken configs (the default)")
+    scale.add_argument("--paper", action="store_true",
+                       help="paper-scale configs instead of quick")
     pc.add_argument("--seed", type=int, default=0,
                     help="experiment seed for a single chaos run "
                          "(default: 0)")
@@ -331,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="FILE",
                      help="also write the comparison (per-key deltas and "
                           "gate verdicts) as one JSON document")
+    record_flags(pbd)
 
     pu = command(
         "runs", _cmd_runs,

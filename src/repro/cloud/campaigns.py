@@ -62,7 +62,7 @@ import numpy as np
 from repro.errors import CapacityError, CloudError, ConfigurationError
 from repro.cloud.events import EventKind, EventLoop
 from repro.designs import build_route_bank, build_target_design
-from repro.fabric.device import FpgaDevice
+from repro.fabric.device import FpgaDevice, RouteRequest
 from repro.fabric.parts import PartDescriptor, VIRTEX_ULTRASCALE_PLUS
 from repro.fabric.thermal import DataCenterAmbient
 from repro.observability import trace
@@ -784,6 +784,8 @@ class FleetSimulator:
             scenario.part.make_grid(),
             [scenario.route_length_ps] * scenario.routes,
         )
+        # Flattened and de-duplicated once: every probe reads this bank.
+        self._bank = RouteRequest(self.routes)
         self.loop = EventLoop(_RegionClock(self.region),
                               recorder=recorder)
         self._synced: dict[int, float] = {}
@@ -838,8 +840,8 @@ class FleetSimulator:
 
     def _tick_intervals(
         self, t0: float, t1: float
-    ) -> list[tuple[float, float]]:
-        """(duration, ambient) intervals over deterministic tick
+    ) -> list[tuple[float, float, float]]:
+        """(start, duration, ambient) intervals over deterministic tick
         boundaries -- identical for any churn batching, since every
         window sees the same tracked event times."""
         if t1 <= t0:
@@ -849,51 +851,82 @@ class FleetSimulator:
         t = t0
         boundary = math.floor(t0 / tick) * tick + tick
         while boundary < t1:
-            out.append((boundary - t, self.ambient.at(t)))
+            out.append((t, boundary - t, self.ambient.at(t)))
             t = boundary
             boundary += tick
-        out.append((t1 - t, self.ambient.at(t)))
+        out.append((t, t1 - t, self.ambient.at(t)))
         return out
 
-    def sync_board(self, board: int, now_hours: float) -> FpgaDevice:
-        """Materialise a board and integrate its history up to now.
+    def sync_boards(
+        self, boards: Sequence[int], now_hours: float
+    ) -> list[FpgaDevice]:
+        """Materialise boards and integrate their histories up to now.
 
         A board touched for the first time has no analog state, so its
-        idle past is one O(1) fast-forward; thereafter it replays
-        (design loaded or not) over thermal-tick intervals.
+        idle past is one interval from hour 0; thereafter it replays
+        over thermal-tick intervals.  Boards holding a design (a failed
+        wipe leaves one loaded) replay theirs one by one; the idle ones
+        catch up together (:meth:`FpgaDevice.catch_up_idle`), one store
+        update per distinct interval across the batch.
         """
-        dev = self.fleet.device(board)
-        last = self._synced.get(board)
-        if last is None:
-            if now_hours > 0.0:
-                dev.advance_hours(now_hours, self.ambient.at(0.0))
-            dev.set_ambient(self.ambient.at(now_hours))
-        else:
-            for duration, ambient_k in self._tick_intervals(last, now_hours):
-                dev.advance_hours(duration, ambient_k)
-        self._synced[board] = now_hours
-        return dev
+        devices = []
+        idle = []
+        first_touch = []
+        for board in boards:
+            dev = self.fleet.device(board)
+            last = self._synced.get(board)
+            if last is None:
+                intervals = (
+                    [(0.0, now_hours, self.ambient.at(0.0))]
+                    if now_hours > 0.0 else []
+                )
+                first_touch.append(dev)
+            else:
+                intervals = self._tick_intervals(last, now_hours)
+            if dev.loaded_design is None:
+                idle.append((dev, intervals))
+            else:
+                for _, duration, ambient_k in intervals:
+                    dev.advance_hours(duration, ambient_k)
+            self._synced[board] = now_hours
+            devices.append(dev)
+        FpgaDevice.catch_up_idle(idle)
+        if first_touch:
+            ambient_k = self.ambient.at(now_hours)
+            for dev in first_touch:
+                dev.set_ambient(ambient_k)
+        return devices
+
+    def sync_board(self, board: int, now_hours: float) -> FpgaDevice:
+        """:meth:`sync_boards` for one board."""
+        return self.sync_boards((board,), now_hours)[0]
 
     # -- probing -----------------------------------------------------------
 
-    def probe(self, board: int, now_hours: float) -> dict:
-        """Read every route's remanent delta on a board.
+    def probe(self, boards: Sequence[int], now_hours: float) -> list[dict]:
+        """Read every route's remanent delta on each of a rented batch.
 
-        The whole bank is one read (:meth:`FpgaDevice.route_deltas_ps`),
-        so a board's new segments materialise in one request.  A route
-        is *readable* when the delta clears the probe resolution; the
-        inferred bit is the delta's sign (a burned-in ``1`` slows the
-        route, see the integration suite).
+        The batch is one pass: one catch-up (:meth:`sync_boards`), then
+        one cross-device read of the route bank
+        (:meth:`FpgaDevice.read_route_deltas`), so every board's new
+        segments materialise in one request.  A route is *readable*
+        when the delta clears the probe resolution; the inferred bit is
+        the delta's sign (a burned-in ``1`` slows the route, see the
+        integration suite).
         """
-        dev = self.sync_board(board, now_hours)
-        deltas = dev.route_deltas_ps(self.routes)
+        devices = self.sync_boards(boards, now_hours)
         resolution = self.scenario.probe_resolution_ps
-        return {
-            "board": board,
-            "deltas_ps": deltas,
-            "bits": [1 if d > 0.0 else 0 for d in deltas],
-            "readable": [abs(d) >= resolution for d in deltas],
-        }
+        return [
+            {
+                "board": board,
+                "deltas_ps": deltas,
+                "bits": [1 if d > 0.0 else 0 for d in deltas],
+                "readable": [abs(d) >= resolution for d in deltas],
+            }
+            for board, deltas in zip(
+                boards, FpgaDevice.read_route_deltas(devices, self._bank)
+            )
+        ]
 
     def accuracy(self, probe: dict, secret: tuple) -> float:
         """Fraction of secret bits recovered (readable and correct)."""
@@ -1237,7 +1270,7 @@ class _Campaign:
                 return
             now = loop.now_hours
             boards = self._rent_boards(self.plan.flash_limit)
-            probes = [sim.probe(board, now) for board in boards]
+            probes = sim.probe(boards, now)
             # The attacker harvests a candidate secret from every
             # flashed board (stale pentimenti from earlier tenants are
             # among them); the race is won when the victim's own board
@@ -1270,8 +1303,7 @@ class _Campaign:
         sim = self.sim
         now = loop.now_hours
         boards = self._rent_boards(self.plan.scan_width)
-        for board in boards:
-            probe = sim.probe(board, now)
+        for board, probe in zip(boards, sim.probe(boards, now)):
             victim = self.released.get(board)
             if victim is not None and not victim.recovered:
                 accuracy = sim.accuracy(probe, victim.secret)

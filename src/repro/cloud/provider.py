@@ -40,7 +40,6 @@ from repro.cloud.allocation import AllocationOrder, AllocationPolicy
 from repro.cloud.instance import F1Instance
 from repro.fabric.device import FpgaDevice
 from repro.fabric.thermal import DataCenterAmbient
-from repro.physics.pool_array import FleetAgingArray
 from repro.rng import SeedLike, make_rng
 
 
@@ -215,13 +214,14 @@ class Region:
     def sync_devices(self, devices: Optional[Iterable[FpgaDevice]] = None) -> None:
         """Catch every (or the given) device up to the region clock.
 
-        Idle devices that share one backing :class:`SegmentBtiArray` and
-        sit at the same timeline position are advanced together: one
-        masked array update per pending interval covers the whole group
-        (see :class:`~repro.physics.pool_array.FleetAgingArray`).
+        Idle devices with analog state catch up together
+        (:meth:`FpgaDevice.catch_up_idle`): per shared
+        :class:`~repro.physics.pool_array.SegmentBtiArray`, one masked
+        array update per pending interval covers every device that has
+        it pending.  Devices with a design loaded replay on their own.
         """
         targets = list(devices) if devices is not None else self.devices()
-        groups: dict[tuple[int, int], list[FpgaDevice]] = {}
+        idle = []
         for device in targets:
             if device.pending_intervals == 0:
                 continue
@@ -229,23 +229,12 @@ class Region:
                 device.loaded_design is None
                 and device.materialised_segments > 0
             ):
-                key = (id(device.aging_store), device.timeline_position)
-                groups.setdefault(key, []).append(device)
+                idle.append(device)
             else:
                 device.sync()
-        for group in groups.values():
-            if len(group) == 1:
-                group[0].sync()
-                continue
-            position = group[0].timeline_position
-            fleet = FleetAgingArray(group[0].aging_store)
-            fleet.catch_up_idle(
-                [d._lazy_idle_indices() for d in group],
-                list(zip(self.timeline.durations[position:],
-                         self.timeline.ambients[position:])),
-            )
-            for device in group:
-                device._finish_lazy_idle()
+        FpgaDevice.catch_up_idle([
+            (device, device._take_pending_intervals()) for device in idle
+        ])
 
 
 class CloudProvider:

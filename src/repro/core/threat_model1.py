@@ -23,7 +23,7 @@ from repro.analysis.timeseries import SeriesBundle
 from repro.cloud.marketplace import Marketplace
 from repro.cloud.provider import CloudProvider
 from repro.core.classify import BurnTrendClassifier, classify_tolerantly
-from repro.core.phases import CalibrationPhase, ConditionPhase, MeasurementPhase
+from repro.core.phases import CalibrationPhase, MeasurementPhase
 from repro.designs.measure import build_measure_design
 from repro.fabric.bitstream import DesignSkeleton
 from repro.observability import trace

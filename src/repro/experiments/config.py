@@ -8,7 +8,7 @@ runs while keeping every phase of the protocol intact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigurationError

@@ -25,6 +25,13 @@ oracle in ``tests/oracles/aging.py``).  A device with no materialised
 analog state skips the replay in O(1): its ``sim_hours`` fast-forwards
 along the timeline's identically-accumulated clock.
 
+Segments materialise one request at a time
+(:meth:`FpgaDevice.materialise_batch`).  A request may span several
+devices that share a store, as when a prober reads the same route bank
+on a whole rented batch of boards
+(:meth:`FpgaDevice.read_route_deltas`); idle devices catch up together
+(:meth:`FpgaDevice.catch_up_idle`).
+
 Segments register into a
 :class:`~repro.physics.pool_array.SegmentBtiArray`; routed nets are
 grouped by activity class (static-1, static-0, toggling-by-duty, idle),
@@ -41,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -57,7 +64,11 @@ from repro.observability.metrics import registry
 from repro.physics.aging import NEW_PART, WearProfile
 from repro.physics.constants import REFERENCE_VOLTAGE_V
 from repro.physics.delay import TransitionDelays
-from repro.physics.pool_array import SegmentBtiArray, SegmentBtiSlot
+from repro.physics.pool_array import (
+    FleetAgingArray,
+    SegmentBtiArray,
+    SegmentBtiSlot,
+)
 from repro.physics.variation import ProcessVariation
 from repro.rng import SeedLike, make_rng
 
@@ -72,11 +83,62 @@ _DELAY_TEMP_REF_K = 338.15
 
 _device_ids = itertools.count(1)
 
-#: Nominal (delay, burn amplitude) of each wire class, in ps.
+#: Nominal (delay, burn amplitude) of each wire class, in ps, keyed by
+#: the class's name: a str hash is cached, an ``Enum`` hash is a Python
+#: call per segment.
 _NOMINAL = {
-    kind: (spec.delay_ps, spec.burn_amplitude_ps)
+    kind._name_: (spec.delay_ps, spec.burn_amplitude_ps)
     for kind, spec in SEGMENT_LIBRARY.items()
 }
+
+
+class SegmentRequest:
+    """A segment sequence prepared once for materialisation.
+
+    ``distinct`` holds the requested segments in first-occurrence order
+    (repeats count once), ``positions`` each requested segment's index
+    in ``distinct``.  A caller that repeats one request -- a prober
+    reading the same route bank on every board -- prepares it once and
+    pays the flattening, de-duplication and nominal lookup once.
+    """
+
+    __slots__ = ("distinct", "positions", "_nominal")
+
+    def __init__(self, segment_ids: Iterable[SegmentId]) -> None:
+        order: dict[SegmentId, int] = {}
+        self.positions = np.fromiter(
+            (order.setdefault(s, len(order)) for s in segment_ids),
+            dtype=np.intp,
+        )
+        self.distinct = list(order)
+        self._nominal: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    @property
+    def nominal(self) -> np.ndarray:
+        """Nominal (delay, burn amplitude) of each distinct segment,
+        shape ``(len(distinct), 2)``."""
+        if self._nominal is None:
+            self._nominal = np.array(
+                [_NOMINAL[s.kind._name_] for s in self.distinct], dtype=float
+            ).reshape(-1, 2)
+        return self._nominal
+
+
+class RouteRequest:
+    """Routes prepared for repeated delta reads: their segments,
+    concatenated in route order, as one :class:`SegmentRequest`."""
+
+    __slots__ = ("routes", "segments", "ends")
+
+    def __init__(self, routes: Sequence[Route]) -> None:
+        self.routes = tuple(routes)
+        self.segments = SegmentRequest(
+            itertools.chain.from_iterable(self.routes)
+        )
+        self.ends = list(itertools.accumulate(len(r) for r in self.routes))
 
 
 @dataclass(frozen=True)
@@ -166,22 +228,20 @@ class FpgaDevice:
         return slot
 
     def _draw(
-        self, segment_ids: list[SegmentId]
+        self, nominal: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Traits and residual imprints of new segments, as arrays.
 
-        Returns ``(rising, falling, amplitude, high, low)``, one element
-        per segment in request order.  The variation stream and the
+        ``nominal`` holds each segment's nominal (delay, burn amplitude)
+        row (:attr:`SegmentRequest.nominal`).  Returns ``(rising,
+        falling, amplitude, high, low)``, one element per segment in
+        request order.  The variation stream and the
         imprint stream are separate generators, so drawing each one's
         block for the whole request takes exactly the variates that
         touching the segments one at a time would, and leaves both
         generators in the same state; this is what keeps the aging
         oracle bit-identical from a shared seed.
         """
-        nominal = np.array(
-            [_NOMINAL[segment_id.kind] for segment_id in segment_ids],
-            dtype=float,
-        ).reshape(-1, 2)
         rising, falling, amplitude = self._variation.sample_segments(
             nominal[:, 0], nominal[:, 1]
         )
@@ -198,40 +258,86 @@ class FpgaDevice:
         return index
 
     def _materialise_many(self, segment_ids: Iterable[SegmentId]) -> list[int]:
-        """Array slots of a request's segments, in request order.
-
-        The segments not yet known (repeats within the request count
-        once) are drawn as one block, registered as one slice of slots
-        in request order, and their residual imprints installed with a
-        single vectorised preload -- bit-identical to touching them one
-        at a time (``tests/oracles/fabric.py``).  Preloading only writes
-        the new slots' charges, so deferring it past the registration
-        leaves every slot the same.
-        """
-        known = self._array_index
+        """Array slots of a request's segments, in request order: the
+        one-device case of :meth:`materialise_batch`."""
         requested = list(segment_ids)
-        indices = list(map(known.get, requested))
+        indices = list(map(self._array_index.get, requested))
         if None not in indices:
             return indices
-        new = list(dict.fromkeys(
-            segment_id
-            for segment_id, index in zip(requested, indices)
-            if index is None
-        ))
-        rising, falling, amplitude, high, low = self._draw(new)
-        store = self._bti_array
-        first = store.register_many(rising, falling, amplitude)
-        known.update(zip(new, range(first, first + len(new))))
-        imprinted = np.flatnonzero((high != 0.0) | (low != 0.0))
-        if imprinted.size:
-            store.preload_imprint(
-                imprinted + first, high_charge_ps=high[imprinted],
-                low_charge_ps=low[imprinted],
+        slots = self.materialise_batch([self], SegmentRequest(requested))
+        return slots[0].tolist()
+
+    @staticmethod
+    def materialise_batch(
+        devices: Sequence["FpgaDevice"], request: SegmentRequest
+    ) -> list[np.ndarray]:
+        """Array slots of one request on each device, in request order.
+
+        The devices must share a store.  Each device draws the
+        request's segments it has not yet materialised from its own
+        streams, as one block in request order; the batch then registers
+        every device's block as one slice, in device order, and installs
+        all residual imprints with one preload.  Slots are handed out in
+        the order materialising the devices one after another would use,
+        and registration and preloading only write new slots, so every
+        slot, trait and charge equals that one-device-at-a-time walk
+        (and the one-segment-at-a-time oracle,
+        ``tests/oracles/fabric.py``).
+        """
+        if not devices:
+            return []
+        store = devices[0]._bti_array
+        if any(device._bti_array is not store for device in devices):
+            raise FabricError(
+                "a batched request needs devices that share a store"
             )
-        return [
-            known[segment_id] if index is None else index
-            for segment_id, index in zip(requested, indices)
-        ]
+        distinct = request.distinct
+        start = next_slot = len(store)
+        draws = []
+        slots = []
+        for device in devices:
+            known = device._array_index
+            if known:
+                found = list(map(known.get, distinct))
+                new = [j for j, slot in enumerate(found) if slot is None]
+            else:
+                found, new = None, range(len(distinct))
+            if new:
+                everything = len(new) == len(distinct)
+                draws.append(device._draw(
+                    request.nominal if everything else request.nominal[new]
+                ))
+                fresh = range(next_slot, next_slot + len(new))
+                # Recorded at once, so a device listed twice finds its
+                # segments known, as it would reading one request at a
+                # time.
+                known.update(zip(
+                    distinct if everything else [distinct[j] for j in new],
+                    fresh,
+                ))
+                next_slot = fresh.stop
+                if everything:
+                    table = np.arange(fresh.start, fresh.stop, dtype=np.intp)
+                else:
+                    for j, slot in zip(new, fresh):
+                        found[j] = slot
+                    table = np.array(found, dtype=np.intp)
+            else:
+                table = np.array(found, dtype=np.intp)
+            slots.append(table[request.positions])
+        if draws:
+            rising, falling, amplitude, high, low = (
+                np.concatenate(part) for part in zip(*draws)
+            )
+            first = store.register_many(rising, falling, amplitude)
+            assert first == start
+            imprinted = np.flatnonzero((high != 0.0) | (low != 0.0))
+            if imprinted.size:
+                store.preload_imprint(
+                    imprinted + first, high_charge_ps=high[imprinted],
+                    low_charge_ps=low[imprinted],
+                )
+        return slots
 
     @property
     def materialised_segments(self) -> int:
@@ -344,37 +450,71 @@ class FpgaDevice:
             )
         return pending
 
-    def _lazy_idle_indices(self) -> np.ndarray:
-        """Array-store slots an idle catch-up must anneal (all of this
-        device's materialised segments; requires no loaded design)."""
-        assert self._loaded is None
-        return self._activity_groups().idle
-
-    def _finish_lazy_idle(self) -> None:
-        """Bookkeeping after a cross-device bulk idle catch-up.
-
-        The fleet-level catch-up already applied the array updates for
-        every pending interval; this replays only the per-interval
-        scalar bookkeeping (``sim_hours`` accumulation, last ambient,
-        counters), bit-identical to :meth:`sync`'s slow path.
-        """
+    def _take_pending_intervals(self) -> list[tuple[int, float, float]]:
+        """Hand the pending timeline intervals to a caller that will
+        integrate them (:meth:`catch_up_idle`): ``(position,
+        duration_hours, ambient_k)`` triples, oldest first.  The device
+        counts as synced afterwards."""
         timeline = self._timeline
-        assert timeline is not None and self._loaded is None
         position = self._timeline_pos
-        pending = len(timeline) - position
-        if pending <= 0:
-            return
         self._timeline_pos = len(timeline)
-        for i in range(position, len(timeline)):
-            self.sim_hours += timeline.durations[i]
-        self._ambient_k = timeline.ambients[-1]
-        registry.counter(
-            "device_advance_intervals_total", "device time-advance intervals"
-        ).inc(pending)
-        registry.counter(
+        return [
+            (i, timeline.durations[i], timeline.ambients[i])
+            for i in range(position, len(timeline))
+        ]
+
+    def _finish_idle(self, intervals: Sequence[tuple]) -> None:
+        """Bookkeeping after :meth:`catch_up_idle` annealed the slots:
+        the per-interval scalars (``sim_hours`` accumulation, the last
+        ambient, counters), as :meth:`advance_hours` keeps them."""
+        if not intervals:
+            return
+        segments = self.materialised_segments
+        segment_hours = registry.counter(
             "device_segment_hours_total",
             "simulated segment-hours of BTI integration",
-        ).inc(sum(timeline.durations[position:]) * self.materialised_segments)
+        )
+        for _, duration_hours, _ in intervals:
+            self.sim_hours += duration_hours
+            segment_hours.inc(duration_hours * segments)
+        self._ambient_k = intervals[-1][2]
+        registry.counter(
+            "device_advance_intervals_total", "device time-advance intervals"
+        ).inc(len(intervals))
+
+    @staticmethod
+    def catch_up_idle(
+        schedules: Sequence[tuple["FpgaDevice", Sequence[tuple]]]
+    ) -> None:
+        """Anneal idle devices through their own intervals, together.
+
+        ``schedules`` pairs each device (no design loaded) with its
+        intervals, ``(start, duration_hours, ambient_k)`` triples,
+        oldest first; ``start`` orders intervals in time (a timeline
+        position or an hour).  Per shared store, each distinct interval
+        is one masked update over every device that holds it
+        (:meth:`FleetAgingArray.catch_up_idle`); each device then
+        replays the per-interval bookkeeping.  Equal to
+        ``advance_hours`` over each device's intervals in turn: an
+        unpowered die's junction sits at ambient, and the kernels are
+        elementwise.
+        """
+        stores: dict[int, tuple[SegmentBtiArray, list]] = {}
+        for device, intervals in schedules:
+            if device._loaded is not None:
+                raise FabricError(
+                    f"device {device.device_id} has a design loaded; "
+                    "only idle devices catch up together"
+                )
+            if device._array_index:
+                store = device._bti_array
+                stores.setdefault(id(store), (store, []))[1].append(
+                    (device._activity_groups().idle, intervals)
+                )
+        for store, groups in stores.values():
+            FleetAgingArray(store).catch_up_idle(groups)
+        for device, intervals in schedules:
+            device._finish_idle(intervals)
 
     # ------------------------------------------------------------------
     # Time
@@ -563,26 +703,47 @@ class FpgaDevice:
         """True BTI delta-ps of a route (oracle; for tests/analysis only)."""
         return self.route_deltas_ps((route,))[0]
 
-    def route_deltas_ps(self, routes: Sequence[Route]) -> list[float]:
+    def route_deltas_ps(
+        self, routes: Union[RouteRequest, Sequence[Route]]
+    ) -> list[float]:
         """True BTI delta-ps of each route, in order (oracle; for
-        tests/analysis only).
+        tests/analysis only): the one-device case of
+        :meth:`read_route_deltas`."""
+        return self.read_route_deltas([self], routes)[0]
 
-        The routes' segments, concatenated in route order, are one
-        materialisation request: the block draw takes each stream's
-        variates in request order, so this draws and registers exactly
-        what reading the routes one by one would.
+    @staticmethod
+    def read_route_deltas(
+        devices: Sequence["FpgaDevice"],
+        routes: Union[RouteRequest, Sequence[Route]],
+    ) -> list[list[float]]:
+        """True BTI delta-ps of each route on each device (oracle; for
+        tests, analysis and the fleet prober).
+
+        The devices must share a store.  Each device catches up on its
+        timeline, then the whole batch is one :meth:`materialise_batch`
+        request and one ``delta_ps`` gather; each route's delta is the
+        sequential left-to-right sum of its segments' deltas,
+        bit-identical to the aging oracle's segment-by-segment
+        accumulation.
         """
-        self.sync()
-        flat = self._materialise_many(itertools.chain.from_iterable(routes))
-        deltas = self._bti_array.delta_ps(flat).tolist()
-        sums = []
-        end = 0
-        for route in routes:
-            start, end = end, end + len(route)
-            # Sequential left-to-right sum per route: bit-identical to
-            # the aging oracle's segment-by-segment accumulation.
-            sums.append(float(sum(deltas[start:end])))
-        return sums
+        if not isinstance(routes, RouteRequest):
+            routes = RouteRequest(routes)
+        if not devices:
+            return []
+        for device in devices:
+            device.sync()
+        slots = FpgaDevice.materialise_batch(devices, routes.segments)
+        deltas = devices[0]._bti_array.delta_ps(np.concatenate(slots)).tolist()
+        width = len(routes.segments)
+        readings = []
+        for base in range(0, width * len(devices), width):
+            sums = []
+            start = base
+            for end in routes.ends:
+                sums.append(float(sum(deltas[start:base + end])))
+                start = base + end
+            readings.append(sums)
+        return readings
 
     def info(self) -> DeviceInfo:
         """Provider-side identity record."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.errors import ConfigurationError, FabricError
 from repro.fabric.routing import Route

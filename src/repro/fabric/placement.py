@@ -13,7 +13,6 @@ The reproduction needs two placers:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.errors import PlacementError
 from repro.fabric.geometry import Coordinate, FabricGrid, TileType

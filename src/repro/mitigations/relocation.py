@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.errors import ConfigurationError
-from repro.designs.routes import build_route_bank
 from repro.designs.target import build_target_design
 from repro.fabric.bitstream import Bitstream
 from repro.fabric.geometry import FabricGrid

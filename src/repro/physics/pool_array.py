@@ -551,43 +551,46 @@ class FleetAgingArray:
 
     When a fleet of devices registers its segments into a single
     backing store (``FpgaDevice(bti_store=...)``), each device owns a
-    disjoint block of slots.  Catching a group of idle devices up over
-    the same pending intervals then collapses to one masked array
-    update per interval covering *every* device's slots at once --
-    instead of devices x intervals separate kernel calls.
+    disjoint block of slots.  Catching idle devices up then collapses
+    to one masked array update per distinct interval, covering every
+    device whose history holds that interval -- instead of devices x
+    intervals separate kernel calls.
 
     The kernels are elementwise over the index set and the per-interval
     acceleration factors are scalars, so the union-of-indices update is
     bit-identical to advancing each device separately (pinned by the
-    lazy-aging equivalence suite).
+    lazy-aging equivalence suite and the fleet catch-up property).
     """
 
     def __init__(self, store: SegmentBtiArray) -> None:
         self.store = store
 
-    def catch_up_idle(
-        self,
-        index_groups: list,
-        intervals: list,
-    ) -> None:
-        """Anneal every device's slots through a shared interval list.
+    def catch_up_idle(self, schedules: list) -> None:
+        """Anneal each device's slots through its own intervals.
 
-        ``index_groups`` holds one index array per device (disjoint
-        slot blocks of the shared store); ``intervals`` is a sequence
-        of ``(duration_hours, temperature_k)`` pairs, oldest first.
-        Devices must be unpowered (idle) across the whole span -- a
-        device with a loaded design has per-design junction
-        temperatures and must sync individually.
+        ``schedules`` pairs one device's slots (a disjoint block of the
+        shared store) with that device's intervals, ``(start,
+        duration_hours, temperature_k)`` triples, oldest first;
+        ``start`` orders intervals in time.  Each distinct interval is
+        applied once, in time order, to the slots of every device that
+        holds it, so each slot sees exactly its own device's intervals
+        in order.  Devices must be unpowered (idle) across the whole
+        span -- a device with a loaded design has per-design junction
+        temperatures and must advance on its own.
         """
-        groups = [
-            np.asarray(g, dtype=np.intp) for g in index_groups
-            if np.asarray(g).size
-        ]
-        if not groups or not intervals:
-            return
-        indices = np.concatenate(groups) if len(groups) > 1 else groups[0]
-        for duration_hours, temperature_k in intervals:
-            self.store.idle(indices, duration_hours, temperature_k)
+        merged: dict[tuple, list] = {}
+        for indices, intervals in schedules:
+            idx = np.asarray(indices, dtype=np.intp)
+            if idx.size:
+                for interval in intervals:
+                    merged.setdefault(tuple(interval), []).append(idx)
+        for interval in sorted(merged):
+            _, duration_hours, temperature_k = interval
+            groups = merged[interval]
+            self.store.idle(
+                np.concatenate(groups) if len(groups) > 1 else groups[0],
+                duration_hours, temperature_k,
+            )
 
 
 class SegmentBtiSlot:

@@ -31,9 +31,9 @@ from repro.cloud.campaigns import (
     run_scan_campaign,
 )
 from repro.errors import CloudError, ConfigurationError
-from repro.fabric.device import FpgaDevice
 from repro.observability.metrics import registry
 from repro.observability.timeseries import FlightRecorder
+from repro.physics.pool_array import SegmentBtiArray
 from repro.reliability.checkpoint import SweepJournal
 from repro.reliability.faults import (
     FaultPlan,
@@ -427,33 +427,47 @@ class TestCampaigns:
         assert again.details == result.details
 
     def test_probe_reads_a_board_in_one_request(self, monkeypatch):
-        """A probe materialises all its routes' new segments in one
-        ``_materialise_many`` request, not one request per route."""
-        requests = []
-        probing = []
-        materialise = FpgaDevice._materialise_many
+        """A probe reads its whole rented batch as one request: one
+        store registration per ``probe`` call, whatever the batch size,
+        and none once every board of the batch is already known."""
+        calls = []
+        register = SegmentBtiArray.register_many
         probe = campaigns_module.FleetSimulator.probe
 
-        def counting_materialise(device, segment_ids):
+        probing = []
+
+        def counting_register(store, *args, **kwargs):
             if probing:
-                probing[-1] += 1
-            return materialise(device, segment_ids)
+                calls[-1]["registrations"] += 1
+            return register(store, *args, **kwargs)
 
-        def counting_probe(sim, board, now_hours):
-            probing.append(0)
+        def counting_probe(sim, boards, now_hours):
+            calls.append({
+                "boards": len(boards),
+                "fresh": any(sim.fleet.device(b).materialised_segments == 0
+                             for b in boards),
+                "registrations": 0,
+            })
+            probing.append(True)
             try:
-                return probe(sim, board, now_hours)
+                return probe(sim, boards, now_hours)
             finally:
-                requests.append(probing.pop())
+                probing.pop()
 
-        monkeypatch.setattr(FpgaDevice, "_materialise_many",
-                            counting_materialise)
+        monkeypatch.setattr(SegmentBtiArray, "register_many",
+                            counting_register)
         monkeypatch.setattr(campaigns_module.FleetSimulator, "probe",
                             counting_probe)
-        plan = ScanPlan(victims=1, scan_width=4, scan_every_hours=16.0)
-        result = run_scan_campaign(_scenario(), plan)
-        assert len(requests) == result.boards_probed > 0
-        assert requests == [1] * len(requests)
+        for width in (1, 4, 9):
+            calls.clear()
+            plan = ScanPlan(victims=1, scan_width=width,
+                            scan_every_hours=16.0)
+            result = run_scan_campaign(_scenario(), plan)
+            assert sum(c["boards"] for c in calls) == result.boards_probed
+            assert {c["boards"] for c in calls} == {width}
+            assert any(c["fresh"] for c in calls)
+            for c in calls:
+                assert c["registrations"] == int(c["fresh"]), c
 
 
 class TestChurnBenchmark:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cloud.campaigns import ChurnModel, FleetScenario, FleetSimulator
 from repro.errors import FabricError
 from repro.designs import build_route_bank, build_target_design
 from repro.fabric.device import FpgaDevice
@@ -414,6 +415,139 @@ class TestBatchedMaterialisation:
         assert [batched.route_delta_ps(r) for r in routes] == deltas
         _assert_matches_oracle(batched, reference, drawn)
         _assert_same_device(other_b, other_o)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        wear=st.sampled_from([NEW_PART, CLOUD_PART]),
+        pool=st.lists(_SEGMENT_IDS, min_size=1, max_size=12, unique=True),
+        warm=st.lists(
+            st.lists(st.integers(0, 11), max_size=6), min_size=2, max_size=4,
+        ),
+        order=st.lists(st.integers(0, 3), min_size=1, max_size=6),
+        picks=st.lists(
+            st.lists(st.integers(0, 11), min_size=1, max_size=8),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_cross_device_read_equals_reading_each_device(
+        self, wear, pool, warm, order, picks
+    ):
+        """One ``read_route_deltas`` over several devices of a shared
+        store -- fresh or partly materialised, some listed twice --
+        equals reading each device in turn on the one-at-a-time oracle:
+        values, slots, pool arrays and both generators."""
+
+        def fleet():
+            store = SegmentBtiArray()
+            return [
+                FpgaDevice(ZYNQ_ULTRASCALE_PLUS, wear=wear, seed=80 + n,
+                           bti_store=store)
+                for n in range(len(warm))
+            ]
+
+        batched, reference = fleet(), fleet()
+        drawn = [{} for _ in warm]
+        for n, picked in enumerate(warm):
+            segments = [pool[i % len(pool)] for i in picked]
+            batched[n]._materialise_many(segments)
+            drawn[n].update(_one_at_a_time(reference[n], segments))
+        routes = [
+            Route(f"r{n}", tuple(pool[i % len(pool)] for i in route))
+            for n, route in enumerate(picks)
+        ]
+        devices = [n % len(warm) for n in order]
+        readings = FpgaDevice.read_route_deltas(
+            [batched[n] for n in devices], routes
+        )
+        want = []
+        for n in devices:
+            for route in routes:
+                drawn[n].update(_one_at_a_time(reference[n], route))
+            want.append(reference[n].route_deltas_ps(routes))
+        assert readings == want
+        for b, o, traits in zip(batched, reference, drawn):
+            _assert_matches_oracle(b, o, traits)
+
+    def test_batch_needs_a_shared_store_and_idle_catch_up_no_design(self):
+        apart = [FpgaDevice(ZYNQ_ULTRASCALE_PLUS, seed=seed)
+                 for seed in (91, 92)]
+        routes, _ = self._routes(apart[0])
+        with pytest.raises(FabricError, match="share a store"):
+            FpgaDevice.read_route_deltas(apart, routes)
+        design = build_target_design(
+            apart[0].part, routes[:1], [1], heater_dsps=0
+        )
+        apart[0].load(design.bitstream)
+        with pytest.raises(FabricError, match="design loaded"):
+            FpgaDevice.catch_up_idle([(apart[0], [(0.0, 1.0, AMBIENT)])])
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.floats(0.25, 20.0),
+                st.lists(st.integers(0, 7), min_size=1, max_size=6,
+                         unique=True),
+            ),
+            min_size=1, max_size=6,
+        ),
+        loaded=st.sets(st.integers(0, 7), max_size=2),
+    )
+    def test_grouped_catch_up_equals_per_board_replay(self, steps, loaded):
+        """Boards synced as a batch -- each from its own last-sync time,
+        idle ones in one store update per distinct interval, ones
+        holding a design on their own -- end where replaying each board
+        interval by interval through ``advance_hours`` ends."""
+        scenario = FleetScenario(
+            devices=8, horizon_hours=200.0, routes=2,
+            route_length_ps=3000.0,
+            churn=ChurnModel(arrival_rate_per_hour=0.1,
+                             mean_rental_hours=5.0),
+        )
+        grouped, replayed = FleetSimulator(scenario), FleetSimulator(scenario)
+        design = build_target_design(
+            scenario.part, grouped.routes, [1, 0], heater_dsps=0
+        )
+
+        def replay(sim, board, now_hours):
+            """Per-board replay: one ``advance_hours`` per interval."""
+            dev = sim.fleet.device(board)
+            last = sim._synced.get(board)
+            if last is None:
+                if now_hours > 0.0:
+                    dev.advance_hours(now_hours, sim.ambient.at(0.0))
+                dev.set_ambient(sim.ambient.at(now_hours))
+            else:
+                for _, duration, ambient_k in sim._tick_intervals(
+                    last, now_hours
+                ):
+                    dev.advance_hours(duration, ambient_k)
+            sim._synced[board] = now_hours
+            return dev
+
+        now = 0.0
+        for hours, boards in steps:
+            now += hours
+            devices = grouped.sync_boards(boards, now)
+            got = FpgaDevice.read_route_deltas(devices, grouped.routes)
+            want = [
+                replay(replayed, board, now).route_deltas_ps(replayed.routes)
+                for board in boards
+            ]
+            assert got == want
+            for board in set(boards) & loaded:
+                for sim in (grouped, replayed):
+                    device = sim.fleet.device(board)
+                    if device.loaded_design is None:
+                        device.load(design.bitstream)
+        _assert_same_store(grouped.fleet._store, replayed.fleet._store)
+        assert grouped._synced == replayed._synced
+        for board, b in grouped.fleet._devices.items():
+            o = replayed.fleet.device(board)
+            assert b._array_index == o._array_index
+            assert b.sim_hours == o.sim_hours
+            assert b.junction_k() == o.junction_k()
+            assert b.effective_age_hours == o.effective_age_hours
 
     @_WEARS
     def test_scalar_kernel_matches(self, wear):

@@ -9,7 +9,8 @@ against them with ``==``:
 
 * **per-segment walk** -- one :class:`~repro.physics.bti.SegmentBti`
   object per materialised segment, stressed, toggled or annealed one
-  net at a time, with route delays summed segment by segment.
+  net at a time, with route delays summed segment by segment, devices
+  read and caught up one after another.
   :func:`reference_aging` swaps it into :class:`FpgaDevice` for
   whole-experiment runs.
 * **eager walker** -- :class:`EagerProvider` advances every device of
@@ -26,6 +27,7 @@ from repro.errors import CloudError
 from repro.fabric.device import (
     DELAY_TEMP_COEFF_PER_K,
     FpgaDevice,
+    SegmentRequest,
     _DELAY_TEMP_REF_K,
 )
 from repro.fabric.netlist import NetActivity
@@ -44,7 +46,9 @@ def _materialise(device: FpgaDevice, segment_ids) -> None:
     for segment_id in segment_ids:
         if segment_id in device._segments:
             continue
-        rising, falling, amplitude, high, low = device._draw([segment_id])
+        rising, falling, amplitude, high, low = device._draw(
+            SegmentRequest([segment_id]).nominal
+        )
         state = SegmentBti(SegmentTraits(
             rising_delay_ps=float(rising[0]),
             falling_delay_ps=float(falling[0]),
@@ -113,8 +117,20 @@ def route_deltas_ps(device: FpgaDevice, routes) -> list[float]:
     device.sync()
     return [
         float(sum(segment_state(device, seg).delta_ps for seg in route))
-        for route in routes
+        for route in getattr(routes, "routes", routes)
     ]
+
+
+def read_route_deltas(devices, routes) -> list[list[float]]:
+    """Each device's route deltas, one device after another."""
+    return [route_deltas_ps(device, routes) for device in devices]
+
+
+def catch_up_idle(schedules) -> None:
+    """Each idle device replays its own intervals, one at a time."""
+    for device, intervals in schedules:
+        for _, duration_hours, ambient_k in intervals:
+            device._advance_hours_raw(duration_hours, ambient_k)
 
 
 def sync_devices(region: Region, devices=None) -> None:
@@ -148,6 +164,8 @@ def reference_aging() -> Iterator[None]:
         (FpgaDevice, "_advance_array", advance),
         (FpgaDevice, "transition_delays", transition_delays),
         (FpgaDevice, "route_deltas_ps", route_deltas_ps),
+        (FpgaDevice, "read_route_deltas", staticmethod(read_route_deltas)),
+        (FpgaDevice, "catch_up_idle", staticmethod(catch_up_idle)),
         (Region, "sync_devices", sync_devices),
     ]
     originals = [(owner, name, owner.__dict__[name])

@@ -74,6 +74,13 @@ class TestParser:
         assert args.old == "old.json" and args.new == "new.json"
         assert args.gate == 80.0
 
+    def test_bench_diff_record_flags(self):
+        args = build_parser().parse_args(
+            ["bench", "diff", "old.json", "new.json", "--runstore", "r.db",
+             "--no-record"]
+        )
+        assert args.runstore == "r.db" and args.no_record
+
     def test_bench_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench"])
@@ -164,6 +171,18 @@ class TestParser:
         assert args.target == "sweep" and args.experiment == "exp2"
         assert args.seeds == "1:4" and args.jobs == "2"
         assert args.resume == "chaos.journal"
+
+    def test_chaos_quick_is_the_default_scale(self):
+        for argv in (["chaos", "exp1"], ["chaos", "exp1", "--quick"]):
+            assert not build_parser().parse_args(argv).paper
+        assert build_parser().parse_args(["chaos", "exp1", "--paper"]).paper
+
+    def test_chaos_quick_and_paper_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["chaos", "exp1", "--quick",
+                                       "--paper"])
+        assert excinfo.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
 
     def test_chaos_rejects_unknown_target(self):
         with pytest.raises(SystemExit):
@@ -711,6 +730,23 @@ class TestRunRecording:
         capsys.readouterr()
         assert not db.exists()
 
+    def test_bench_row_redirected_or_skipped(self, tmp_path, monkeypatch,
+                                             capsys):
+        from repro.observability.runstore import RunStore
+
+        default, other = tmp_path / "default.db", tmp_path / "other.db"
+        monkeypatch.setenv("REPRO_RUNSTORE", str(default))
+        diff = ["bench", "diff", _BENCH, _BENCH]
+        assert main(diff + ["--runstore", str(other)]) == 0
+        assert not default.exists()
+        runs = RunStore(other).list_runs()
+        assert [run["kind"] for run in runs] == ["bench"]
+        assert main(diff + ["--no-record"]) == 0
+        assert main(diff + ["--no-record", "--runstore", str(other)]) == 0
+        capsys.readouterr()
+        assert not default.exists()
+        assert len(RunStore(other).list_runs()) == 1
+
     def test_runstore_off_disables(self, tmp_path, capsys):
         assert main(["exp1", "--quick", "--no-figure",
                      "--runstore", "off"]) == 0
@@ -827,7 +863,7 @@ class TestRunRecordParity:
 
         argv, want = _RECORDED_RUNS[name]
         db = tmp_path / "runs.db"
-        # ``bench`` has no --runstore flag, so every case goes by env.
+        # Every case records through the environment's default store.
         monkeypatch.setenv("REPRO_RUNSTORE", str(db))
         assert main(argv) == 0
         capsys.readouterr()

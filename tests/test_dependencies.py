@@ -14,6 +14,8 @@ other code belongs in ``tests/oracles/``.
 Fresh interpreters check the cold start: importing the library's
 workloads loads neither networkx (a test-only oracle) nor the run
 store and its analytics.
+
+Every name a library module imports must be used in that module.
 """
 
 import ast
@@ -133,6 +135,79 @@ def test_every_library_module_is_reached():
                 reached.add(name)
                 pending.extend(_imported_modules(modules[name]))
     assert sorted(set(modules) - reached) == []
+
+
+#: Names a module imports only to re-export them, as ``(module, name)``.
+#: A package that lists its surface in ``__all__`` needs no entry here.
+REEXPORTS: set[tuple[str, str]] = set()
+
+
+def _annotation_names(node):
+    """Names an annotation mentions, string annotations included."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                parsed = ast.parse(sub.value, mode="eval")
+            except SyntaxError:
+                continue
+            yield from _annotation_names(parsed)
+
+
+def _unused_imports(path):
+    """Names one file imports (at any depth) but never mentions."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            if node.annotation is not None:
+                used.update(_annotation_names(node.annotation))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.returns is not None:
+                used.update(_annotation_names(node.returns))
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            used.update(
+                item.value for item in ast.walk(node.value)
+                if isinstance(item, ast.Constant)
+            )
+    return {name: line for name, line in imported.items() if name not in used}
+
+
+def test_library_imports_are_used():
+    unused = [
+        f"{module}:{line}: {name}"
+        for module, path in sorted(_library_modules().items())
+        for name, line in sorted(_unused_imports(path).items())
+        if (module, name) not in REEXPORTS
+    ]
+    assert unused == []
+
+
+def test_unused_import_check_sees_every_use(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from typing import Optional, Sequence\n"
+        "from x import A, B, C, D\n"
+        "__all__ = ['D']\n"
+        "def f(a: Optional['A']) -> 'list[B]':\n"
+        "    return os.path.join(a)\n"
+    )
+    assert _unused_imports(source) == {"Sequence": 3, "C": 4}
 
 
 def _modules_loaded_by(statement):

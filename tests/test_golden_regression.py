@@ -5,13 +5,17 @@ to the order in which the physics draws its random numbers (for example
 drawing a batch of segments' traits as arrays instead of one segment at
 a time) moves these values even when each part still looks plausible.
 The numbers were recorded before segment materialisation was batched;
-a performance change must leave them untouched.
+a performance change must leave them untouched.  The per-probe digests
+were recorded while the prober still read one board at a time.
 """
+
+import hashlib
 
 import pytest
 
 from pathlib import Path
 
+from repro.cloud import campaigns as campaigns_module
 from repro.cloud.campaigns import (
     ChurnModel,
     FlashAttackPlan,
@@ -22,7 +26,7 @@ from repro.cloud.campaigns import (
 )
 from repro.experiments.config import Experiment3Config
 from repro.experiments.experiment3 import run_experiment3
-from repro.reliability.faults import load_fault_plan
+from repro.reliability.faults import FaultPlan, load_fault_plan
 
 _FAULT_PLAN = (
     Path(__file__).resolve().parent.parent / "plans" / "chaos-default.json"
@@ -51,6 +55,61 @@ def test_scan_campaign_golden(seed, recovered, boards_probed,
     assert result.lifecycle_events == lifecycle_events
     assert result.recovery_yield == recovery_yield
     assert result.mean_accuracy == mean_accuracy
+
+
+def _probe_plan(name):
+    """No faults, the committed plan, or the committed plan with every
+    wipe failing or partial (so probes land on boards that still hold a
+    design)."""
+    if name == "plain":
+        return None
+    plan = load_fault_plan(_FAULT_PLAN)
+    if name == "chaos":
+        return plan
+    return FaultPlan.from_dict(dict(plan.to_dict(), wipe={
+        "fail_probability": 0.5, "partial_probability": 0.5,
+        "scrub_fraction": 0.5,
+    }))
+
+
+@pytest.mark.parametrize("plan_name, digest", [
+    ("plain",
+     "cb71d625d24856951608344907b0412c29d5ceb7b2ccdde471ec8cebb2213f82"),
+    ("chaos",
+     "31ee5ed7058a3ca0b7f4d4259068437ab38d4f8ef621f098d56b8745aafbc799"),
+    ("wipe-faults",
+     "17d3fcbcff99af84429a19131b2744a9c47a3381ee9555c987d68877a9ff56fc"),
+])
+def test_scan_probe_deltas_golden(plan_name, digest, monkeypatch):
+    """Every probe's board, time and route deltas, to the last bit."""
+    probes = []
+    probe = campaigns_module.FleetSimulator.probe
+
+    def recording_probe(sim, boards, now_hours):
+        readings = probe(sim, boards, now_hours)
+        probes.extend((r["board"], now_hours, r["deltas_ps"])
+                      for r in readings)
+        return readings
+
+    monkeypatch.setattr(campaigns_module.FleetSimulator, "probe",
+                        recording_probe)
+    scenario = FleetScenario(
+        devices=120,
+        horizon_hours=260.0,
+        churn=ChurnModel(arrival_rate_per_hour=2.0, mean_rental_hours=10.0),
+        routes=4,
+        seed=3,
+    )
+    plan = ScanPlan(victims=2, scan_width=4, scan_every_hours=16.0)
+    run_scan_campaign(scenario, plan, fault_plan=_probe_plan(plan_name))
+    assert len(probes) == 64
+    assert probes[0][2][:2] == [0.1525225346375551, 0.06838997298204179]
+    sha = hashlib.sha256()
+    for board, now_hours, deltas in probes:
+        sha.update(f"{board}:{float(now_hours).hex()}:".encode())
+        sha.update(",".join(float(d).hex() for d in deltas).encode())
+        sha.update(b";")
+    assert sha.hexdigest() == digest
 
 
 def _flash_detail(victim, board, reacquired, accuracy, recovered):
