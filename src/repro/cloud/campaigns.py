@@ -66,8 +66,8 @@ from repro.fabric.device import FpgaDevice, RouteRequest
 from repro.fabric.parts import PartDescriptor, VIRTEX_ULTRASCALE_PLUS
 from repro.fabric.thermal import DataCenterAmbient
 from repro.observability import trace
+from repro.observability.log import get_logger
 from repro.observability.metrics import registry
-from repro.observability.progress import note_event, note_phase
 from repro.observability.timeseries import (
     SERIES_AGING_DEBT,
     SERIES_BOARDS_PROBED,
@@ -99,6 +99,8 @@ __all__ = [
     "fleet_journal_context",
     "run_churn_benchmark",
 ]
+
+_log = get_logger("cloud.campaigns")
 
 #: Rental durations are clamped above zero so a release can never sort
 #: before its own arrival (churn orders same-time events release-first).
@@ -764,7 +766,7 @@ class FleetSimulator:
                 self.churn_trace = ChurnTrace(
                     arrivals=arrivals, durations=durations
                 )
-                note_event("fleet.churn_faulted", dropped=dropped,
+                _log.event("fleet.churn_faulted", dropped=dropped,
                            truncated=truncated)
         self.region = VirtualRegion(
             scenario.devices, self.churn_trace,
@@ -1074,9 +1076,9 @@ class _Campaign:
         the loop to the horizon and tally the result."""
         sim, plan = self.sim, self.plan
         horizon = sim.scenario.horizon_hours
-        note_phase(f"fleet.{self.kind}", total=plan.victims,
-                   devices=sim.scenario.devices, sim_total_hours=horizon)
-        with trace.span("fleet.campaign", kind=self.kind):
+        with trace.phase("fleet.campaign", kind=self.kind,
+                         total=plan.victims, devices=sim.scenario.devices,
+                         sim_total_hours=horizon):
             for victim in self.victims:
                 start = plan.warmup_hours + victim.index * (
                     plan.burn_hours + plan.spacing_hours
@@ -1124,7 +1126,7 @@ class _Campaign:
                     sim.note_fault("fleet.outage", now, victim=victim.index,
                                    attempt=attempt)
                 else:
-                    note_event("fleet.capacity_miss", victim=victim.index)
+                    _log.event("fleet.capacity_miss", victim=victim.index)
                 if plan is not None:
                     policy = get_retry_policy()
                     label = f"fleet.rent#victim{victim.index}"
@@ -1228,7 +1230,7 @@ class _Campaign:
             if victim.released_at is not None:
                 return  # already reclaimed by a preemption storm
             self._release_board(victim, loop.now_hours)
-            note_event("fleet.victim_released", victim=victim.index,
+            _log.event("fleet.victim_released", victim=victim.index,
                        board=victim.board)
 
         return handler
@@ -1316,7 +1318,7 @@ class _Campaign:
                         "scan_hours": now,
                         "accuracy": accuracy,
                     })
-                    note_event("fleet.scan_hit", victim=victim.index,
+                    _log.event("fleet.scan_hit", victim=victim.index,
                                board=board)
         self._return_boards(boards, now)
 
@@ -1439,7 +1441,7 @@ class _Campaign:
             faults=sim.faults.ledger() if sim.faults is not None else {},
             region_status=self._region_status(),
         )
-        note_event("fleet.campaign_done", campaign=self.kind,
+        _log.event("fleet.campaign_done", campaign=self.kind,
                    recovery_yield=result.recovery_yield)
         return result
 

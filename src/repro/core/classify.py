@@ -34,7 +34,6 @@ from repro.analysis.stats import theil_sen_slope
 from repro.analysis.timeseries import DeltaPsSeries
 from repro.observability.log import get_logger
 from repro.observability.metrics import registry
-from repro.observability.progress import note_event
 
 _log = get_logger("core.classify")
 
@@ -71,7 +70,7 @@ def classify_tolerantly(
             bits[series.route_name] = fallback_bit
             if route_status is not None:
                 route_status[series.route_name] = "unrecovered"
-            note_event("degraded", route=series.route_name,
+            _log.event("degraded", route=series.route_name,
                        points=len(series))
             registry.counter(
                 "routes_unrecovered_total",

@@ -21,8 +21,6 @@ from repro.fabric.routing import Route
 from repro.observability import trace
 from repro.observability.metrics import registry
 
-ProgressCallback = Callable[[int, int], None]
-
 
 @dataclass
 class ConditionMeasureProtocol:
@@ -77,7 +75,6 @@ class ConditionMeasureProtocol:
     def run_cycles(
         self,
         cycles: int,
-        progress: Optional[ProgressCallback] = None,
         target_for_cycle: Optional[Callable[[int], Bitstream]] = None,
     ) -> SeriesBundle:
         """``cycles`` repetitions of measure-then-condition.
@@ -107,8 +104,6 @@ class ConditionMeasureProtocol:
             registry.counter(
                 "protocol_cycles_total", "condition/measure cycles completed"
             ).inc()
-            if progress is not None:
-                progress(cycle + 1, cycles)
         self.measure_once()
         return self.bundle
 

@@ -30,7 +30,6 @@ from repro.fabric.thermal import OvenAmbient
 from repro.observability import trace
 from repro.observability.log import get_logger
 from repro.observability.metrics import registry
-from repro.observability.progress import note_phase
 from repro.physics.aging import NEW_PART
 from repro.rng import RngFactory
 
@@ -104,7 +103,6 @@ class Experiment1Result:
 
 def run_experiment1(
     config: Optional[Experiment1Config] = None,
-    progress=None,
 ) -> Experiment1Result:
     """Run the full Experiment 1 protocol and score bit recovery."""
     config = config or Experiment1Config.paper()
@@ -149,10 +147,9 @@ def run_experiment1(
         protocol.calibrate()
 
         burn_cycles = int(config.burn_hours / config.measure_every_hours)
-        note_phase("exp1.burn", hours=config.burn_hours,
-                   cycles=burn_cycles)
-        with trace.span("experiment.burn", hours=config.burn_hours):
-            protocol.run_cycles(burn_cycles, progress=progress)
+        with trace.phase("experiment.burn", hours=config.burn_hours,
+                         cycles=burn_cycles):
+            protocol.run_cycles(burn_cycles)
         stress_change_hour = protocol._clock
 
         # Recovery period: condition with the complemented values.
@@ -161,19 +158,16 @@ def run_experiment1(
             config.recovery_hours / config.measure_every_hours
         )
         if recovery_cycles:
-            note_phase("exp1.recovery", hours=config.recovery_hours,
-                       cycles=recovery_cycles)
-            with trace.span(
-                "experiment.recovery", hours=config.recovery_hours
-            ):
-                protocol.run_cycles(recovery_cycles, progress=progress)
+            with trace.phase("experiment.recovery",
+                             hours=config.recovery_hours,
+                             cycles=recovery_cycles):
+                protocol.run_cycles(recovery_cycles)
 
         bundle = protocol.bundle
         for route, value in zip(routes, burn_values):
             bundle.series[route.name].burn_value = value
 
-        note_phase("exp1.classify", routes=len(routes))
-        with trace.span("experiment.classify"):
+        with trace.phase("experiment.classify", routes=len(routes)):
             classifier = BurnTrendClassifier()
             burn_window = {
                 name: series.window(0.0, stress_change_hour)

@@ -26,7 +26,6 @@ from repro.fabric.parts import VIRTEX_ULTRASCALE_PLUS
 from repro.observability import trace
 from repro.observability.log import get_logger
 from repro.observability.metrics import registry
-from repro.observability.progress import note_phase
 from repro.rng import RngFactory
 
 _log = get_logger("experiments.exp2")
@@ -88,9 +87,8 @@ def run_experiment2(
 
         # The attacker authors the AFI, so they know its skeleton and can
         # leave the sensing region uninitialised (Threat Model 1's setting).
-        note_phase("exp2.build_designs",
-                   routes=len(config.route_lengths))
-        with trace.span("experiment.build_designs"):
+        with trace.phase("experiment.build_designs",
+                         routes=len(config.route_lengths)):
             grid = VIRTEX_ULTRASCALE_PLUS.make_grid()
             routes = build_route_bank(grid, config.route_lengths)
             burn_values = tuple(
@@ -118,8 +116,7 @@ def run_experiment2(
             region=config.region,
             seed=rng.stream("sensors"),
         )
-        note_phase("exp2.attack", burn_hours=config.burn_hours)
-        with trace.span("experiment.attack", burn_hours=config.burn_hours):
+        with trace.phase("experiment.attack", burn_hours=config.burn_hours):
             result = attack.run(
                 burn_hours=config.burn_hours,
                 measure_every_hours=config.measure_every_hours,

@@ -32,7 +32,6 @@ from repro.fabric.parts import VIRTEX_ULTRASCALE_PLUS
 from repro.observability import trace
 from repro.observability.log import get_logger
 from repro.observability.metrics import registry
-from repro.observability.progress import note_phase
 from repro.reliability.retry import retry_call
 from repro.rng import RngFactory
 
@@ -117,8 +116,7 @@ def run_experiment3(
         provider.release(calibration_instance)
 
         # --- Victim period: unobserved 200-hour burn.
-        note_phase("exp3.victim_burn", hours=config.victim_burn_hours)
-        with trace.span(
+        with trace.phase(
             "experiment.victim_burn", hours=config.victim_burn_hours
         ):
             victim = retry_call(provider.rent, config.region, "victim",
@@ -139,8 +137,7 @@ def run_experiment3(
             conditioned_to=config.conditioned_to,
             seed=config.seed,
         )
-        note_phase("exp3.attack", recovery_hours=config.recovery_hours)
-        with trace.span(
+        with trace.phase(
             "experiment.attack", recovery_hours=config.recovery_hours
         ):
             result = attack.run(recovery_hours=config.recovery_hours)

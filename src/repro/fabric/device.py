@@ -397,11 +397,6 @@ class FpgaDevice:
         self._timeline_pos = position
 
     @property
-    def timeline_position(self) -> int:
-        """This device's position in its bound timeline."""
-        return self._timeline_pos
-
-    @property
     def pending_intervals(self) -> int:
         """Recorded intervals this device has not yet integrated."""
         if self._timeline is None:

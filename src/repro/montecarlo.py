@@ -56,7 +56,7 @@ from repro.errors import AnalysisError, ConfigurationError
 from repro.observability import trace
 from repro.observability.log import get_logger
 from repro.observability.metrics import registry
-from repro.observability.progress import note_phase, note_seed_done
+from repro.observability.progress import note_seed_done
 
 _log = get_logger("montecarlo")
 
@@ -465,11 +465,8 @@ def run_monte_carlo(
         _log.info("sharding_skipped", requested=jobs,
                   cpus=_available_cpus(), seeds=len(seeds),
                   reason="not beneficial on this machine")
-    note_phase("sweep", total=len(seeds), metric=metric_name,
-               jobs=effective)
-    with trace.span(
-        "montecarlo", metric=metric_name, seeds=len(seeds), jobs=effective
-    ):
+    with trace.phase("montecarlo", total=len(seeds), metric=metric_name,
+                     jobs=effective):
         resumed = (
             _resume_from_journal(journal, seeds)
             if journal is not None else {}

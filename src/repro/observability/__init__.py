@@ -3,9 +3,11 @@
 The measurement layer under every other subsystem:
 
 * :mod:`repro.observability.log` -- structured key=value / JSON event
-  logging, switched by the ``REPRO_LOG`` environment variable;
+  logging (``REPRO_LOG``); an operational event is one ``log.event``
+  call that the progress sink also receives;
 * :mod:`repro.observability.trace` -- context-manager spans with nested
-  wall-clock timing (``REPRO_TRACE=1`` or the CLI's ``--trace``);
+  wall-clock timing (``REPRO_TRACE=1`` or ``--trace``); a phase is a
+  ``trace.phase`` span that the progress sink also receives;
 * :mod:`repro.observability.metrics` -- a process-global registry of
   counters, gauges and percentile-summarised histograms;
 * :mod:`repro.observability.manifest` -- self-describing run manifests
@@ -25,9 +27,9 @@ The measurement layer under every other subsystem:
   oracle;
 * :mod:`repro.observability.benchdiff` -- benchmark-suite diffing and
   the CI regression gate (``repro bench diff``);
-* :mod:`repro.observability.progress` -- live progress telemetry: a
-  structured event stream (phase / seed_done / operational events)
-  rendered as a TTY status line or JSONL (``--progress``);
+* :mod:`repro.observability.progress` -- the live progress sinks: a
+  TTY status line, JSONL (``--progress``) and the run store's
+  collector;
 * :mod:`repro.observability.runstore` -- the durable sqlite run
   database every CLI invocation records into (``repro runs ...``);
 * :mod:`repro.observability.analytics` -- cross-run statistics:

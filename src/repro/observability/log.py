@@ -1,9 +1,13 @@
 """Structured logging: key=value or JSON event lines on stderr.
 
 The pipeline's interesting moments (image loads, calibration outcomes,
-phase boundaries, DRC rejections) are emitted as *events with fields*
-rather than prose, so multi-hundred-hour campaign logs stay greppable
-and machine-parseable.
+DRC rejections) are emitted as *events with fields* rather than prose,
+so multi-hundred-hour campaign logs stay greppable and
+machine-parseable.
+
+An operational event (a fault, a retry, a degraded route, a fleet
+milestone) is one :meth:`StructuredLogger.event` call; the record also
+reaches the progress sink and, for some kinds, the span forest.
 
 Logging is **off by default**; the ``REPRO_LOG`` environment variable
 switches it on:
@@ -19,6 +23,7 @@ Usage::
 
     log = get_logger("cloud.instance")
     log.info("image_loaded", design="measure", instance=7)
+    log.event("retry", label="cloud.rent", attempt=1)
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ import os
 import sys
 import time
 from typing import Optional, TextIO
+
+from repro.observability import progress, trace
 
 __all__ = ["StructuredLogger", "get_logger", "configure", "mode"]
 
@@ -116,6 +123,18 @@ class StructuredLogger:
     def error(self, event: str, **fields) -> None:
         """Emit at error level."""
         self.log("error", event, **fields)
+
+    def event(self, kind: str, **fields) -> None:
+        """Emit an operational event at info level, to the progress sink
+        and, for kinds in ``trace.MARKERS``, as a marker span."""
+        marker = trace.MARKERS.get(kind)
+        if marker is not None:
+            with trace.span(marker, **fields):
+                pass
+        emitter = progress.get_emitter()
+        if emitter is not None:
+            emitter.event(kind, **fields)
+        self.log("info", kind, **fields)
 
 
 _loggers: dict[str, StructuredLogger] = {}

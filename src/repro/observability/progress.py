@@ -1,35 +1,29 @@
-"""Live progress telemetry: a structured event stream for long runs.
+"""Live progress: the sinks a long run reports to while it runs.
 
-A multi-hundred-seed sweep used to run dark: nothing between the
-command line and the final distribution summary.  This module gives
-every long-running pipeline a single event stream with three shapes of
-event:
+A long sweep or fleet campaign reports four kinds of record:
 
-* ``phase`` -- a named stage transition (``experiment.burn``,
-  ``sweep``), with whatever attributes the caller knows (totals,
-  hours);
-* ``seed_done`` -- one Monte Carlo seed finished (or was replayed from
-  a resume journal), with its value, wall time and shard attribution;
-* ``event`` -- an operational occurrence worth surfacing live: a fault
-  injection, a retry, a route degrading to a guess.
+* ``phase`` -- a stage transition, a span opened with
+  :func:`repro.observability.trace.phase`;
+* an operational event (a fault, a retry, a degraded route, a fleet
+  milestone), a log record from
+  :meth:`repro.observability.log.StructuredLogger.event`;
+* ``seed_done`` -- one Monte Carlo seed finished or was replayed from a
+  resume journal (:func:`note_seed_done`);
+* ``sim_tick`` -- a fleet run's simulated clock advanced
+  (:func:`note_sim_hours`).
 
-Emitters render the stream two ways: :class:`TtyProgress` keeps a
-single ``\\r``-rewritten status line on a terminal (completed/total,
-moving-average rate, ETA), and :class:`JsonlProgress` writes one JSON
-object per event for machines (``--progress jsonl``).  Both write to
-stderr so stdout stays parseable.
+Three sinks subscribe: :class:`TtyProgress` keeps one ``\\r``-rewritten
+status line (completed/total, moving-average rate, ETA),
+:class:`JsonlProgress` writes one JSON object per record
+(``--progress jsonl``), both on stderr so stdout stays parseable, and
+the run store's :class:`CollectingEmitter` keeps phase names and event
+counts for the run row.  The CLI installs one sink (or a
+:func:`compose` of two) around each command; with none installed each
+producer call is a single ``None`` check.
 
-Producers do not hold an emitter; they call the module-level
-:func:`note_phase` / :func:`note_seed_done` / :func:`note_event`
-hooks, which are a single ``None`` check when no emitter is installed
--- the same fast-path contract the fault-injection sites keep.  The
-CLI installs an emitter (possibly a :func:`compose` of a terminal view
-and the run store's :class:`CollectingEmitter`) around each command.
-
-Worker processes under ``--jobs N`` do not inherit the parent's
-emitter; per-seed completions are emitted parent-side as results are
-collected, so the progress view covers sharded sweeps too, while
-per-capture events from inside workers stay in the workers.
+Worker processes under ``--jobs N`` do not inherit the parent's sink;
+per-seed completions are reported parent-side as results are
+collected, while per-capture events from inside workers stay there.
 """
 
 from __future__ import annotations
@@ -50,9 +44,7 @@ __all__ = [
     "make_progress",
     "set_emitter",
     "get_emitter",
-    "note_phase",
     "note_seed_done",
-    "note_event",
     "note_sim_hours",
 ]
 
@@ -65,20 +57,15 @@ SIM_RENDER_INTERVAL_S = 0.1
 
 
 class ProgressEmitter:
-    """Base emitter: every sink overrides the three event methods."""
+    """Base sink: a no-op for each of the four record kinds."""
 
     def phase(self, name: str, **fields) -> None:
         """A named stage transition."""
 
-    def seed_done(
-        self,
-        seed: int,
-        value: float,
-        elapsed_s: float = 0.0,
-        shard: Optional[int] = None,
-        worker_pid: Optional[int] = None,
-        resumed: bool = False,
-    ) -> None:
+    def seed_done(self, seed: int, value: float, elapsed_s: float = 0.0,
+                  shard: Optional[int] = None,
+                  worker_pid: Optional[int] = None,
+                  resumed: bool = False) -> None:
         """One seed's evaluation finished (or replayed from a journal)."""
 
     def event(self, kind: str, **fields) -> None:
@@ -93,77 +80,61 @@ class ProgressEmitter:
         """Flush and release the output (end of run)."""
 
 
-class TtyProgress(ProgressEmitter):
-    """A single rewritten status line for humans at a terminal.
+class _RateView(ProgressEmitter):
+    """Completed/total and sim-hour windows shared by the two views.
 
-    Tracks completed seeds against the announced total (the ``total``
-    field of the last ``phase`` event, or the constructor's), estimates
-    the completion rate over a moving window of recent completions and
-    projects an ETA from it.  Operational events tick per-kind tallies
-    displayed at the end of the line.
-
-    ``clock`` is injectable so tests can drive the rate/ETA arithmetic
-    deterministically.
+    ``clock`` (default :attr:`CLOCK`) is injectable so tests can drive
+    the rate/ETA arithmetic deterministically.
     """
+
+    CLOCK = staticmethod(time.monotonic)
 
     def __init__(
         self,
         stream: Optional[TextIO] = None,
         total: Optional[int] = None,
-        clock: Callable[[], float] = time.monotonic,
+        clock: Optional[Callable[[], float]] = None,
     ) -> None:
         self._stream = stream if stream is not None else sys.stderr
-        self._clock = clock
+        self._clock = clock if clock is not None else self.CLOCK
         self.total = total
         self.completed = 0
-        self.phase_name = ""
-        self.last_value: Optional[float] = None
-        self.tallies: dict[str, int] = {}
         self._window: deque[float] = deque(maxlen=RATE_WINDOW)
         self.sim_hours: Optional[float] = None
         self.sim_total_hours: Optional[float] = None
         self._sim_window: deque[tuple[float, float]] = deque(
             maxlen=RATE_WINDOW
         )
-        self._last_sim_render = -math.inf
-        self._dirty = False
+        self._last_sim_show = -math.inf
 
-    # -- event intake -------------------------------------------------
-
-    def phase(self, name: str, **fields) -> None:
-        self.phase_name = name
-        if "total" in fields and fields["total"] is not None:
+    def _take_phase(self, fields: dict) -> None:
+        if fields.get("total") is not None:
             self.total = int(fields["total"])
         if fields.get("sim_total_hours") is not None:
             self.sim_total_hours = float(fields["sim_total_hours"])
-        self._render()
 
-    def sim_tick(self, sim_hours: float) -> None:
+    def _take_seed(self) -> float:
+        self.completed += 1
+        now = self._clock()
+        self._window.append(now)
+        return now
+
+    def _take_sim(self, sim_hours: float) -> Optional[float]:
+        """Record a tick; the clock reading if it should be shown.
+
+        Ticks arrive per clock advance, so they are shown at most every
+        :data:`SIM_RENDER_INTERVAL_S` wall seconds, plus the one that
+        reaches the horizon.
+        """
         self.sim_hours = float(sim_hours)
         now = self._clock()
         self._sim_window.append((now, self.sim_hours))
         done = (self.sim_total_hours is not None
                 and self.sim_hours >= self.sim_total_hours)
-        if not done and now - self._last_sim_render < SIM_RENDER_INTERVAL_S:
-            return
-        self._last_sim_render = now
-        self._render()
-
-    def seed_done(self, seed, value, elapsed_s=0.0, shard=None,
-                  worker_pid=None, resumed=False) -> None:
-        self.completed += 1
-        self.last_value = value
-        self._window.append(self._clock())
-        if resumed:
-            self.tallies["resumed"] = self.tallies.get("resumed", 0) + 1
-        self._render()
-
-    def event(self, kind: str, **fields) -> None:
-        root = kind.split(".", 1)[0]
-        self.tallies[root] = self.tallies.get(root, 0) + 1
-        self._render()
-
-    # -- rate / ETA ---------------------------------------------------
+        if not done and now - self._last_sim_show < SIM_RENDER_INTERVAL_S:
+            return None
+        self._last_sim_show = now
+        return now
 
     def rate_per_s(self) -> Optional[float]:
         """Moving-average completions per second (None until 2 ticks)."""
@@ -200,7 +171,45 @@ class TtyProgress(ProgressEmitter):
             return None
         return max(self.sim_total_hours - self.sim_hours, 0.0) / rate
 
-    # -- rendering ----------------------------------------------------
+
+class TtyProgress(_RateView):
+    """A single rewritten status line for humans at a terminal.
+
+    Tracks completed seeds against the announced total (the ``total``
+    field of the last ``phase``, or the constructor's), estimates the
+    completion rate over a moving window of recent completions and
+    projects an ETA from it.  Operational events tick per-kind tallies
+    displayed at the end of the line.
+    """
+
+    def __init__(self, stream=None, total=None, clock=None) -> None:
+        super().__init__(stream, total, clock)
+        self.phase_name = ""
+        self.last_value: Optional[float] = None
+        self.tallies: dict[str, int] = {}
+        self._dirty = False
+
+    def phase(self, name: str, **fields) -> None:
+        self.phase_name = name
+        self._take_phase(fields)
+        self._render()
+
+    def sim_tick(self, sim_hours: float) -> None:
+        if self._take_sim(sim_hours) is not None:
+            self._render()
+
+    def seed_done(self, seed, value, elapsed_s=0.0, shard=None,
+                  worker_pid=None, resumed=False) -> None:
+        self._take_seed()
+        self.last_value = value
+        if resumed:
+            self.tallies["resumed"] = self.tallies.get("resumed", 0) + 1
+        self._render()
+
+    def event(self, kind: str, **fields) -> None:
+        root = kind.split(".", 1)[0]
+        self.tallies[root] = self.tallies.get(root, 0) + 1
+        self._render()
 
     def render_line(self) -> str:
         """The current status line (without the carriage return)."""
@@ -258,87 +267,48 @@ def _format_eta(seconds: float) -> str:
     return f"{seconds:.0f}s"
 
 
-class JsonlProgress(ProgressEmitter):
-    """One JSON object per event -- the machine-readable stream.
+class JsonlProgress(_RateView):
+    """One JSON object per record -- the machine-readable stream.
 
-    Every line carries ``event`` (``phase`` / ``seed_done`` / the
-    operational kind) and ``t`` (unix seconds); ``seed_done`` lines add
-    the moving-average ``rate_per_s`` and ``eta_s`` so a consumer needs
-    no windowing of its own.
+    Every line carries ``event`` (``phase`` / ``seed_done`` /
+    ``sim_tick`` / the operational kind) and ``t`` (unix seconds);
+    ``seed_done`` and ``sim_tick`` lines add the moving-average rate
+    and ETA so a consumer needs no windowing of its own.
     """
 
-    def __init__(
-        self,
-        stream: Optional[TextIO] = None,
-        total: Optional[int] = None,
-        clock: Callable[[], float] = time.time,
-    ) -> None:
-        self._stream = stream if stream is not None else sys.stderr
-        self._clock = clock
-        self.total = total
-        self.completed = 0
-        self._window: deque[float] = deque(maxlen=RATE_WINDOW)
-        self.sim_total_hours: Optional[float] = None
-        self._sim_window: deque[tuple[float, float]] = deque(
-            maxlen=RATE_WINDOW
-        )
-        self._last_sim_write = -math.inf
+    CLOCK = staticmethod(time.time)
 
     def _write(self, payload: dict) -> None:
         self._stream.write(json.dumps(payload) + "\n")
         self._stream.flush()
 
     def phase(self, name: str, **fields) -> None:
-        if "total" in fields and fields["total"] is not None:
-            self.total = int(fields["total"])
-        if fields.get("sim_total_hours") is not None:
-            self.sim_total_hours = float(fields["sim_total_hours"])
+        self._take_phase(fields)
         self._write({"event": "phase", "t": self._clock(), "name": name,
                      **fields})
 
     def sim_tick(self, sim_hours: float) -> None:
-        now = self._clock()
-        self._sim_window.append((now, float(sim_hours)))
-        done = (self.sim_total_hours is not None
-                and sim_hours >= self.sim_total_hours)
-        if not done and now - self._last_sim_write < SIM_RENDER_INTERVAL_S:
+        now = self._take_sim(sim_hours)
+        if now is None:
             return
-        self._last_sim_write = now
-        rate = None
-        if len(self._sim_window) >= 2:
-            w0, s0 = self._sim_window[0]
-            w1, s1 = self._sim_window[-1]
-            if w1 > w0:
-                rate = (s1 - s0) / (w1 - w0)
-        eta = None
-        if rate and self.sim_total_hours is not None:
-            eta = max(self.sim_total_hours - sim_hours, 0.0) / rate
         self._write({
             "event": "sim_tick", "t": now,
-            "sim_hours": float(sim_hours),
+            "sim_hours": self.sim_hours,
             "sim_total_hours": self.sim_total_hours,
-            "sim_rate_per_s": rate, "sim_eta_s": eta,
+            "sim_rate_per_s": self.sim_rate_per_s(),
+            "sim_eta_s": self.sim_eta_s(),
         })
 
     def seed_done(self, seed, value, elapsed_s=0.0, shard=None,
                   worker_pid=None, resumed=False) -> None:
-        self.completed += 1
-        now = self._clock()
-        self._window.append(now)
-        rate = None
-        if len(self._window) >= 2:
-            span = self._window[-1] - self._window[0]
-            if span > 0.0:
-                rate = (len(self._window) - 1) / span
-        eta = None
-        if rate is not None and self.total is not None:
-            eta = max(self.total - self.completed, 0) / rate
+        now = self._take_seed()
         self._write({
             "event": "seed_done", "t": now, "seed": int(seed),
             "value": value, "elapsed_s": round(float(elapsed_s), 6),
             "shard": shard, "worker_pid": worker_pid,
             "resumed": bool(resumed), "completed": self.completed,
-            "total": self.total, "rate_per_s": rate, "eta_s": eta,
+            "total": self.total, "rate_per_s": self.rate_per_s(),
+            "eta_s": self.eta_s(),
         })
 
     def event(self, kind: str, **fields) -> None:
@@ -423,9 +393,7 @@ def compose(*emitters: Optional[ProgressEmitter]) -> Optional[ProgressEmitter]:
 
 
 def make_progress(
-    mode: Optional[str],
-    stream: Optional[TextIO] = None,
-    total: Optional[int] = None,
+    mode: Optional[str], stream: Optional[TextIO] = None
 ) -> Optional[ProgressEmitter]:
     """Build the emitter a ``--progress MODE`` flag asked for.
 
@@ -437,13 +405,13 @@ def make_progress(
     if mode in (None, "off", False):
         return None
     if mode == "jsonl":
-        return JsonlProgress(stream=stream, total=total)
+        return JsonlProgress(stream=stream)
     if mode == "tty":
-        return TtyProgress(stream=stream, total=total)
+        return TtyProgress(stream=stream)
     if mode == "auto":
         target = stream if stream is not None else sys.stderr
         if getattr(target, "isatty", lambda: False)():
-            return TtyProgress(stream=target, total=total)
+            return TtyProgress(stream=target)
         return None
     from repro.errors import ConfigurationError
 
@@ -452,7 +420,7 @@ def make_progress(
     )
 
 
-#: The process-global emitter the note_* fast paths check.
+#: The process-global emitter every producer call checks.
 _EMITTER: Optional[ProgressEmitter] = None
 
 
@@ -469,13 +437,6 @@ def get_emitter() -> Optional[ProgressEmitter]:
     return _EMITTER
 
 
-def note_phase(name: str, **fields) -> None:
-    """Producer hook: a stage transition (no-op without an emitter)."""
-    if _EMITTER is None:
-        return
-    _EMITTER.phase(name, **fields)
-
-
 def note_seed_done(seed: int, value: float, elapsed_s: float = 0.0,
                    shard: Optional[int] = None,
                    worker_pid: Optional[int] = None,
@@ -485,13 +446,6 @@ def note_seed_done(seed: int, value: float, elapsed_s: float = 0.0,
         return
     _EMITTER.seed_done(seed, value, elapsed_s=elapsed_s, shard=shard,
                        worker_pid=worker_pid, resumed=resumed)
-
-
-def note_event(kind: str, **fields) -> None:
-    """Producer hook: an operational event (no-op without an emitter)."""
-    if _EMITTER is None:
-        return
-    _EMITTER.event(kind, **fields)
 
 
 def note_sim_hours(sim_hours: float) -> None:

@@ -18,12 +18,12 @@ spans were merged back into the parent (see
   (``faults_injected_total``, ``retries_total``) become counter events
   (``ph="C"``) so the words/segments ramp -- and the fault storm's
   cost -- is visible alongside the spans;
-* the zero-duration reliability markers (``fault.inject`` spans from
-  :func:`repro.reliability.faults.note_fault`, ``retry.wait`` spans
-  from :func:`repro.reliability.retry.note_retry`) become instant
-  events (``ph="i"``, thread-scoped) so injections and backoffs render
-  as pins on the lane where they struck rather than invisible
-  zero-width slices;
+* the zero-duration marker spans that ``fault`` and ``retry`` log
+  events leave (``fault.inject``, ``retry.wait``; see
+  :data:`repro.observability.trace.MARKERS`) become instant events
+  (``ph="i"``, thread-scoped) so injections and backoffs render as
+  pins on the lane where they struck rather than invisible zero-width
+  slices;
 * a fleet run's :class:`~repro.observability.timeseries.FlightRecorder`
   series land in a synthetic **sim-clock** process
   (:data:`SIM_CLOCK_PID`): each retained sample becomes a counter
@@ -73,7 +73,7 @@ THROUGHPUT_COUNTERS = (
 )
 
 #: Zero-duration marker spans rendered as instant events, not slices.
-INSTANT_SPANS = frozenset({"fault.inject", "retry.wait"})
+INSTANT_SPANS = frozenset(trace.MARKERS.values())
 
 
 def _span_pid(sp: trace.Span, default_pid: int) -> int:

@@ -14,13 +14,19 @@ span per capture, hundreds per experiment) costs a single predicate
 check per call.  Enable with :func:`enable` (the CLI's ``--trace``
 flag) or the ``REPRO_TRACE=1`` environment variable.
 
+A *phase* (``experiment.burn``, ``montecarlo``, ``fleet.campaign``) is
+a span opened with :func:`phase`, which also tells the installed
+progress sink.  The log event kinds in :data:`MARKERS` leave a
+zero-duration marker span (see
+:meth:`repro.observability.log.StructuredLogger.event`).
+
 Usage::
 
     from repro.observability import trace
 
     trace.enable()
     with trace.span("experiment", experiment="exp1"):
-        with trace.span("phase.measurement"):
+        with trace.phase("experiment.burn", hours=200):
             ...
     print(trace.render_tree())
 """
@@ -33,12 +39,16 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Iterator, Optional
 
+from repro.observability import progress
+
 __all__ = [
+    "MARKERS",
     "Span",
     "enable",
     "disable",
     "is_enabled",
     "span",
+    "phase",
     "current_span",
     "roots",
     "clear",
@@ -56,6 +66,10 @@ __all__ = [
 # time() syscall per span.
 _ANCHOR_PERF: float = perf_counter()
 _ANCHOR_UNIX: float = time.time()
+
+#: Log event kinds that also leave a zero-duration marker span (an
+#: instant in the Chrome trace): kind -> marker span name.
+MARKERS = {"fault": "fault.inject", "retry": "retry.wait"}
 
 
 @dataclass
@@ -210,6 +224,15 @@ def span(name: str, **attrs):
     if not _enabled:
         return _NULL_SPAN
     return _ActiveSpan(Span(name=name, attrs=attrs))
+
+
+def phase(name: str, **attrs):
+    """A :func:`span` marking a stage transition; the installed progress
+    sink receives ``name`` and ``attrs`` as the ``with`` opens it."""
+    emitter = progress.get_emitter()
+    if emitter is not None:
+        emitter.phase(name, **attrs)
+    return span(name, **attrs)
 
 
 def current_span() -> Optional[Span]:

@@ -55,8 +55,6 @@ from typing import Iterator, Optional, Sequence, Type, Union
 import numpy as np
 
 from repro.errors import ConfigurationError, PersistenceError
-from repro.observability import progress as _progress
-from repro.observability import trace
 from repro.observability.log import get_logger
 from repro.observability.metrics import registry
 from repro.rng import RngFactory
@@ -753,11 +751,11 @@ def load_fault_plan(path: PathLike) -> FaultPlan:
 
 
 def note_fault(site: str, **attrs) -> None:
-    """Record one injected fault: counters, instant span, event, log.
+    """Record one injected fault: counters and one ``fault`` event.
 
-    ``faults_injected_total`` plus a per-site decomposition; the
-    zero-duration ``fault.inject`` span becomes a Chrome-trace instant
-    event.
+    ``faults_injected_total`` plus a per-site decomposition; the event
+    also leaves the ``fault.inject`` marker span (a Chrome-trace
+    instant).
     """
     registry.counter(
         "faults_injected_total", "faults injected by a fault plan"
@@ -766,10 +764,7 @@ def note_fault(site: str, **attrs) -> None:
         "faults_injected_" + site.replace(".", "_") + "_total",
         f"faults injected at site {site}",
     ).inc()
-    with trace.span("fault.inject", site=site, **attrs):
-        pass  # zero-duration marker span -> timeline instant event
-    _progress.note_event("fault", site=site, **attrs)
-    _log.info("fault_injected", site=site, **attrs)
+    _log.event("fault", site=site, **attrs)
 
 
 #: The installed plan; ``None`` (the default) keeps every injection

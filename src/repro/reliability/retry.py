@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, TypeVar
 
 from repro.errors import ConfigurationError, TransientError
-from repro.observability import progress as _progress
-from repro.observability import trace
 from repro.observability.log import get_logger
 from repro.observability.metrics import registry
 from repro.rng import _stable_hash
@@ -144,7 +142,7 @@ def retry_policy(policy: RetryPolicy) -> Iterator[RetryPolicy]:
 
 def note_retry(label: str, attempt: int, delay_s: float,
                error: BaseException, unit: str = "s") -> None:
-    """Record one retry: counters, span, log line.
+    """Record one retry: counters and one ``retry`` event.
 
     Shared by :func:`retry_call` and the few loops (flash-attack
     acquisition, fleet outage RENT requeues) that implement their own
@@ -176,13 +174,10 @@ def note_retry(label: str, attempt: int, delay_s: float,
             "simulated backoff seconds accumulated by retries",
         ).inc(delay_s)
         delay_attr = {"simulated_delay_s": round(delay_s, 6)}
-    with trace.span("retry.wait", label=label, attempt=attempt,
-                    error=type(error).__name__, **delay_attr):
-        pass  # simulated: the wait is recorded, never slept
-    _progress.note_event("retry", label=label, attempt=attempt,
-                         error=type(error).__name__)
-    _log.info("retrying", label=label, attempt=attempt,
-              error=type(error).__name__, **delay_attr)
+    # Simulated: the wait is recorded (a ``retry.wait`` marker), never
+    # slept.
+    _log.event("retry", label=label, attempt=attempt,
+               error=type(error).__name__, **delay_attr)
 
 
 def retry_call(

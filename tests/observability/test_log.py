@@ -67,3 +67,36 @@ class TestModes:
 
     def test_get_logger_cached(self):
         assert obslog.get_logger("same") is obslog.get_logger("same")
+
+
+class TestEvents:
+    """An operational event is one record: log line, progress, marker."""
+
+    def test_event_is_an_info_record_named_by_its_kind(self):
+        stream = capture("json")
+        obslog.get_logger("reliability.faults").event(
+            "fault", site="sensor.capture", fires=1
+        )
+        record = json.loads(stream.getvalue())
+        assert {k: v for k, v in record.items() if k != "ts"} == {
+            "level": "info", "logger": "reliability.faults",
+            "event": "fault", "site": "sensor.capture", "fires": 1,
+        }
+
+    def test_event_reaches_the_sink_and_leaves_its_marker(self):
+        from repro.observability import progress, trace
+
+        stream = capture("kv")
+        collector = progress.CollectingEmitter()
+        previous = progress.set_emitter(collector)
+        trace.enable()
+        try:
+            obslog.get_logger("t").event("fault", site="x")
+            obslog.get_logger("t").event("fleet.scan_hit", victim=0)
+        finally:
+            progress.set_emitter(previous)
+        assert collector.event_counts == {"fault": 1, "fleet.scan_hit": 1}
+        assert [(sp.name, sp.attrs) for sp in trace.roots()] == [
+            ("fault.inject", {"site": "x"}),
+        ]
+        assert len(stream.getvalue().splitlines()) == 2

@@ -8,6 +8,8 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.observability import trace
+from repro.observability.log import get_logger
 from repro.observability.progress import (
     CollectingEmitter,
     JsonlProgress,
@@ -15,12 +17,12 @@ from repro.observability.progress import (
     compose,
     get_emitter,
     make_progress,
-    note_event,
-    note_phase,
     note_seed_done,
     note_sim_hours,
     set_emitter,
 )
+
+_log = get_logger("tests.progress")
 
 
 class FakeClock:
@@ -246,23 +248,48 @@ class TestCollectingEmitter:
 class TestHooksAndCompose:
     def test_hooks_are_noops_without_emitter(self):
         assert get_emitter() is None
-        note_phase("sweep", total=4)
+        with trace.phase("montecarlo", total=4):
+            pass
         note_seed_done(1, 1.0)
-        note_event("fault")
+        _log.event("degraded", route="rut[0]")
+        assert trace.roots() == ()  # tracing is off: no span either
 
     def test_hooks_fan_out_through_compose(self):
         a, b = CollectingEmitter(), CollectingEmitter()
         previous = set_emitter(compose(a, b))
         try:
-            note_phase("sweep", total=2)
-            note_seed_done(1, 0.5, elapsed_s=0.1)
-            note_event("retry", label="cloud.rent")
+            with trace.phase("montecarlo", total=2):
+                note_seed_done(1, 0.5, elapsed_s=0.1)
+                _log.event("retry", label="cloud.rent")
         finally:
             set_emitter(previous)
         for collector in (a, b):
-            assert collector.phases[0]["name"] == "sweep"
+            assert collector.phases[0] == {"name": "montecarlo", "total": 2}
             assert collector.seed_rows[0]["value"] == 0.5
             assert collector.event_counts == {"retry": 1}
+
+    def test_phase_is_a_span_and_marker_events_leave_spans(self):
+        collector = CollectingEmitter()
+        previous = set_emitter(collector)
+        trace.enable()
+        try:
+            with trace.phase("experiment.burn", hours=4, cycles=2):
+                _log.event("retry", label="cloud.rent", attempt=1)
+                _log.event("degraded", route="rut[0]", points=2)
+        finally:
+            set_emitter(previous)
+        (root,) = trace.roots()
+        assert (root.name, root.attrs) == (
+            "experiment.burn", {"hours": 4, "cycles": 2}
+        )
+        # Only the kinds trace.MARKERS names leave a marker span.
+        assert [(sp.name, sp.attrs) for sp in root.children] == [
+            ("retry.wait", {"label": "cloud.rent", "attempt": 1}),
+        ]
+        assert collector.phases == [
+            {"name": "experiment.burn", "hours": 4, "cycles": 2}
+        ]
+        assert collector.event_counts == {"retry": 1, "degraded": 1}
 
     def test_compose_drops_nones(self):
         collector = CollectingEmitter()
@@ -309,7 +336,7 @@ class TestProducersEmit:
             experiment_sweep("exp1", [1, 2], quick=True)
         finally:
             set_emitter(previous)
-        assert collector.phases[0]["name"] == "sweep"
+        assert collector.phases[0]["name"] == "montecarlo"
         assert collector.phases[0]["total"] == 2
         assert [row["seed"] for row in collector.seed_rows] == [1, 2]
         for row in collector.seed_rows:

@@ -241,3 +241,46 @@ def test_cli_import_leaves_out_networkx():
     assert "networkx" not in loaded
     # The campaign engine loads only when ``repro fleet`` dispatches.
     assert "repro.cloud.campaigns" not in loaded
+
+
+#: Progress hooks the span and log APIs replaced: a phase is a
+#: ``trace.phase`` span, an event one ``StructuredLogger.event`` record.
+RETIRED_HOOKS = frozenset({"note_phase", "note_event"})
+
+
+def _retired_hook_uses(path):
+    """``(line, name)`` of each import or attribute naming a retired hook."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        yield from ((node.lineno, name) for name in names
+                    if name in RETIRED_HOOKS)
+
+
+def test_no_retired_progress_hook_outside_observability():
+    home = ROOT / "src" / "repro" / "observability"
+    paths = [path for directory in LIBRARY + TOOLING
+             for path in (ROOT / directory).rglob("*.py")
+             if home not in path.parents]
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted(paths)
+        for line, name in _retired_hook_uses(path)
+    ]
+    assert found == []
+
+
+def test_retired_hook_check_sees_imports_and_attributes(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "from repro.observability.progress import note_phase, note_seed_done\n"
+        "from repro.observability import progress as _progress\n"
+        "_progress.note_event('fault')\n"
+        "note_phase('x')\n"
+    )
+    assert list(_retired_hook_uses(source)) == [(1, "note_phase"),
+                                                 (3, "note_event")]
